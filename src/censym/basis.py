@@ -11,7 +11,9 @@ indexed canonically by 1 <= i <= ceil(n/2) and 1 <= j <= n, except that in
 the odd middle row i == (n+1)/2 the indices j and n+1-j name the same
 element and the canonical representative takes j <= (n+1)/2.  Basis order
 is lexicographic on the canonical (i, j).  Structure constants are always
-computed by expanding into matrix units and multiplying (the oracle); the
+computed by the matrix-unit oracle: each basis element expands into its one
+or two unit cells, the units multiply as e[a, b] e[c, d] = kron(b, c) e[a, d],
+and the coefficients are read off the canonical cells of the product.  The
 closed product formula is a verified property, never the implementation.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import Matrix, exchange, is_centrosymmetric, matrix_unit
+from .matrices import Matrix, exchange, is_centrosymmetric
 from .rings import Ring
 
 
@@ -74,6 +76,8 @@ def canon_index(n: int, i: int, j: int) -> tuple:
 
 def canonical_indices(n: int) -> list:
     """All canonical basis indices in lexicographic order; ceil(n^2/2) of them."""
+    if n < 1:
+        raise ValueError(f"matrix size must be >= 1, got {n}")
     k = half_ceil(n)
     out = []
     for i in range(1, k + 1):
@@ -83,18 +87,24 @@ def canonical_indices(n: int) -> list:
     return out
 
 
-def basis_matrix(ring: Ring, n: int, i: int, j: int) -> Matrix:
-    """The basis element f[i, j] as a matrix (index canonicalized first).
+def unit_cells(n: int, i: int, j: int) -> tuple:
+    """The matrix-unit cells of f[i, j] for a canonical (i, j).
 
-    The mirror unit is added exactly when it sits in a different cell; on
-    the diagonal that is the anti-Kronecker adjustment of the definition.
+    The mirror cell (n+1-i, n+1-j) is included exactly when it is a
+    different cell; on the diagonal that is the anti-Kronecker adjustment
+    of the definition.
     """
-    i, j = canon_index(n, i, j)
-    m = matrix_unit(ring, n, i, j)
     mi, mj = n + 1 - i, n + 1 - j
-    if akron(i, mi) or akron(j, mj):
-        m = m + matrix_unit(ring, n, mi, mj)
-    return m
+    return ((i, j), (mi, mj)) if akron(i, mi) or akron(j, mj) else ((i, j),)
+
+
+def basis_matrix(ring: Ring, n: int, i: int, j: int) -> Matrix:
+    """The basis element f[i, j] as a matrix (index canonicalized first)."""
+    i, j = canon_index(n, i, j)
+    entries = [ring.zero()] * (n * n)
+    for a, b in unit_cells(n, i, j):
+        entries[(a - 1) * n + (b - 1)] = ring.one()
+    return Matrix(ring, n, entries)
 
 
 class CentroMatrix:
@@ -189,22 +199,35 @@ _SC_CACHE: dict = {}
 def structure_constants(ring: Ring, n: int) -> dict:
     """Sparse product table: (u, v) -> tuple of (w, coeff) with f_u f_v = sum.
 
-    Computed by the matrix-unit oracle: expand basis elements as matrices,
-    multiply, re-extract coordinates.  Cached per (ring, n).
+    Computed by the matrix-unit oracle: expand f_u and f_v into their unit
+    cells, multiply the units (e[a, b] e[c, d] = kron(b, c) e[a, d]) and
+    accumulate the product cells, then read the coefficients off the
+    canonical cells in ascending w.  A product that is not centrosymmetric
+    raises the same ValueError as :func:`coords`.  Cached per (ring, n).
     """
     key = (ring, n)
     cached = _SC_CACHE.get(key)
     if cached is not None:
         return cached
-    basis = canonical_basis(ring, n)
-    zero = ring.zero()
+    idxs = canonical_indices(n)
+    pos = {(ix.i, ix.j): w for w, ix in enumerate(idxs)}
+    cells = [unit_cells(n, ix.i, ix.j) for ix in idxs]
+    add, one, zero = ring.add, ring.one(), ring.zero()
     table = {}
-    for u, (_, fu) in enumerate(basis):
-        for v, (_, fv) in enumerate(basis):
-            cs = coords(fu * fv)
-            terms = tuple((w, c) for w, c in enumerate(cs) if c != zero)
+    for u, cu in enumerate(cells):
+        for v, cv in enumerate(cells):
+            prod = {}
+            for a, b in cu:
+                for c, d in cv:
+                    if b == c:
+                        prod[a, d] = add(prod.get((a, d), zero), one)
+            for (a, d), x in prod.items():
+                if prod.get((n + 1 - a, n + 1 - d), zero) != x:
+                    raise ValueError("matrix is not centrosymmetric")
+            terms = sorted((pos[cell], x) for cell, x in prod.items()
+                           if cell in pos and x != zero)
             if terms:
-                table[(u, v)] = terms
+                table[(u, v)] = tuple(terms)
     _SC_CACHE[key] = table
     return table
 

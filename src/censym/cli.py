@@ -396,6 +396,17 @@ def cmd_dump_algebra(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse type for matrix sizes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"matrix size must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="censym",
@@ -405,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, default_n=None):
-        p.add_argument("--n", type=int, default=default_n,
+        p.add_argument("--n", type=positive_int, default=default_n,
                        help="matrix size (default: the 1..8 grid for verify)")
         p.add_argument("--ring", default="int",
                        help="ring literal: int, rat, zmod:<m>, gf:<p>, c2:<ring>")

@@ -102,10 +102,11 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
 
     bimod = PASS
     image_ok = PASS
+    unit_images = [(u, e(u)) for _, u in probes[: n * n]]
     for idx, fs in canonical_basis(ring, n):
         s = fs.inner
-        for _, u in probes[: n * n]:
-            if e(s * u) != s * e(u) or e(u * s) != e(u) * s:
+        for u, eu in unit_images:
+            if e(s * u) != s * eu or e(u * s) != eu * s:
                 bimod = FAIL
                 counterexample = counterexample or {
                     "identity": "bimodule",

@@ -2,8 +2,11 @@
 
 Indexing is 1-based throughout the public interface: ``a[i, j]`` with
 ``1 <= i, j <= n``.  Entries are canonical ring payloads.  Multiplication
-is the schoolbook triple loop; sizes here are tiny and exactness matters
-more than speed.
+skips zeros on both sides: each row of the left factor walks only its
+non-zero entries, and each of those walks only the non-zero entries of the
+matching row of the right factor.  A product of matrix units therefore
+costs O(n), a dense product still O(n^3), and every entry is the same
+ring element the schoolbook sum gives (terms are added in k order).
 """
 
 from __future__ import annotations
@@ -76,16 +79,21 @@ class Matrix:
         R = self.ring
         add, mul, zero = R.add, R.mul, R.zero()
         a, b = self.entries, other.entries
+        # non-zero (j, b[k, j]) of row k of the right factor, built on first use
+        brows = [None] * n
         out = []
         for i in range(n):
-            row = a[i * n : (i + 1) * n]
-            for j in range(n):
-                s = zero
-                for k in range(n):
-                    x = row[k]
-                    if x != zero:
-                        s = add(s, mul(x, b[k * n + j]))
-                out.append(s)
+            acc = [zero] * n
+            for k, x in enumerate(a[i * n : (i + 1) * n]):
+                if x != zero:
+                    brow = brows[k]
+                    if brow is None:
+                        brow = brows[k] = [
+                            (j, y) for j, y in enumerate(b[k * n : (k + 1) * n]) if y != zero
+                        ]
+                    for j, y in brow:
+                        acc[j] = add(acc[j], mul(x, y))
+            out.extend(acc)
         return Matrix(R, n, out)
 
     def transpose(self) -> "Matrix":

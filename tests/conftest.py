@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from censym.rings import (
     GroupRingC2,
@@ -15,6 +16,20 @@ GF5 = ModularRing(5)
 Z4 = ModularRing(4)
 Z9 = ModularRing(9)
 C2Z = GroupRingC2(Z)
+
+
+def elements(ring):
+    """Hypothesis strategy for canonical payloads of the given ring."""
+    if isinstance(ring, IntegerRing):
+        return st.integers(-50, 50)
+    if isinstance(ring, RationalRing):
+        return st.fractions(min_value=-50, max_value=50, max_denominator=20)
+    if isinstance(ring, ModularRing):
+        return st.integers(0, ring.modulus - 1)
+    if isinstance(ring, GroupRingC2):
+        base = elements(ring.base)
+        return st.tuples(base, base)
+    raise AssertionError(ring)
 
 
 @pytest.fixture(params=[Z, Q, Z4, GF2, GF5, C2Z], ids=lambda r: r.literal())

@@ -307,3 +307,9 @@ def test_full_matrix_algebra_unflattened_over_group_ring():
     m = full_matrix_algebra(C2Z, 2, flatten_group_ring=False)
     assert m.rank == 4 and m.ring == C2Z
     assert m.validate() == []
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_algebra_of_censym_rejects_non_positive_size(n):
+    with pytest.raises(ValueError, match="matrix size must be >= 1"):
+        algebra_of_censym(Z, n)

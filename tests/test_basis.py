@@ -71,6 +71,14 @@ def test_rank_counts():
         assert len(canonical_indices(n)) == rank_of(n) == (n * n + 1) // 2
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_non_positive_size_rejected(n):
+    with pytest.raises(ValueError, match="matrix size must be >= 1"):
+        canonical_indices(n)
+    with pytest.raises(ValueError, match="matrix size must be >= 1"):
+        structure_constants(Z, n)
+
+
 def test_canon_index():
     assert canon_index(3, 3, 1) == (1, 3)
     assert canon_index(3, 2, 3) == (2, 1)

@@ -184,3 +184,25 @@ def test_matrix_file_bad(tmp_path, capsys):
     path.write_text("nonsense\n")
     code, _, err = run(capsys, "verify", "--matrix-file", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "-3", "--check", "rank"],
+    ["verify", "--n", "-2", "--check", "structure-constants"],
+    ["verify", "--n", "-2", "--check", "split"],
+    ["verify", "--n", "-2", "--check", "heredity"],
+    ["verify", "--n", "-2", "--check", "isos"],
+    ["verify", "--n", "0"],
+    ["verify", "--n", "0", "--json"],
+    ["iso", "--kind", "s2", "--n", "-2"],
+    ["table", "--n", "0"],
+    ["frobenius", "--n", "0"],
+    ["centre", "--n", "-1"],
+])
+def test_non_positive_size_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "matrix size must be >= 1" in out.err

@@ -123,3 +123,55 @@ def test_reports_are_reproducible():
     a = verify_frobenius_system(FrobeniusSystem(Q, 3), seed=7, batch=10)
     b = verify_frobenius_system(FrobeniusSystem(Q, 3), seed=7, batch=10)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+class MirrorOnlySystem(FrobeniusSystem):
+    """Wrong E: a -> c*a*c, which drops the a-term of the averaging map."""
+
+    def system_e(self, a):
+        return a.conj_by_c()
+
+
+class SkewedSystem(FrobeniusSystem):
+    """Wrong E: a + c*a*c + a[1,1]*e[2,2].  The extra term has zero first
+    row and column, so both unit identities still hold; only the bimodule
+    clause can catch it."""
+
+    def system_e(self, a):
+        return a + a.conj_by_c() + matrix_unit(self.ring, self.n, 2, 2).scale(a[1, 1])
+
+
+class IdentitySystem(FrobeniusSystem):
+    """Wrong E at n >= 2: a -> a, whose image is not centrosymmetric."""
+
+    def system_e(self, a):
+        return a
+
+
+@pytest.mark.parametrize("ring", [Z, Q, C2Z], ids=lambda r: r.literal())
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wrong_e_fails_unit_identity(ring, n):
+    rep = verify_frobenius_system(MirrorOnlySystem(ring, n), batch=5)
+    assert rep.verdict == "fail"
+    assert rep.clauses["left-unit-identity"] == "fail"
+    assert rep.clauses["right-unit-identity"] == "fail"
+    assert rep.counterexample == {"identity": "left-unit", "input": "e1_1"}
+
+
+@pytest.mark.parametrize("ring", [Z, Q, C2Z], ids=lambda r: r.literal())
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_wrong_e_fails_bimodule_only(ring, n):
+    rep = verify_frobenius_system(SkewedSystem(ring, n), batch=5)
+    assert rep.verdict == "fail"
+    assert rep.clauses["left-unit-identity"] == "pass"
+    assert rep.clauses["right-unit-identity"] == "pass"
+    assert rep.clauses["bimodule-property"] == "fail"
+    assert rep.counterexample == {"identity": "bimodule", "input": "(f1_1, unit)"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_identity_e_fails_image_clause(n):
+    rep = verify_frobenius_system(IdentitySystem(Z, n), batch=5)
+    assert rep.verdict == "fail"
+    assert rep.clauses["image-centrosymmetric"] == "fail"
+    assert rep.counterexample["identity"] == "image"

@@ -1,0 +1,106 @@
+"""Differential tests of the sparse kernels against schoolbook references.
+
+The program has one product path (the zero-skipping ``Matrix.__mul__``)
+and one structure-constant oracle (the sparse matrix-unit expansion).  The
+dense triple loop survives only here, as an independent reference.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from censym import basis as fb
+from censym.basis import canonical_basis, coords, structure_constants
+from censym.matrices import Matrix, matrix_unit
+from censym.rings import ring_from_literal
+
+from conftest import C2Z, Q, elements
+
+ORACLE_RINGS = ["int", "rat", "gf:2", "zmod:4", "zmod:9", "c2:int", "c2:c2:int"]
+
+
+def schoolbook(a: Matrix, b: Matrix) -> Matrix:
+    """The dense i-j-k product, adding every term including zero ones."""
+    ring, n = a.ring, a.n
+    out = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            s = ring.zero()
+            for k in range(1, n + 1):
+                s = ring.add(s, ring.mul(a[i, k], b[k, j]))
+            out.append(s)
+    return Matrix(ring, n, out)
+
+
+def dense_structure_constants(ring, n: int) -> dict:
+    """coords(f_u * f_v) for every basis pair, multiplied by the schoolbook loop."""
+    zero = ring.zero()
+    basis = canonical_basis(ring, n)
+    table = {}
+    for u, (_, fu) in enumerate(basis):
+        for v, (_, fv) in enumerate(basis):
+            cs = coords(schoolbook(fu.inner, fv.inner))
+            terms = tuple((w, c) for w, c in enumerate(cs) if c != zero)
+            if terms:
+                table[(u, v)] = terms
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("literal", ORACLE_RINGS)
+def test_sparse_structure_constants_match_dense_reference(literal, n):
+    ring = ring_from_literal(literal)
+    fb._SC_CACHE.pop((ring, n), None)  # force a cold build of the sparse table
+    assert structure_constants(ring, n) == dense_structure_constants(ring, n)
+
+
+def test_unit_cells():
+    assert fb.unit_cells(4, 1, 2) == ((1, 2), (4, 3))
+    assert fb.unit_cells(3, 2, 2) == ((2, 2),)
+    assert fb.unit_cells(3, 2, 1) == ((2, 1), (2, 3))
+    assert fb.unit_cells(1, 1, 1) == ((1, 1),)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two matrices over rat or c2:int with forced zero rows and columns;
+    either factor may be replaced by a matrix unit."""
+    ring = draw(st.sampled_from([Q, C2Z]))
+    n = draw(st.integers(1, 5))
+    zero = ring.zero()
+
+    def matrix(kind):
+        if kind == "unit":
+            i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+            return matrix_unit(ring, n, i, j)
+        entries = draw(st.lists(elements(ring), min_size=n * n, max_size=n * n))
+        zero_rows = draw(st.sets(st.integers(0, n - 1)))
+        zero_cols = draw(st.sets(st.integers(0, n - 1)))
+        return Matrix(ring, n, [
+            zero if p // n in zero_rows or p % n in zero_cols else x
+            for p, x in enumerate(entries)
+        ])
+
+    left = draw(st.sampled_from(["dense", "unit"]))
+    right = draw(st.sampled_from(["dense", "unit"]))
+    return matrix(left), matrix(right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=matrix_pairs())
+def test_product_matches_schoolbook(pair):
+    a, b = pair
+    assert a * b == schoolbook(a, b)
+
+
+def test_unit_products_follow_kronecker_rule():
+    for ring in (Q, C2Z):
+        n = 4
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                for c in range(1, n + 1):
+                    for d in range(1, n + 1):
+                        got = matrix_unit(ring, n, a, b) * matrix_unit(ring, n, c, d)
+                        want = (matrix_unit(ring, n, a, d) if b == c
+                                else Matrix.zero(ring, n))
+                        assert got == want

@@ -7,31 +7,13 @@ from hypothesis import strategies as st
 
 from censym.rings import (
     GroupRingC2,
-    IntegerRing,
-    ModularRing,
-    RationalRing,
     RingError,
     group_ring_c2,
     is_prime,
     ring_from_literal,
 )
 
-from conftest import C2Z, GF2, GF5, Q, Z, Z4, Z9
-
-
-def elements(ring):
-    """Hypothesis strategy for canonical payloads of the given ring."""
-    if isinstance(ring, IntegerRing):
-        return st.integers(-50, 50)
-    if isinstance(ring, RationalRing):
-        return st.fractions(min_value=-50, max_value=50, max_denominator=20)
-    if isinstance(ring, ModularRing):
-        return st.integers(0, ring.modulus - 1)
-    if isinstance(ring, GroupRingC2):
-        base = elements(ring.base)
-        return st.tuples(base, base)
-    raise AssertionError(ring)
-
+from conftest import C2Z, GF2, GF5, Q, Z, Z4, Z9, elements
 
 RINGS = [Z, Q, Z4, GF5, C2Z, GroupRingC2(GF2), GroupRingC2(GroupRingC2(Z))]
 
