@@ -652,7 +652,6 @@ def centre(a: StructureAlgebra, candidates=None) -> Report:
             "dimension": len(basis_vectors),
             "basis": [a.format_element(v) for v in basis_vectors],
         }
-        verdict = PASS
         if candidates is not None:
             cand_rb = span_basis(ring, candidates, a.rank)
             null_rb = span_basis(ring, basis_vectors, a.rank)
@@ -661,8 +660,14 @@ def centre(a: StructureAlgebra, candidates=None) -> Report:
             )
             witness["reduces_to_candidates"] = reduces
             if not reduces:
-                verdict = FAIL
-        return Report("centre", params, verdict, witness)
+                outside = [c for c in candidates if not null_rb.contains(c)]
+                return Report("centre", params, FAIL, witness, counterexample=(
+                    {"candidate": a.format_element(outside[0]),
+                     "reason": "not in the centre"} if outside else
+                    {"reason": f"candidates span rank {cand_rb.rank}; "
+                               f"the centre has dimension {len(basis_vectors)}"}
+                ))
+        return Report("centre", params, PASS, witness)
 
     if not candidates:
         return Report(

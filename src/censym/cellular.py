@@ -365,9 +365,12 @@ def verify_cell_chain(chain: CellChainWitness) -> Report:
             for v in layer.span:
                 stacked.insert(v)
                 count += 1
-        clauses["direct-sum"] = (
-            PASS if count == a.rank and stacked.rank == a.rank else FAIL
-        )
+        if count == a.rank and stacked.rank == a.rank:
+            clauses["direct-sum"] = PASS
+        else:
+            clauses["direct-sum"] = FAIL
+            ce = {"clause": "direct-sum", "vectors": count,
+                  "span_rank": stacked.rank, "rank": a.rank}
     except FreenessUndetermined:
         clauses["direct-sum"] = UNDETERMINED
 
@@ -407,9 +410,12 @@ def verify_cell_chain(chain: CellChainWitness) -> Report:
             ce = ce or {"clause": "partial-sums-ideals", "layer": p}
 
     ranks = chain.delta_ranks()
-    clauses["rank-sum"] = (
-        PASS if sum(r * r for r in ranks) == a.rank else FAIL
-    )
+    squares = sum(r * r for r in ranks)
+    if squares == a.rank:
+        clauses["rank-sum"] = PASS
+    else:
+        clauses["rank-sum"] = FAIL
+        ce = ce or {"clause": "rank-sum", "sum_of_squares": squares, "rank": a.rank}
 
     for p, layer in enumerate(chain.layers, start=1):
         rep = verify_cell_ideal(layer.witness, params=chain.params)

@@ -11,6 +11,13 @@ exact:
 * when 2 is invertible, E(2^-1 * 1) == 1, which splits the extension.
   Without an invertible 2 the verdict is ``unknown``: absence of this
   witness is not evidence of non-splitness.
+
+The check treats E (``FrobeniusSystem.system_e``) as a black box and never
+forms a dense product with a matrix unit.  x_i, y_i, the basis elements and
+the unit probes are sums of at most two matrix-unit cells, so every product
+with them is a row or column move (``matrices.cells_times`` and
+``times_cells``), and each unit identity is read off row by row or column
+by column instead of being accumulated as a sum of n matrices.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .basis import CentroMatrix, canonical_basis
-from .matrices import Matrix, is_centrosymmetric, matrix_unit
+from .basis import CentroMatrix, canonical_basis, unit_cells
+from .matrices import Matrix, cells_times, is_centrosymmetric, matrix_unit, times_cells
 from .reports import FAIL, PASS, UNKNOWN, Report, combine_clauses
 from .rings import Ring
 
@@ -29,11 +36,19 @@ class FrobeniusSystem:
     ring: Ring
     n: int
 
+    def x_cells(self, i: int) -> tuple:
+        """x_i = e[i, 1] as matrix-unit cells."""
+        return ((i, 1),)
+
+    def y_cells(self, i: int) -> tuple:
+        """y_i = e[1, i] as matrix-unit cells."""
+        return ((1, i),)
+
     def x(self, i: int) -> Matrix:
-        return matrix_unit(self.ring, self.n, i, 1)
+        return cells_times(self.x_cells(i), Matrix.identity(self.ring, self.n))
 
     def y(self, i: int) -> Matrix:
-        return matrix_unit(self.ring, self.n, 1, i)
+        return cells_times(self.y_cells(i), Matrix.identity(self.ring, self.n))
 
     def system_e(self, a: Matrix) -> Matrix:
         """E of the certified system.
@@ -64,28 +79,37 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
                             batch: int = 100) -> Report:
     """Exact check of the two unit identities on every matrix unit and on a
     seeded batch of random matrices, plus the bimodule property of E on all
-    (canonical basis) x (matrix unit) pairs."""
+    (canonical basis) x (matrix unit) pairs.
+
+    E is called exactly on y_i*a, a*x_i, s*u, u*s and u, as the identities
+    state them; only the products are formed by row and column moves.
+    Since x_i = e[i, 1], row i of sum_i x_i E(y_i a) is row 1 of E(y_i a);
+    since y_i = e[1, i], column i of sum_i E(a x_i) y_i is column 1 of
+    E(a x_i).  Each identity is therefore n row or column comparisons
+    with a.  Both identities are evaluated on every probe, in probe order,
+    and the first failing one names the counterexample."""
     ring, n = sys.ring, sys.n
     rng = random.Random(seed)
-    xs = [sys.x(i) for i in range(1, n + 1)]
-    ys = [sys.y(i) for i in range(1, n + 1)]
+    xs = [sys.x_cells(i) for i in range(1, n + 1)]
+    ys = [sys.y_cells(i) for i in range(1, n + 1)]
     clauses = {}
     counterexample = None
     e = sys.system_e
 
     def both_identities(a: Matrix):
-        left = Matrix.zero(ring, n)
-        right = Matrix.zero(ring, n)
-        for x, y in zip(xs, ys):
-            left = left + x * e(y * a)
-            right = right + e(a * x) * y
-        return left == a, right == a
+        rows = a.entries
+        left = all(
+            e(cells_times(y, a)).entries[:n] == rows[(i - 1) * n : i * n]
+            for i, y in enumerate(ys, start=1)
+        )
+        right = all(
+            e(times_cells(a, x)).entries[::n] == rows[i - 1 :: n]
+            for i, x in enumerate(xs, start=1)
+        )
+        return left, right
 
-    probes = [
-        (f"e{i}_{j}", matrix_unit(ring, n, i, j))
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    ]
+    units = [((i, j),) for i in range(1, n + 1) for j in range(1, n + 1)]
+    probes = [(f"e{i}_{j}", matrix_unit(ring, n, i, j)) for ((i, j),) in units]
     probes += [(f"random[{t}]", _random_matrix(ring, n, rng)) for t in range(batch)]
 
     left_ok = right_ok = True
@@ -102,11 +126,12 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
 
     bimod = PASS
     image_ok = PASS
-    unit_images = [(u, e(u)) for _, u in probes[: n * n]]
+    unit_images = [(cells, u, e(u)) for cells, (_, u) in zip(units, probes)]
     for idx, fs in canonical_basis(ring, n):
-        s = fs.inner
-        for u, eu in unit_images:
-            if e(s * u) != s * eu or e(u * s) != eu * s:
+        s, s_cells = fs.inner, unit_cells(n, idx.i, idx.j)
+        for u_cells, u, eu in unit_images:
+            if (e(cells_times(s_cells, u)) != cells_times(s_cells, eu)
+                    or e(cells_times(u_cells, s)) != times_cells(eu, s_cells)):
                 bimod = FAIL
                 counterexample = counterexample or {
                     "identity": "bimodule",
@@ -168,7 +193,7 @@ def splitness_check(sys: FrobeniusSystem) -> Report:
             witness={"note": "2 is not invertible; no splitting witness attempted"},
         )
     d = Matrix.identity(ring, n).scale(t)
-    e_of_d = d + d.conj_by_c()
+    e_of_d = e_map(sys, d).inner
     ok = e_of_d == Matrix.identity(ring, n) and centralizer_membership(sys, d)
     return Report(
         "split", sys.params(),

@@ -1,12 +1,21 @@
 """Dense square matrices over a ring, matrix units, and symmetry predicates.
 
 Indexing is 1-based throughout the public interface: ``a[i, j]`` with
-``1 <= i, j <= n``.  Entries are canonical ring payloads.  Multiplication
-skips zeros on both sides: each row of the left factor walks only its
-non-zero entries, and each of those walks only the non-zero entries of the
-matching row of the right factor.  A product of matrix units therefore
-costs O(n), a dense product still O(n^3), and every entry is the same
-ring element the schoolbook sum gives (terms are added in k order).
+``1 <= i, j <= n``.  Entries are canonical ring payloads, and every zero
+test is the ring's ``is_zero``.
+
+* Multiplication skips zeros on both sides: each row of the left factor
+  walks only its non-zero entries, and each of those walks only the
+  non-zero entries of the matching row of the right factor.  A product of
+  matrix units therefore costs O(n), a dense product still O(n^3), and
+  every entry is the same ring element the schoolbook sum gives (terms are
+  added in k order).
+* Addition skips the ring add wherever one of the two entries is zero and
+  keeps the other entry, which is the same canonical payload.
+* ``cells_times`` and ``times_cells`` multiply by a sum of matrix units
+  e[i, j] given as cells (i, j), on the left and on the right.  Each cell
+  moves one row or one column, so the product costs O(n^2) without a
+  ring multiplication; ``Matrix.__mul__`` stays the general product.
 """
 
 from __future__ import annotations
@@ -57,8 +66,11 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
-        add = self.ring.add
-        return Matrix(self.ring, self.n, [add(a, b) for a, b in zip(self.entries, other.entries)])
+        add, is_zero = self.ring.add, self.ring.is_zero
+        return Matrix(self.ring, self.n, [
+            b if is_zero(a) else a if is_zero(b) else add(a, b)
+            for a, b in zip(self.entries, other.entries)
+        ])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
@@ -77,7 +89,7 @@ class Matrix:
         self._compat(other)
         n = self.n
         R = self.ring
-        add, mul, zero = R.add, R.mul, R.zero()
+        add, mul, is_zero, zero = R.add, R.mul, R.is_zero, R.zero()
         a, b = self.entries, other.entries
         # non-zero (j, b[k, j]) of row k of the right factor, built on first use
         brows = [None] * n
@@ -85,11 +97,12 @@ class Matrix:
         for i in range(n):
             acc = [zero] * n
             for k, x in enumerate(a[i * n : (i + 1) * n]):
-                if x != zero:
+                if not is_zero(x):
                     brow = brows[k]
                     if brow is None:
                         brow = brows[k] = [
-                            (j, y) for j, y in enumerate(b[k * n : (k + 1) * n]) if y != zero
+                            (j, y) for j, y in enumerate(b[k * n : (k + 1) * n])
+                            if not is_zero(y)
                         ]
                     for j, y in brow:
                         acc[j] = add(acc[j], mul(x, y))
@@ -102,12 +115,11 @@ class Matrix:
         return Matrix(self.ring, n, [e[j * n + i] for i in range(n) for j in range(n)])
 
     def conj_by_c(self) -> "Matrix":
-        """Conjugation by the exchange matrix: (cac)[j, k] == a[n+1-j, n+1-k]."""
-        n = self.n
-        e = self.entries
-        return Matrix(
-            self.ring, n, [e[(n - 1 - i) * n + (n - 1 - j)] for i in range(n) for j in range(n)]
-        )
+        """Conjugation by the exchange matrix: (cac)[j, k] == a[n+1-j, n+1-k].
+
+        Row-major position (j-1)*n + (k-1) mirrors to n*n-1 minus itself, so
+        this is the entry tuple reversed."""
+        return Matrix(self.ring, self.n, self.entries[::-1])
 
     def __eq__(self, other):
         return (
@@ -167,6 +179,46 @@ def matrix_unit(ring: Ring, n: int, i: int, j: int) -> Matrix:
     entries = list(m.entries)
     entries[(i - 1) * n + (j - 1)] = ring.one()
     return Matrix(ring, n, entries)
+
+
+def cells_times(cells, a: Matrix) -> Matrix:
+    """(sum of e[i, j] over the cells (i, j)) * a, by row moves.
+
+    Row i of the result is the sum of rows j of ``a`` over the cells in
+    row i; rows without a cell are zero.  Cells are distinct 1-based pairs.
+    """
+    n, R = a.n, a.ring
+    add, e = R.add, a.entries
+    out = [R.zero()] * (n * n)
+    filled = set()
+    for i, j in cells:
+        lo, src = (i - 1) * n, e[(j - 1) * n : j * n]
+        if i in filled:
+            out[lo : lo + n] = [add(x, y) for x, y in zip(out[lo : lo + n], src)]
+        else:
+            out[lo : lo + n] = src
+            filled.add(i)
+    return Matrix(R, n, out)
+
+
+def times_cells(a: Matrix, cells) -> Matrix:
+    """a * (sum of e[i, j] over the cells (i, j)), by column moves.
+
+    Column j of the result is the sum of columns i of ``a`` over the cells
+    in column j; columns without a cell are zero.
+    """
+    n, R = a.n, a.ring
+    add, e = R.add, a.entries
+    out = [R.zero()] * (n * n)
+    filled = set()
+    for i, j in cells:
+        src = e[i - 1 :: n]
+        if j in filled:
+            out[j - 1 :: n] = [add(x, y) for x, y in zip(out[j - 1 :: n], src)]
+        else:
+            out[j - 1 :: n] = src
+            filled.add(j)
+    return Matrix(R, n, out)
 
 
 def exchange(ring: Ring, n: int) -> Matrix:

@@ -15,6 +15,7 @@ Ring literals: ``int``, ``rat``, ``zmod:<m>``, ``gf:<p>`` (prime p), and
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -53,7 +54,14 @@ def is_prime(m: int) -> bool:
 
 
 class Ring:
-    """A commutative ring with identity, operating on canonical payloads."""
+    """A commutative ring with identity, operating on canonical payloads.
+
+    ``is_zero(a)`` must equal ``a == self.zero()`` on every canonical
+    payload.  The default is exactly that comparison; a subclass overrides
+    it only with a cheaper test of the same truth.  Python truthiness is
+    such a test where the zero payload is the only falsy one (ints,
+    fractions, residues), never for tuple payloads, which are always truthy.
+    """
 
     is_field: bool = False
 
@@ -78,6 +86,9 @@ class Ring:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def is_zero(self, a) -> bool:
+        return a == self.zero()
 
     def inv(self, a):
         """Multiplicative inverse payload, or None if ``a`` is not a unit."""
@@ -125,6 +136,9 @@ class IntegerRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    # a builtin is not a descriptor, so ring.is_zero(a) calls not_(a)
+    is_zero = operator.not_
+
     def inv(self, a):
         return a if a in (1, -1) else None
 
@@ -170,6 +184,8 @@ class RationalRing(Ring):
 
     def mul(self, a, b):
         return a * b
+
+    is_zero = operator.not_
 
     def inv(self, a):
         return 1 / a if a else None
@@ -222,6 +238,8 @@ class ModularRing(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.modulus
+
+    is_zero = operator.not_
 
     def inv(self, a):
         try:
@@ -285,6 +303,9 @@ class GroupRingC2(Ring):
         if not isinstance(base, Ring):
             raise RingError(f"group-ring base must be a ring, got {base!r}")
         self.base = base
+        # payloads are canonical tuples, so tuple equality with the zero
+        # pair is the zero test
+        self.is_zero = self.zero().__eq__
 
     def zero(self):
         z = self.base.zero()

@@ -255,6 +255,22 @@ def test_centre_containment_certificate_over_int():
     assert rep_bad.verdict == "fail"
 
 
+def test_centre_field_fail_names_a_non_central_candidate():
+    a = algebra_of_censym(GF3, 4)
+    rep = centre(a, candidates=[a.unit, a.basis_vector(1)])
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {"candidate": a.format_element(a.basis_vector(1)),
+                                  "reason": "not in the centre"}
+
+
+def test_centre_field_fail_on_too_few_candidates():
+    a = algebra_of_censym(GF3, 4)
+    rep = centre(a, candidates=[a.unit])
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {
+        "reason": "candidates span rank 1; the centre has dimension 2"}
+
+
 def test_format_vector():
     a = algebra_of_censym(Z, 3)
     v = a.zero_vector()

@@ -8,6 +8,7 @@ from censym.algebra import (
 from censym.basis import canonical_indices, rank_of
 from censym.cellular import (
     CellIdealWitness,
+    CellLayer,
     canonical_cell_witness,
     cell_chain_even,
     cell_chain_odd,
@@ -226,3 +227,29 @@ def test_alpha_normalization_reordering_consistency():
     for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
         w = canonical_cell_witness(a, [delta[k] for k in perm])
         assert verify_cell_ideal(w).verdict == "pass", perm
+
+
+def test_chain_with_repeated_span_fails_direct_sum_with_counterexample():
+    # layer 2 restates a vector of layer 1: the count still matches the
+    # rank, the span does not
+    chain = cell_chain_odd(Q, 3)
+    layer2 = chain.layers[1]
+    chain.layers[1] = CellLayer([chain.layers[0].span[0]], layer2.stage, layer2.witness)
+    rep = verify_cell_chain(chain)
+    assert rep.verdict == "fail"
+    assert rep.clauses["direct-sum"] == "fail"
+    assert rep.clauses["rank-sum"] == "pass"
+    assert rep.counterexample == {"clause": "direct-sum", "vectors": 5,
+                                  "span_rank": 4, "rank": 5}
+
+
+def test_chain_with_wrong_cell_ranks_fails_rank_sum_with_counterexample():
+    # both layers carry the rank-2 middle-column witness: 2^2 + 2^2 != 5
+    chain = cell_chain_odd(Q, 3)
+    layer1, layer2 = chain.layers
+    chain.layers[1] = CellLayer(layer2.span, layer1.stage, layer1.witness)
+    rep = verify_cell_chain(chain)
+    assert rep.verdict == "fail"
+    assert rep.clauses["direct-sum"] == "pass"
+    assert rep.clauses["rank-sum"] == "fail"
+    assert rep.counterexample == {"clause": "rank-sum", "sum_of_squares": 8, "rank": 5}

@@ -141,6 +141,15 @@ class SkewedSystem(FrobeniusSystem):
         return a + a.conj_by_c() + matrix_unit(self.ring, self.n, 2, 2).scale(a[1, 1])
 
 
+class RowTwoSystem(FrobeniusSystem):
+    """Wrong E: a + c*a*c + a[2,1]*e[2,1].  Every y_i*a has a zero second
+    row, so the left unit identity holds; a*x_i carries a[2,i] into cell
+    (2, 1), so the right unit identity gains row 2 of a and fails."""
+
+    def system_e(self, a):
+        return a + a.conj_by_c() + matrix_unit(self.ring, self.n, 2, 1).scale(a[2, 1])
+
+
 class IdentitySystem(FrobeniusSystem):
     """Wrong E at n >= 2: a -> a, whose image is not centrosymmetric."""
 
@@ -175,3 +184,82 @@ def test_identity_e_fails_image_clause(n):
     assert rep.verdict == "fail"
     assert rep.clauses["image-centrosymmetric"] == "fail"
     assert rep.counterexample["identity"] == "image"
+
+
+@pytest.mark.parametrize("ring", [Z, Q, C2Z], ids=lambda r: r.literal())
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wrong_e_fails_right_unit_identity_only(ring, n):
+    rep = verify_frobenius_system(RowTwoSystem(ring, n), batch=5)
+    assert rep.verdict == "fail"
+    assert rep.clauses["left-unit-identity"] == "pass"
+    assert rep.clauses["right-unit-identity"] == "fail"
+    assert rep.counterexample == {"identity": "right-unit", "input": "e2_1"}
+
+
+def dense_frobenius_report(sys, seed=0, batch=100) -> dict:
+    """The check as dense sums of products: sum_i x_i E(y_i a) and
+    sum_i E(a x_i) y_i accumulated as n matrices each, and the bimodule
+    clause with ``Matrix.__mul__``.  A test-only reference."""
+    ring, n = sys.ring, sys.n
+    rng = random.Random(seed)
+    e = sys.system_e
+    xs = [matrix_unit(ring, n, i, 1) for i in range(1, n + 1)]
+    ys = [matrix_unit(ring, n, 1, i) for i in range(1, n + 1)]
+    probes = [(f"e{i}_{j}", matrix_unit(ring, n, i, j))
+              for i in range(1, n + 1) for j in range(1, n + 1)]
+    probes += [(f"random[{t}]", Matrix(ring, n, [ring.sample(rng) for _ in range(n * n)]))
+               for t in range(batch)]
+    ce = None
+    left_ok = right_ok = True
+    for name, a in probes:
+        left = right = Matrix.zero(ring, n)
+        for x, y in zip(xs, ys):
+            left = left + x * e(y * a)
+            right = right + e(a * x) * y
+        if left != a and left_ok:
+            left_ok = False
+            ce = ce or {"identity": "left-unit", "input": name}
+        if right != a and right_ok:
+            right_ok = False
+            ce = ce or {"identity": "right-unit", "input": name}
+    bimod = "pass"
+    for idx, fs in canonical_basis(ring, n):
+        s = fs.inner
+        for _, u in probes[: n * n]:
+            if e(s * u) != s * e(u) or e(u * s) != e(u) * s:
+                bimod = "fail"
+                ce = ce or {"identity": "bimodule", "input": f"({idx.label}, unit)"}
+                break
+        if bimod == "fail":
+            break
+    image = "pass"
+    for name, a in probes[n * n:]:
+        if not is_centrosymmetric(e(a)):
+            image = "fail"
+            ce = ce or {"identity": "image", "input": name}
+            break
+    clauses = {
+        "left-unit-identity": "pass" if left_ok else "fail",
+        "right-unit-identity": "pass" if right_ok else "fail",
+        "bimodule-property": bimod,
+        "image-centrosymmetric": image,
+    }
+    return {"clauses": clauses, "counterexample": ce}
+
+
+# the skewed and row-two maps name cells of row 2, so they start at n = 2
+DENSE_CASES = [(system, n)
+               for system in (FrobeniusSystem, MirrorOnlySystem, SkewedSystem,
+                              IdentitySystem, RowTwoSystem)
+               for n in range(1, 5)
+               if n >= 2 or system not in (SkewedSystem, RowTwoSystem)]
+
+
+@pytest.mark.parametrize("system,n", DENSE_CASES,
+                         ids=[f"{c.__name__}-{n}" for c, n in DENSE_CASES])
+@pytest.mark.parametrize("ring", [Z, Q, C2Z], ids=lambda r: r.literal())
+def test_row_and_column_moves_match_dense_sums(system, n, ring):
+    sysn = system(ring, n)
+    rep = verify_frobenius_system(sysn, seed=3, batch=6)
+    want = dense_frobenius_report(sysn, seed=3, batch=6)
+    assert {"clauses": rep.clauses, "counterexample": rep.counterexample} == want
