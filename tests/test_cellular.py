@@ -253,3 +253,66 @@ def test_chain_with_wrong_cell_ranks_fails_rank_sum_with_counterexample():
     assert rep.clauses["direct-sum"] == "pass"
     assert rep.clauses["rank-sum"] == "fail"
     assert rep.counterexample == {"clause": "rank-sum", "sum_of_squares": 8, "rank": 5}
+
+
+def _m2_witness(delta_labels, whole_algebra=False):
+    m2 = full_matrix_algebra(Z, 2)
+    lab = {l: u for u, l in enumerate(m2.labels)}
+    delta = [m2.basis_vector(lab[name]) for name in delta_labels]
+    if not whole_algebra:
+        return canonical_cell_witness(m2, delta)
+    j_basis = [m2.basis_vector(u) for u in range(m2.rank)]
+    alpha = [m2.basis_vector(u) for u in range(m2.rank)]
+    return CellIdealWitness(m2, j_basis, delta, alpha, "whole-algebra")
+
+
+@pytest.mark.parametrize("leg", ["left", "right"])
+def test_permuted_alpha_leg_fails_bimodule_on_that_leg(leg):
+    # alpha[t] is the (p, q) grid, q fastest; exchanging the two values of
+    # one leg breaks the action on exactly that leg
+    w = _m2_witness(["E1_1", "E2_1"])
+    d = w.delta_rank
+
+    def moved(k):
+        p, q = divmod(k, d)
+        return (d - 1 - p) * d + q if leg == "left" else p * d + (d - 1 - q)
+
+    alpha_bad = [[row[moved(k)] for k in range(d * d)] for row in w.alpha]
+    rep = verify_cell_ideal(
+        CellIdealWitness(w.algebra, w.j_basis, w.delta_basis, alpha_bad, "permuted"))
+    assert rep.verdict == "fail"
+    assert rep.clauses["alpha-bimodule"] == "fail"
+    assert rep.counterexample == {"clause": "alpha-bimodule",
+                                  "input": f"{leg} (E1_1, J[0])"}
+
+
+def test_row_delta_fails_right_ideal_of_its_image():
+    # i(E1_1, E1_2) = (E1_1, E2_1) spans a left ideal, not a right one
+    rep = verify_cell_ideal(_m2_witness(["E1_1", "E1_2"], whole_algebra=True))
+    assert rep.verdict == "fail"
+    assert rep.clauses["alpha-bimodule"] == "fail"
+    assert rep.counterexample == {"clause": "alpha-bimodule",
+                                  "input": "(i(delta)[0], E1_2)",
+                                  "reason": "i(delta) is not a right ideal"}
+
+
+def test_row_delta_fails_left_ideal():
+    rep = verify_cell_ideal(_m2_witness(["E2_1", "E2_2"], whole_algebra=True))
+    assert rep.verdict == "fail"
+    assert rep.clauses["alpha-bimodule"] == "fail"
+    assert rep.counterexample == {"clause": "alpha-bimodule",
+                                  "input": "(E1_2, delta[0])",
+                                  "reason": "delta is not a left ideal"}
+
+
+def test_chain_with_exchanged_spans_fails_partial_sums():
+    # the first partial sum becomes the span of f1_1 alone, not an ideal
+    chain = cell_chain_odd(Q, 3)
+    layer1, layer2 = chain.layers
+    chain.layers = [CellLayer(layer2.span, layer1.stage, layer1.witness),
+                    CellLayer(layer1.span, layer2.stage, layer2.witness)]
+    rep = verify_cell_chain(chain)
+    assert rep.verdict == "fail"
+    assert rep.clauses["direct-sum"] == "pass"
+    assert rep.clauses["partial-sums-ideals"] == "fail"
+    assert rep.counterexample == {"clause": "partial-sums-ideals", "layer": 1}

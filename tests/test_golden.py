@@ -1,11 +1,17 @@
-"""Byte-identity gate for the default ``verify --json`` sweep.
+"""Byte-identity gates for CLI output.
 
 ``golden/verify_seed0.json`` maps a key to the sha256 of the standard
 output of ``censym verify --json --seed 0 --ring <key>``.  A key is a ring
 literal, optionally followed by extra arguments such as ``--n 6``; without
-them the command runs every check at n = 1..8.  A change that alters any
-verdict, witness, counterexample or formatting byte of that output fails
-here.
+them the command runs every check at n = 1..8.
+
+``golden/outputs.json`` maps a full argument vector (subcommand first) to
+the sha256 of its standard output.  It covers what ``verify`` never
+prints: the ``dump-algebra`` tensors of the censym and full matrix
+algebras, the ``table`` dump and the ``iso`` witness reports.
+
+A change that alters any verdict, witness, counterexample, table entry or
+formatting byte of these outputs fails here.
 """
 
 import hashlib
@@ -16,12 +22,24 @@ import pytest
 
 from censym.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_seed0.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "verify_seed0.json").read_text())
+OUTPUTS = json.loads((GOLDEN_DIR / "outputs.json").read_text())
+
+
+def _stdout_sha256(capsys, argv) -> str:
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("ring", sorted(GOLDEN))
 def test_verify_json_sweep_matches_golden_sha256(capsys, ring):
-    code = main(["verify", "--json", "--seed", "0", "--ring", *ring.split()])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[ring]
+    argv = ["verify", "--json", "--seed", "0", "--ring", *ring.split()]
+    assert _stdout_sha256(capsys, argv) == GOLDEN[ring]
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUTS))
+def test_output_matches_golden_sha256(capsys, argv):
+    assert _stdout_sha256(capsys, argv.split()) == OUTPUTS[argv]
