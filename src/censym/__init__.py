@@ -76,7 +76,6 @@ from .rings import (
     ring_from_literal,
 )
 from .structure import (
-    ModuleIsoWitness,
     WedderburnSplit,
     endring_odd,
     iso_even,

@@ -194,7 +194,7 @@ def algebra_of_censym(ring: Ring, n: int) -> StructureAlgebra:
     """The centrosymmetric algebra on the canonical f-basis, with the matrix
     transpose as its involution (a plus-signed basis permutation)."""
     idxs = fb.canonical_indices(n)
-    pos = {(ix.i, ix.j): u for u, ix in enumerate(idxs)}
+    pos = fb.positions(n)
     labels = [ix.label for ix in idxs]
     table = fb.structure_constants(ring, n)
     unit = fb.coords(fb.CentroMatrix(Matrix.identity(ring, n)))
@@ -217,47 +217,27 @@ def full_matrix_algebra(ring: Ring, m: int,
     """
     if m < 1:
         raise ValueError(f"matrix algebra size must be >= 1, got {m}")
-    if isinstance(ring, GroupRingC2) and flatten_group_ring:
-        base = ring.base
-        idx = {}
-        labels = []
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                for g in (0, 1):
-                    idx[(i, j, g)] = len(labels)
-                    labels.append(f"E{i}_{j}" if g == 0 else f"x*E{i}_{j}")
-        one = base.one()
-        table = {}
-        for (i, j, g), u in idx.items():
-            for (p, q, h), v in idx.items():
-                if j == p:
-                    table[(u, v)] = ((idx[(i, q, (g + h) % 2)], one),)
-        unit = [base.zero()] * len(labels)
-        for i in range(1, m + 1):
-            unit[idx[(i, i, 0)]] = one
-        invol = [
-            unit_vector(base, len(labels), idx[(j, i, g)])
-            for (i, j, g) in idx
-        ]
-        return StructureAlgebra(base, labels, table, unit, invol)
-
+    # g is the power of x carried by a basis element; unflattened, always 0
+    flatten = isinstance(ring, GroupRingC2) and flatten_group_ring
+    base = ring.base if flatten else ring
     idx = {}
     labels = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            idx[(i, j)] = len(labels)
-            labels.append(f"E{i}_{j}")
-    one = ring.one()
+            for g in (0, 1) if flatten else (0,):
+                idx[(i, j, g)] = len(labels)
+                labels.append(f"E{i}_{j}" if g == 0 else f"x*E{i}_{j}")
+    one = base.one()
     table = {}
-    for (i, j), u in idx.items():
-        for (p, q), v in idx.items():
+    for (i, j, g), u in idx.items():
+        for (p, q, h), v in idx.items():
             if j == p:
-                table[(u, v)] = ((idx[(i, q)], one),)
-    unit = [ring.zero()] * len(labels)
+                table[(u, v)] = ((idx[(i, q, (g + h) % 2)], one),)
+    unit = [base.zero()] * len(labels)
     for i in range(1, m + 1):
-        unit[idx[(i, i)]] = one
-    invol = [unit_vector(ring, len(labels), idx[(j, i)]) for (i, j) in idx]
-    return StructureAlgebra(ring, labels, table, unit, invol)
+        unit[idx[(i, i, 0)]] = one
+    invol = [unit_vector(base, len(labels), idx[(j, i, g)]) for (i, j, g) in idx]
+    return StructureAlgebra(base, labels, table, unit, invol)
 
 
 def zero_algebra(ring: Ring) -> StructureAlgebra:
@@ -383,10 +363,6 @@ def _ring_of(side) -> Ring:
     return side.algebra.ring if isinstance(side, BasedModule) else side.ring
 
 
-def _rank_of(side) -> int:
-    return side.rank
-
-
 def _labels_of(side):
     if isinstance(side, BasedModule):
         return [f"{side.name}[{k}]" for k in range(side.rank)]
@@ -454,7 +430,7 @@ def _check_bijective(w: LinearMapWitness):
     if w.inverse is None:
         return FAIL, {"reason": "bijective claim without an explicit inverse"}
     ring = _ring_of(w.source)
-    sr, tr = _rank_of(w.source), _rank_of(w.target)
+    sr, tr = w.source.rank, w.target.rank
     if len(w.matrix) != sr or len(w.inverse) != tr:
         return FAIL, {"reason": "matrix shapes do not match the bases"}
     for u in range(sr):

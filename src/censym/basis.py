@@ -87,6 +87,11 @@ def canonical_indices(n: int) -> list:
     return out
 
 
+def positions(n: int) -> dict:
+    """Basis position of each canonical index pair: (i, j) -> u."""
+    return {(ix.i, ix.j): u for u, ix in enumerate(canonical_indices(n))}
+
+
 def unit_cells(n: int, i: int, j: int) -> tuple:
     """The matrix-unit cells of f[i, j] for a canonical (i, j).
 
@@ -210,7 +215,7 @@ def structure_constants(ring: Ring, n: int) -> dict:
     if cached is not None:
         return cached
     idxs = canonical_indices(n)
-    pos = {(ix.i, ix.j): w for w, ix in enumerate(idxs)}
+    pos = positions(n)
     cells = [unit_cells(n, ix.i, ix.j) for ix in idxs]
     add, one, zero = ring.add, ring.one(), ring.zero()
     table = {}

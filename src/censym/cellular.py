@@ -10,6 +10,11 @@ transpose.  :func:`verify_cell_ideal` checks five clauses exhaustively:
   involution-stability, delta-freeness-rank, alpha-bimodule,
   alpha-bijective, commuting-square.
 
+Alpha is applied to ideal coordinates with :func:`censym.linalg.mat_vec`;
+the algebra acts on one tensor leg of alpha's image through the action
+tables of Delta and i(Delta) (:func:`_act_on_leg`), and the commuting
+square compares with the legs exchanged (:func:`_swap_legs`).
+
 Chains stack such witnesses in successive quotients: the odd chain peels
 the middle-column ideal and leaves a full matrix algebra; the even chain
 transports the group-ring chain R(1-x) < R[x]/(x^2-1) through the
@@ -28,9 +33,18 @@ from .algebra import (
     StructureAlgebra,
     algebra_of_censym,
     ideal_generated,
+    ideal_is_two_sided,
     quotient_by_ideal,
 )
-from .linalg import FreenessUndetermined, RowBasis, span_basis, vec_is_zero
+from .linalg import (
+    FreenessUndetermined,
+    RowBasis,
+    invert_matrix,
+    mat_vec,
+    span_basis,
+    unit_vector,
+    vec_is_zero,
+)
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
 from .rings import Ring
 
@@ -67,12 +81,66 @@ def canonical_cell_witness(a: StructureAlgebra, delta_basis,
     ys = [a.apply_invol(x) for x in delta_basis]
     j_basis = [a.mul(x, y) for x in delta_basis for y in ys]
     d = len(delta_basis)
-    alpha = []
-    for t in range(d * d):
-        row = [a.ring.zero()] * (d * d)
-        row[t] = a.ring.one()
-        alpha.append(row)
+    alpha = [unit_vector(a.ring, d * d, t) for t in range(d * d)]
     return CellIdealWitness(a, j_basis, delta_basis, alpha, name)
+
+
+def _swap_legs(v, d: int) -> list:
+    """Tensor coefficients with the two legs exchanged: (p, q) -> (q, p)."""
+    return [v[q * d + p] for p in range(d) for q in range(d)]
+
+
+def _act_on_leg(ring: Ring, coeffs, act, d: int, leg: str) -> list:
+    """Tensor coefficients with one leg acted on: ``act[k]`` holds the
+    coordinates of the image of the k-th basis vector of that leg.  The
+    ``"left"`` leg is p of the (p, q) grid, the ``"right"`` leg q."""
+    zero = ring.zero()
+    out = [zero] * (d * d)
+    for k, c in enumerate(coeffs):
+        if c != zero:
+            p, q = divmod(k, d)
+            k1, start, stride = (p, q, d) if leg == "left" else (q, p * d, 1)
+            for k2, m in enumerate(act[k1]):
+                if m != zero:
+                    at = start + k2 * stride
+                    out[at] = ring.add(out[at], ring.mul(c, m))
+    return out
+
+
+def _alpha_bimodule_failure(w: CellIdealWitness, jrb: RowBasis, drb: RowBasis,
+                            yrb: RowBasis) -> dict | None:
+    """The first counterexample to alpha being a bimodule map, or None.
+
+    Delta must be a left ideal and i(Delta) a right ideal (checked in basis
+    order, left before right); then alpha(b_s * v) and alpha(v * b_s) must
+    equal alpha(v) with b_s acting on its left and right leg."""
+    a = w.algebra
+    ring = a.ring
+    d = w.delta_rank
+    basis = [a.basis_vector(s) for s in range(a.rank)]
+    ys = w.y_basis()
+    left_act = [[drb.express(a.mul(bs, x)) for x in w.delta_basis] for bs in basis]
+    right_act = [[yrb.express(a.mul(y, bs)) for y in ys] for bs in basis]
+    for s, label in enumerate(a.labels):
+        for p, cs in enumerate(left_act[s]):
+            if cs is None:
+                return {"input": f"({label}, delta[{p}])",
+                        "reason": "delta is not a left ideal"}
+        for q, cs in enumerate(right_act[s]):
+            if cs is None:
+                return {"input": f"(i(delta)[{q}], {label})",
+                        "reason": "i(delta) is not a right ideal"}
+    for s, bs in enumerate(basis):
+        for t, v in enumerate(w.j_basis):
+            lv = jrb.express(a.mul(bs, v))
+            rv = jrb.express(a.mul(v, bs))
+            if lv is None or rv is None:
+                return {"input": f"({a.labels[s]}, J[{t}])",
+                        "reason": "ideal is not two-sided over the basis"}
+            for leg, cs, act in (("left", lv, left_act[s]), ("right", rv, right_act[s])):
+                if mat_vec(ring, w.alpha, cs) != _act_on_leg(ring, w.alpha[t], act, d, leg):
+                    return {"input": f"{leg} ({a.labels[s]}, J[{t}])"}
+    return None
 
 
 def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report:
@@ -139,101 +207,15 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
         else:
             clauses["alpha-bimodule"] = UNDETERMINED
     else:
-        ys = w.y_basis()
-        zero = ring.zero()
-        left_act = []   # left_act[s][p] = coords of b_s * x_p over delta
-        right_act = []  # right_act[s][q] = coords of y_q * b_s over y basis
-        action_ok = True
-        for s in range(a.rank):
-            bs = a.basis_vector(s)
-            lrow, rrow = [], []
-            for p in range(d):
-                cs = drb.express(a.mul(bs, w.delta_basis[p]))
-                if cs is None:
-                    fail("alpha-bimodule",
-                         {"input": f"({a.labels[s]}, delta[{p}])",
-                          "reason": "delta is not a left ideal"})
-                    action_ok = False
-                    break
-                lrow.append(cs)
-            if not action_ok:
-                break
-            for q in range(d):
-                cs = yrb.express(a.mul(ys[q], bs))
-                if cs is None:
-                    fail("alpha-bimodule",
-                         {"input": f"(i(delta)[{q}], {a.labels[s]})",
-                          "reason": "i(delta) is not a right ideal"})
-                    action_ok = False
-                    break
-                rrow.append(cs)
-            if not action_ok:
-                break
-            left_act.append(lrow)
-            right_act.append(rrow)
-
-        if action_ok:
-            def alpha_of(coeffs):
-                out = [zero] * (d * d)
-                for t, c in enumerate(coeffs):
-                    if c != zero:
-                        for k, x in enumerate(w.alpha[t]):
-                            if x != zero:
-                                out[k] = ring.add(out[k], ring.mul(c, x))
-                return out
-
-            done = False
-            for s in range(a.rank):
-                if done:
-                    break
-                bs = a.basis_vector(s)
-                for t, v in enumerate(w.j_basis):
-                    lv = jrb.express(a.mul(bs, v))
-                    rv = jrb.express(a.mul(v, bs))
-                    if lv is None or rv is None:
-                        fail("alpha-bimodule",
-                             {"input": f"({a.labels[s]}, J[{t}])",
-                              "reason": "ideal is not two-sided over the basis"})
-                        done = True
-                        break
-                    lhs_l = alpha_of(lv)
-                    rhs_l = [zero] * (d * d)
-                    for p in range(d):
-                        for q in range(d):
-                            c = w.alpha[t][p * d + q]
-                            if c != zero:
-                                for p2, m in enumerate(left_act[s][p]):
-                                    if m != zero:
-                                        rhs_l[p2 * d + q] = ring.add(
-                                            rhs_l[p2 * d + q], ring.mul(c, m))
-                    if lhs_l != rhs_l:
-                        fail("alpha-bimodule",
-                             {"input": f"left ({a.labels[s]}, J[{t}])"})
-                        done = True
-                        break
-                    lhs_r = alpha_of(rv)
-                    rhs_r = [zero] * (d * d)
-                    for p in range(d):
-                        for q in range(d):
-                            c = w.alpha[t][p * d + q]
-                            if c != zero:
-                                for q2, m in enumerate(right_act[s][q]):
-                                    if m != zero:
-                                        rhs_r[p * d + q2] = ring.add(
-                                            rhs_r[p * d + q2], ring.mul(c, m))
-                    if lhs_r != rhs_r:
-                        fail("alpha-bimodule",
-                             {"input": f"right ({a.labels[s]}, J[{t}])"})
-                        done = True
-                        break
+        info = _alpha_bimodule_failure(w, jrb, drb, yrb)
+        if info is not None:
+            fail("alpha-bimodule", info)
 
     # (4) alpha bijective via an explicit inverse
     clauses["alpha-bijective"] = PASS
     if jn != d * d or len(w.alpha) != jn:
         fail("alpha-bijective", {"reason": "alpha matrix is not square"})
     else:
-        from .linalg import invert_matrix
-
         try:
             if invert_matrix(ring, [list(r) for r in w.alpha]) is None:
                 fail("alpha-bijective", {"reason": "alpha matrix is singular"})
@@ -243,17 +225,9 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
     # (5) commuting square: alpha(i(v)) is the coefficient transpose
     clauses["commuting-square"] = PASS
     if clauses["involution-stability"] == PASS and clauses["alpha-bimodule"] == PASS:
-        zero = ring.zero()
         for t, v in enumerate(w.j_basis):
-            cs = jrb.express(a.apply_invol(v))
-            lhs = [zero] * (d * d)
-            for tt, c in enumerate(cs):
-                if c != zero:
-                    for k, x in enumerate(w.alpha[tt]):
-                        if x != zero:
-                            lhs[k] = ring.add(lhs[k], ring.mul(c, x))
-            rhs = [w.alpha[t][q * d + p] for p in range(d) for q in range(d)]
-            if lhs != rhs:
+            lhs = mat_vec(ring, w.alpha, jrb.express(a.apply_invol(v)))
+            if lhs != _swap_legs(w.alpha[t], d):
                 fail("commuting-square", {"input": f"J[{t}]"})
                 break
     elif clauses["involution-stability"] != PASS:
@@ -298,7 +272,7 @@ def cell_chain_odd(ring: Ring, n: int) -> CellChainWitness:
         raise ValueError(f"odd size required, got {n}")
     m = n // 2
     a = algebra_of_censym(ring, n)
-    pos = {(ix.i, ix.j): u for u, ix in enumerate(fb.canonical_indices(n))}
+    pos = fb.positions(n)
     delta1 = [a.basis_vector(pos[(i, m + 1)]) for i in range(1, m + 1)]
     delta1.append(a.basis_vector(pos[(m + 1, m + 1)]))
     w1 = canonical_cell_witness(a, delta1, name="middle-column")
@@ -322,7 +296,7 @@ def cell_chain_even(ring: Ring, n: int) -> CellChainWitness:
         raise ValueError(f"even size >= 2 required, got {n}")
     m = n // 2
     a = algebra_of_censym(ring, n)
-    pos = {(ix.i, ix.j): u for u, ix in enumerate(fb.canonical_indices(n))}
+    pos = fb.positions(n)
     minus_one = ring.neg(ring.one())
 
     def skew(i, j):
@@ -333,11 +307,7 @@ def cell_chain_even(ring: Ring, n: int) -> CellChainWitness:
 
     j1 = [skew(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     delta1 = [skew(i, 1) for i in range(1, m + 1)]
-    alpha = []
-    for t in range(m * m):
-        row = [ring.zero()] * (m * m)
-        row[t] = ring.one()
-        alpha.append(row)
+    alpha = [unit_vector(ring, m * m, t) for t in range(m * m)]
     w1 = CellIdealWitness(a, j1, delta1, alpha, name="skew-part")
     ideal = IdealBasis(a, span_basis(ring, j1, a.rank), [list(v) for v in j1])
     quot, proj = quotient_by_ideal(a, ideal)
@@ -394,18 +364,7 @@ def verify_cell_chain(chain: CellChainWitness) -> Report:
         except FreenessUndetermined:
             clauses["partial-sums-ideals"] = UNDETERMINED
             continue
-        ok = True
-        for u in range(a.rank):
-            bu = a.basis_vector(u)
-            for v in partial:
-                if not rb.contains(a.mul(bu, list(v))) or not rb.contains(
-                    a.mul(list(v), bu)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if not ideal_is_two_sided(IdealBasis(a, rb, partial)):
             clauses["partial-sums-ideals"] = FAIL
             ce = ce or {"clause": "partial-sums-ideals", "layer": p}
 
@@ -549,7 +508,7 @@ def quasi_hereditary_chain_odd(ring: Ring, n: int):
         raise ValueError(f"heredity chains are computed over fields, got {ring.literal()}")
     m = n // 2
     a = algebra_of_censym(ring, n)
-    pos = {(ix.i, ix.j): u for u, ix in enumerate(fb.canonical_indices(n))}
+    pos = fb.positions(n)
     params = {"n": n, "ring": ring.literal()}
     witnesses = [heredity_check(a, a.basis_vector(pos[(m + 1, m + 1)]),
                                 params=dict(params, stage=1, idempotent=f"f{m + 1}_{m + 1}"))]
@@ -595,7 +554,7 @@ def injectivity_check_mu(ring: Ring, n: int, i: int, j: int) -> Report:
     if not (1 <= i <= mid and 1 <= j <= mid):
         raise IndexError(f"corner index ({i}, {j}) out of range; need 1..{mid}")
     a = algebra_of_censym(ring, n)
-    pos = {(ix.i, ix.j): u for u, ix in enumerate(fb.canonical_indices(n))}
+    pos = fb.positions(n)
     params = {"n": n, "ring": ring.literal(), "i": i, "j": j}
     fmid = a.basis_vector(pos[(mid, mid)])
     if i == mid or j == mid:

@@ -135,8 +135,8 @@ def check_isos(ring: Ring, n: int) -> list:
                                      {"n": n, "ring": ring.literal()}))
     if n >= 4:
         for j in range(2, n // 2 + 1):
-            mw = morita_column_iso(ring, n, j)
-            reports.append(check_witness(mw.map, {"n": n, "ring": ring.literal(), "j": j}))
+            reports.append(check_witness(morita_column_iso(ring, n, j),
+                                         {"n": n, "ring": ring.literal(), "j": j}))
     if n >= 5 and n % 2 == 1:
         _, w = endring_odd(ring, n)
         reports.append(check_witness(w, {"n": n, "ring": ring.literal()}))
@@ -309,8 +309,7 @@ def cmd_iso(args) -> int:
         if n < 4:
             raise RingError("--kind morita needs --n >= 4")
         for j in range(2, n // 2 + 1):
-            mw = morita_column_iso(ring, n, j)
-            reports.append(check_witness(mw.map, dict(params, j=j)))
+            reports.append(check_witness(morita_column_iso(ring, n, j), dict(params, j=j)))
     elif args.kind == "endring":
         if n < 5 or n % 2 == 0:
             raise RingError("--kind endring needs an odd --n >= 5")

@@ -7,7 +7,9 @@ a column whose entries are all non-units; that outcome is surfaced as
 coefficient systems this package produces reduce with unit pivots, so the
 exception marks genuinely out-of-scope inputs.
 
-Vectors are plain lists of ring payloads.
+Vectors are plain lists of ring payloads.  :func:`mat_vec` is the one
+helper that applies a coefficient matrix (rows are images of basis
+vectors) to a coordinate vector; every such sum elsewhere calls it.
 """
 
 from __future__ import annotations
@@ -28,22 +30,6 @@ class FreenessUndetermined(Exception):
 def vec_is_zero(ring: Ring, v) -> bool:
     z = ring.zero()
     return all(x == z for x in v)
-
-
-def vec_add(ring: Ring, a, b):
-    return [ring.add(x, y) for x, y in zip(a, b)]
-
-
-def vec_sub(ring: Ring, a, b):
-    return [ring.sub(x, y) for x, y in zip(a, b)]
-
-
-def vec_scale(ring: Ring, c, a):
-    return [ring.mul(c, x) for x in a]
-
-
-def vec_neg(ring: Ring, a):
-    return [ring.neg(x) for x in a]
 
 
 def unit_vector(ring: Ring, width: int, pos: int):
@@ -147,17 +133,10 @@ class RowBasis:
         """Coordinates of v over the inserted vectors, or None if outside."""
         if not self.track:
             raise ValueError("RowBasis was built without tracking")
-        R = self.ring
-        zero = R.zero()
         res, mults = self._reduce(v)
-        if not vec_is_zero(R, res):
+        if not vec_is_zero(self.ring, res):
             return None
-        out = [zero] * self.n_inserted
-        for r, m in enumerate(mults):
-            if m != zero:
-                for k, x in enumerate(self.combos[r]):
-                    out[k] = R.add(out[k], R.mul(m, x))
-        return out
+        return mat_vec(self.ring, self.combos, mults)
 
 
 def span_basis(ring: Ring, vectors, width: int) -> RowBasis:

@@ -26,9 +26,6 @@ class Report:
     counterexample: dict | None = None
     clauses: dict | None = None
 
-    def ok(self) -> bool:
-        return self.verdict != FAIL
-
     def to_json_dict(self) -> dict:
         out = {
             "check": self.check,

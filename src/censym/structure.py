@@ -34,12 +34,8 @@ from .algebra import (
     zero_algebra,
 )
 from .linalg import RowBasis, unit_vector
-from .matrices import Matrix, matrix_unit
+from .matrices import matrix_unit
 from .rings import GroupRingC2, Ring
-
-
-def _positions(n: int) -> dict:
-    return {(ix.i, ix.j): u for u, ix in enumerate(fb.canonical_indices(n))}
 
 
 def iso_s2(ring: Ring) -> LinearMapWitness:
@@ -88,7 +84,7 @@ def s3_presentation(ring: Ring):
     pres = StructureAlgebra(ring, _S3_SYMBOLS, table, unit, invol)
 
     tgt = algebra_of_censym(ring, 3)
-    tpos = _positions(3)
+    tpos = fb.positions(3)
     image_of = {"a": (1, 1), "b": (1, 3), "u": (1, 2), "d": (2, 1), "v": (2, 2)}
     matrix = [tgt.basis_vector(tpos[image_of[s]]) for s in _S3_SYMBOLS]
     inverse = [None] * 5
@@ -110,7 +106,7 @@ def iso_even(ring: Ring, m: int) -> LinearMapWitness:
     n = 2 * m
     src = full_matrix_algebra(GroupRingC2(ring), m)
     tgt = algebra_of_censym(ring, n)
-    tpos = _positions(n)
+    tpos = fb.positions(n)
     matrix = []
     inverse = [None] * tgt.rank
     u = 0
@@ -134,7 +130,7 @@ def odd_quotient(ring: Ring, m: int):
     the projection witness."""
     n = 2 * m + 1
     a = algebra_of_censym(ring, n)
-    pos = _positions(n)
+    pos = fb.positions(n)
     mid = a.basis_vector(pos[(m + 1, m + 1)])
     ideal = ideal_generated(a, [mid])
     quot, proj = quotient_by_ideal(a, ideal)
@@ -149,22 +145,16 @@ def iso_odd_quotient(ring: Ring, m: int) -> LinearMapWitness:
     n = 2 * m + 1
     a, ideal, quot, proj = odd_quotient(ring, m)
     tgt = full_matrix_algebra(ring, m, flatten_group_ring=False)
-    epos = {}
-    u = 0
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            epos[(i, j)] = u
-            u += 1
-    pos = _positions(n)
+    pos = fb.positions(n)
     minus_one = ring.neg(ring.one())
     matrix = []
     for lab in quot.labels:
         i, j = _parse_f_label(lab)
         if j <= m:
-            matrix.append(tgt.basis_vector(epos[(i, j)]))
+            matrix.append(tgt.basis_vector((i - 1) * m + j - 1))
         else:
             v = tgt.zero_vector()
-            v[epos[(i, n + 1 - j)]] = minus_one
+            v[(i - 1) * m + n - j] = minus_one
             matrix.append(v)
     inverse = []
     for i in range(1, m + 1):
@@ -182,19 +172,9 @@ def _parse_f_label(label: str):
     return int(i), int(j)
 
 
-@dataclass
-class ModuleIsoWitness:
-    """A verified column-module isomorphism, realized by explicit right
-    multiplications (kept alongside the coordinate witness for reports)."""
-
-    map: LinearMapWitness
-    multiplier: Matrix
-    inverse_multiplier: Matrix
-
-
 def column_module(a: StructureAlgebra, ring: Ring, n: int, j: int) -> BasedModule:
     """The left module S*f_j: elements supported on columns j and n+1-j."""
-    pos = _positions(n)
+    pos = fb.positions(n)
     vectors = []
     for i in range(1, fb.half_ceil(n) + 1):
         seen = []
@@ -206,7 +186,7 @@ def column_module(a: StructureAlgebra, ring: Ring, n: int, j: int) -> BasedModul
     return BasedModule(a, vectors, name=f"S*f{j}")
 
 
-def morita_column_iso(ring: Ring, n: int, j: int) -> ModuleIsoWitness:
+def morita_column_iso(ring: Ring, n: int, j: int) -> LinearMapWitness:
     """Left-module isomorphism S*f_1 -> S*f_j by right multiplication with
     e[1,j] + e[n,n+1-j]; inverse extracts columns j and n+1-j back."""
     if n < 4:
@@ -229,14 +209,13 @@ def morita_column_iso(ring: Ring, n: int, j: int) -> ModuleIsoWitness:
             rows.append(cs)
         return rows
 
-    witness = LinearMapWitness(
+    return LinearMapWitness(
         src, tgt,
         matrix=push(src, tgt, mult),
         inverse=push(tgt, src, inv_mult),
         claimed=("left-module-homomorphism", "bijective"),
         name=f"column-1-to-{j}-size-{n}",
     )
-    return ModuleIsoWitness(witness, mult, inv_mult)
 
 
 def endring_odd(ring: Ring, n: int):
@@ -248,7 +227,7 @@ def endring_odd(ring: Ring, n: int):
         raise ValueError(f"need an odd size >= 5, got {n}")
     mid = (n + 1) // 2
     a = algebra_of_censym(ring, n)
-    pos = _positions(n)
+    pos = fb.positions(n)
     corner = [(1, 1), (1, n), (1, mid), (mid, 1), (mid, mid)]
     vectors = [a.basis_vector(pos[c]) for c in corner]
     labels = [f"f{i}_{j}" for i, j in corner]
@@ -258,7 +237,7 @@ def endring_odd(ring: Ring, n: int):
     end = subalgebra_from_vectors(a, vectors, labels, unit, induce_invol=True)
 
     tgt = algebra_of_censym(ring, 3)
-    tpos = _positions(3)
+    tpos = fb.positions(3)
     images = [(1, 1), (1, 3), (1, 2), (2, 1), (2, 2)]
     matrix = [tgt.basis_vector(tpos[c]) for c in images]
     inverse = [None] * 5
@@ -297,7 +276,7 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
             f"the splitting construction requires 2 invertible in {ring.literal()}"
         )
     a = algebra_of_censym(ring, n)
-    pos = _positions(n)
+    pos = fb.positions(n)
     c = fb.exchange_coords(ring, n)
     p_plus = [ring.mul(t, ring.add(x, y)) for x, y in zip(a.unit, c)]
     p_minus = [ring.mul(t, ring.sub(x, y)) for x, y in zip(a.unit, c)]

@@ -189,7 +189,7 @@ def test_morita_witnesses():
         ring = ring_from_literal(lit)
         for n in range(4, 9):
             for j in range(2, n // 2 + 1):
-                rep = check_witness(morita_column_iso(ring, n, j).map)
+                rep = check_witness(morita_column_iso(ring, n, j))
                 assert rep.verdict == "pass", (lit, n, j, rep.clauses)
                 assert rep.clauses["left-module-homomorphism"] == "pass"
                 assert rep.clauses["bijective"] == "pass"

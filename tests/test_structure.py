@@ -144,23 +144,23 @@ class TestMorita:
     def test_witnesses_pass(self, n):
         for j in range(2, n // 2 + 1):
             mw = morita_column_iso(Z, n, j)
-            rep = check_witness(mw.map)
+            rep = check_witness(mw)
             assert rep.verdict == "pass", (n, j, rep.clauses, rep.counterexample)
 
     def test_module_ranks_equal_n(self):
         for n in (4, 5, 6):
             a_mod = column_module(
-                morita_column_iso(Z, n, 2).map.source.algebra, Z, n, 1)
+                morita_column_iso(Z, n, 2).source.algebra, Z, n, 1)
             assert a_mod.rank == n
 
     def test_generator_image_n5(self):
         # the column-1 generator f1_1 goes to the column-2 generator f1_2
         mw = morita_column_iso(Z, 5, 2)
-        src, tgt = mw.map.source, mw.map.target
+        src, tgt = mw.source, mw.target
         a = src.algebra
         pos = positions(5)
         k = src.vectors.index(a.basis_vector(pos[(1, 1)]))
-        img = tgt.to_ambient(mw.map.matrix[k])
+        img = tgt.to_ambient(mw.matrix[k])
         assert img == a.basis_vector(pos[(1, 2)])
 
     def test_range_errors(self):
