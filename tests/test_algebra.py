@@ -4,6 +4,7 @@ import pytest
 
 from censym.algebra import (
     LinearMapWitness,
+    StructureAlgebra,
     algebra_of_censym,
     centre,
     check_witness,
@@ -329,3 +330,112 @@ def test_full_matrix_algebra_unflattened_over_group_ring():
 def test_algebra_of_censym_rejects_non_positive_size(n):
     with pytest.raises(ValueError, match="matrix size must be >= 1"):
         algebra_of_censym(Z, n)
+
+
+# Negative controls for validate(): M_2(Z) on E1_1, E1_2, E2_1, E2_2 with one
+# part of the presentation broken; the defect list is pinned in order.
+
+def broken_m2(table_edits=(), unit=None, invol=None):
+    m = full_matrix_algebra(Z, 2)
+    table = dict(m.table)
+    table.update(table_edits)
+    return StructureAlgebra(Z, m.labels, table, m.unit if unit is None else unit,
+                            m.invol if invol is None else invol)
+
+
+def test_validate_broken_table_entry():
+    # E1_2 * E2_1 should be E1_1
+    a = broken_m2({(1, 2): ((3, 1),)})
+    assert a.validate() == [
+        "associativity fails at (E1_1, E1_2, E2_1)",
+        "associativity fails at (E1_2, E1_2, E2_1)",
+        "associativity fails at (E1_2, E2_1, E1_1)",
+        "associativity fails at (E1_2, E2_1, E1_2)",
+        "associativity fails at (E1_2, E2_1, E2_1)",
+        "associativity fails at (E1_2, E2_1, E2_2)",
+        "associativity fails at (E2_1, E1_2, E2_1)",
+        "associativity fails at (E2_2, E1_2, E2_1)",
+    ]
+
+
+def test_validate_two_term_table_entry():
+    # E1_1 * E1_1 = E1_1 + E1_2 breaks the unit law, associativity and the
+    # anti-homomorphism clause
+    a = broken_m2({(0, 0): ((0, 1), (1, 1))})
+    assert a.validate() == [
+        "unit law fails at E1_1",
+        "associativity fails at (E1_1, E1_1, E1_1)",
+        "associativity fails at (E1_1, E1_1, E2_1)",
+        "associativity fails at (E1_1, E1_1, E2_2)",
+        "associativity fails at (E1_1, E1_2, E2_1)",
+        "associativity fails at (E1_2, E2_1, E1_1)",
+        "associativity fails at (E2_1, E1_1, E1_1)",
+        "involution is not an anti-homomorphism at (E1_1, E1_1)",
+    ]
+
+
+def test_validate_broken_table_over_group_ring():
+    # M_2(Z[C2]) unflattened, with E2_1 * E1_2 = x*E2_2 instead of E2_2
+    m = full_matrix_algebra(C2Z, 2, flatten_group_ring=False)
+    table = dict(m.table)
+    table[(2, 1)] = ((3, (0, 1)),)
+    a = StructureAlgebra(C2Z, m.labels, table, m.unit, m.invol)
+    assert a.validate() == [
+        "associativity fails at (E1_2, E2_1, E1_2)",
+        "associativity fails at (E2_1, E1_2, E2_1)",
+    ]
+
+
+def test_validate_dropped_unit_coordinate():
+    a = broken_m2(unit=[1, 0, 0, 0])
+    assert a.validate() == [
+        "unit law fails at E1_2",
+        "unit law fails at E2_1",
+        "unit law fails at E2_2",
+    ]
+
+
+def test_validate_non_involutive_involution():
+    # x -> g x^T g^-1 with g = [[1, 1], [0, 1]] is an anti-automorphism
+    # fixing the unit, of infinite order
+    g = [[1, -1, 0, 0], [1, -1, 1, -1], [0, 1, 0, 0], [0, 1, 0, 1]]
+    assert broken_m2(invol=g).validate() == [
+        "involution is not an involution at E1_1",
+        "involution is not an involution at E1_2",
+        "involution is not an involution at E2_1",
+        "involution is not an involution at E2_2",
+    ]
+
+
+def test_validate_unit_moving_involution():
+    # x -> -x^T squares to the identity but sends 1 to -1
+    minus_transpose = [[-c for c in row] for row in full_matrix_algebra(Z, 2).invol]
+    assert broken_m2(invol=minus_transpose).validate() == [
+        "involution moves the unit",
+        "involution is not an anti-homomorphism at (E1_1, E1_1)",
+        "involution is not an anti-homomorphism at (E1_1, E1_2)",
+        "involution is not an anti-homomorphism at (E1_2, E2_1)",
+        "involution is not an anti-homomorphism at (E1_2, E2_2)",
+        "involution is not an anti-homomorphism at (E2_1, E1_1)",
+        "involution is not an anti-homomorphism at (E2_1, E1_2)",
+        "involution is not an anti-homomorphism at (E2_2, E2_1)",
+        "involution is not an anti-homomorphism at (E2_2, E2_2)",
+    ]
+
+
+def test_validate_multiplicative_involution():
+    # the identity squares to the identity and fixes the unit, but M_2 is
+    # not commutative: it fails exactly at the non-commuting pairs
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert broken_m2(invol=eye).validate() == [
+        "involution is not an anti-homomorphism at (E1_1, E1_2)",
+        "involution is not an anti-homomorphism at (E1_1, E2_1)",
+        "involution is not an anti-homomorphism at (E1_2, E1_1)",
+        "involution is not an anti-homomorphism at (E1_2, E2_1)",
+        "involution is not an anti-homomorphism at (E1_2, E2_2)",
+        "involution is not an anti-homomorphism at (E2_1, E1_1)",
+        "involution is not an anti-homomorphism at (E2_1, E1_2)",
+        "involution is not an anti-homomorphism at (E2_1, E2_2)",
+        "involution is not an anti-homomorphism at (E2_2, E1_2)",
+        "involution is not an anti-homomorphism at (E2_2, E2_1)",
+    ]
