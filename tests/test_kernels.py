@@ -4,19 +4,24 @@ The program has one general product (the zero-skipping ``Matrix.__mul__``),
 row and column moves for products with sums of matrix units
 (``cells_times``/``times_cells``), one zero test per ring (``is_zero``) and
 one structure-constant oracle (the sparse matrix-unit expansion).  The
-dense triple loop survives only here, as an independent reference.
+witness layer has one structure-algebra product (``StructureAlgebra.mul``),
+one coefficient-matrix helper (``linalg.mat_vec``) and one row reduction
+(``RowBasis``).  The dense loops survive only here, as independent
+references that visit every entry, zero or not.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from censym import basis as fb
+from censym.algebra import algebra_of_censym, full_matrix_algebra
 from censym.basis import canonical_basis, coords, structure_constants
+from censym.linalg import FreenessUndetermined, RowBasis, mat_vec
 from censym.matrices import Matrix, cells_times, matrix_unit, times_cells
 from censym.rings import ring_from_literal
 
-from conftest import C2Z, Q, elements
+from conftest import C2Z, GF5, Q, Z, Z4, elements
 
 ORACLE_RINGS = ["int", "rat", "gf:2", "zmod:4", "zmod:9", "c2:int", "c2:c2:int"]
 
@@ -175,3 +180,161 @@ def test_sum_matches_ring_add_everywhere(pair):
     a, b = pair
     add = a.ring.add
     assert a + b == Matrix(a.ring, a.n, [add(x, y) for x, y in zip(a.entries, b.entries)])
+
+
+def schoolbook_algebra_mul(a, x, y):
+    """sum over every basis pair of x_u * y_v * T[u, v], zero terms included."""
+    R = a.ring
+    out = [R.zero()] * a.rank
+    for u in range(a.rank):
+        for v in range(a.rank):
+            xy = R.mul(x[u], y[v])
+            for w, c in a.table.get((u, v), ()):
+                out[w] = R.add(out[w], R.mul(xy, c))
+    return out
+
+
+def witness_algebras(literal):
+    ring = ring_from_literal(literal)
+    algebras = [algebra_of_censym(ring, n) for n in range(1, 7)]
+    algebras += [full_matrix_algebra(ring, m) for m in (1, 2, 3)]
+    if literal.startswith("c2:"):
+        algebras.append(full_matrix_algebra(ring, 2, flatten_group_ring=False))
+    return algebras
+
+
+@pytest.mark.parametrize("literal", ORACLE_RINGS)
+def test_algebra_mul_of_basis_pairs_matches_schoolbook(literal):
+    for a in witness_algebras(literal):
+        basis = [a.basis_vector(u) for u in range(a.rank)]
+        for x in basis:
+            for y in basis:
+                assert a.mul(x, y) == schoolbook_algebra_mul(a, x, y)
+
+
+def sparse_vectors(ring, width):
+    """Vectors with a forced set of zero coordinates, or basis vectors."""
+    zero, one = ring.zero(), ring.one()
+
+    @st.composite
+    def vector(draw):
+        if draw(st.booleans()):
+            pos = draw(st.integers(0, width - 1))
+            return [one if k == pos else zero for k in range(width)]
+        xs = draw(st.lists(elements(ring), min_size=width, max_size=width))
+        zeros = draw(st.sets(st.integers(0, width - 1)))
+        return [zero if k in zeros else x for k, x in enumerate(xs)]
+
+    return vector()
+
+
+@pytest.mark.parametrize("literal", ORACLE_RINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_algebra_mul_of_sparse_vectors_matches_schoolbook(literal, data):
+    a = data.draw(st.sampled_from(witness_algebras(literal)))
+    x = data.draw(sparse_vectors(a.ring, a.rank))
+    y = data.draw(sparse_vectors(a.ring, a.rank))
+    assert a.mul(x, y) == schoolbook_algebra_mul(a, x, y)
+
+
+def schoolbook_mat_vec(ring, rows, v):
+    width = len(rows[0]) if rows else 0
+    out = [ring.zero()] * width
+    for c, row in zip(v, rows):
+        out = [ring.add(o, ring.mul(c, x)) for o, x in zip(out, row)]
+    return out
+
+
+@pytest.mark.parametrize("literal", ORACLE_RINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mat_vec_matches_schoolbook(literal, data):
+    ring = ring_from_literal(literal)
+    height = data.draw(st.integers(0, 6))
+    width = data.draw(st.integers(1, 6))
+    rows = [data.draw(sparse_vectors(ring, width)) for _ in range(height)]
+    v = data.draw(sparse_vectors(ring, height)) if height else []
+    assert mat_vec(ring, rows, v) == schoolbook_mat_vec(ring, rows, v)
+
+
+def row_order_reduce(rb, v):
+    """Subtract v[p] times each stored row from v, rows in order, every entry."""
+    R = rb.ring
+    v = list(v)
+    mults = []
+    for row, p in zip(rb.rows, rb.pivots):
+        c = v[p]
+        mults.append(c)
+        v = [R.sub(x, R.mul(c, y)) for x, y in zip(v, row)]
+    return v, mults
+
+
+def filled_rowbasis(ring, vectors, track=False):
+    """A RowBasis of the given width holding every vector that inserts."""
+    rb = RowBasis(ring, len(vectors[0]), track=track)
+    inserted = []
+    for v in vectors:
+        try:
+            if rb.insert(v):
+                inserted.append(v)
+        except FreenessUndetermined:
+            pass
+    return rb, inserted
+
+
+REDUCTION_RINGS = ["int", "rat", "gf:2", "zmod:4", "c2:int", "c2:c2:int"]
+
+
+@pytest.mark.parametrize("literal", REDUCTION_RINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rowbasis_reduction_matches_row_order_reference(literal, data):
+    ring = ring_from_literal(literal)
+    width = data.draw(st.integers(1, 6))
+    family = [data.draw(sparse_vectors(ring, width))
+              for _ in range(data.draw(st.integers(1, 6)))]
+    rb, _ = filled_rowbasis(ring, family)
+    # the stored rows are fully reduced: each pivot column is 1 in its own
+    # row and 0 in every other row
+    for r, p in enumerate(rb.pivots):
+        assert [row[p] for row in rb.rows] == [
+            ring.one() if k == r else ring.zero() for k in range(rb.rank)]
+    for v in family + [data.draw(sparse_vectors(ring, width))]:
+        res, mults = rb._reduce(v)
+        assert (res, mults) == row_order_reduce(rb, v)
+        assert rb.residual(v) == res
+
+
+def small_entries(ring):
+    """Zeros, units and a few non-units, so spans rarely get stuck."""
+    if ring == C2Z:
+        return st.sampled_from([(0, 0), (0, 0), (1, 0), (-1, 0), (0, 1), (1, 1), (2, 0)])
+    return st.sampled_from([ring.zero(), ring.zero(), ring.one(),
+                            ring.neg(ring.one()), ring.from_int(2)])
+
+
+@pytest.mark.parametrize("ring", [Z, Z4, C2Z], ids=lambda r: r.literal())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contains_and_express_agree_under_insertion_orders(ring, data):
+    width = data.draw(st.integers(1, 5))
+    vector = st.lists(small_entries(ring), min_size=width, max_size=width)
+    family = data.draw(st.lists(vector, min_size=1, max_size=5))
+    order = data.draw(st.permutations(range(len(family))))
+    first, inserted_first = filled_rowbasis(ring, family, track=True)
+    second, inserted_second = filled_rowbasis(ring, [family[k] for k in order], track=True)
+    # a stuck vector leaves the two spans incomparable
+    assume(first.rank == len(inserted_first) and second.rank == len(inserted_second))
+    assume(all(first.contains(v) and second.contains(v) for v in family))
+    probes = family + data.draw(st.lists(vector, max_size=4))
+    for v in probes:
+        assert first.contains(v) == second.contains(v)
+        for rb, inserted in ((first, inserted_first), (second, inserted_second)):
+            cs = rb.express(v)
+            assert (cs is not None) == rb.contains(v)
+            if cs is not None:
+                total = [ring.zero()] * width
+                for c, w in zip(cs, inserted):
+                    total = [ring.add(t, ring.mul(c, x)) for t, x in zip(total, w)]
+                assert total == v
