@@ -18,6 +18,7 @@ from . import basis as fb
 from .linalg import (
     FreenessUndetermined,
     RowBasis,
+    _support,
     mat_vec,
     nullspace,
     span_basis,
@@ -31,7 +32,13 @@ from .rings import GroupRingC2, Ring
 
 class StructureAlgebra:
     """An associative unital algebra presented by basis labels and a sparse
-    structure-constant table ``(u, v) -> ((w, coeff), ...)``."""
+    structure-constant table ``(u, v) -> ((w, coeff), ...)``.
+
+    Each table entry names a basis index w at most once and keeps only
+    non-zero coefficients.  The same entries are also indexed by left
+    factor, ``u -> {v: terms}``, so :meth:`mul` walks only the non-zero
+    coordinates of its left operand and the non-zero products of each.
+    """
 
     def __init__(self, ring: Ring, labels, table: dict, unit, invol=None):
         self.ring = ring
@@ -42,6 +49,11 @@ class StructureAlgebra:
             for uv, terms in table.items()
             if any(c != zero for _, c in terms)
         }
+        self._by_left: dict = {}
+        for (u, v), terms in self.table.items():
+            if len({w for w, _ in terms}) != len(terms):
+                raise ValueError(f"table entry {(u, v)} names a basis index twice")
+            self._by_left.setdefault(u, {})[v] = terms
         self.unit = list(unit)
         if len(self.unit) != len(self.labels):
             raise ValueError("unit coordinate length does not match the basis")
@@ -61,19 +73,21 @@ class StructureAlgebra:
 
     def mul(self, x, y):
         R = self.ring
+        add, mul = R.add, R.mul
         zero = R.zero()
         out = [zero] * self.rank
-        xs = [(u, c) for u, c in enumerate(x) if c != zero]
-        tbl = self.table
-        for v, cv in enumerate(y):
-            if cv == zero:
+        by_left = self._by_left
+        for u in _support(R, x):
+            products = by_left.get(u)
+            if products is None:
                 continue
-            for u, cu in xs:
-                terms = tbl.get((u, v))
-                if terms:
-                    cuv = R.mul(cu, cv)
+            cu = x[u]
+            for v, terms in products.items():
+                cv = y[v]
+                if cv != zero:
+                    cuv = mul(cu, cv)
                     for w, c in terms:
-                        out[w] = R.add(out[w], R.mul(cuv, c))
+                        out[w] = add(out[w], mul(cuv, c))
         return out
 
     def mul_basis(self, u: int, v: int):
@@ -102,12 +116,18 @@ class StructureAlgebra:
             e = self.basis_vector(u)
             if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
                 defects.append(f"unit law fails at {self.labels[u]}")
+        tbl = self.table
         for u in range(r):
             for v in range(r):
-                uv = self.mul_basis(u, v)
+                uv = tbl.get((u, v), ())
                 for w in range(r):
-                    left = self.mul(uv, self.basis_vector(w))
-                    right = self.mul(self.basis_vector(u), self.mul_basis(v, w))
+                    vw = tbl.get((v, w), ())
+                    if not uv and not vw:
+                        continue
+                    # (e_u e_v) e_w = sum c*T[t, w] over (t, c) in T[u, v], and
+                    # e_u (e_v e_w) = sum c*T[u, t] over (t, c) in T[v, w]
+                    left = self._combine((c, tbl.get((t, w), ())) for t, c in uv)
+                    right = self._combine((c, tbl.get((u, t), ())) for t, c in vw)
                     if left != right:
                         defects.append(
                             "associativity fails at "
@@ -130,6 +150,17 @@ class StructureAlgebra:
                             f"({self.labels[u]}, {self.labels[v]})"
                         )
         return defects
+
+    def _combine(self, weighted) -> dict:
+        """sum c*terms over (c, terms) as {w: coefficient}, zeros dropped."""
+        R = self.ring
+        acc = {}
+        for c, terms in weighted:
+            for w, d in terms:
+                p = R.mul(c, d)
+                acc[w] = R.add(acc[w], p) if w in acc else p
+        zero = R.zero()
+        return {w: x for w, x in acc.items() if x != zero}
 
     def invol_is_signed_permutation(self) -> bool:
         if self.invol is None:

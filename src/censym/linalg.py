@@ -10,9 +10,29 @@ exception marks genuinely out-of-scope inputs.
 Vectors are plain lists of ring payloads.  :func:`mat_vec` is the one
 helper that applies a coefficient matrix (rows are images of basis
 vectors) to a coordinate vector; every such sum elsewhere calls it.
+
+Hot loops never visit a zero entry in Python.  :func:`_support` lists the
+positions of the non-zero entries of a vector.  Where the ring's zero test
+is Python falsiness (``Ring.is_zero is operator.not_``: integers,
+rationals, residues) the entries select themselves in C through
+``itertools.compress``.  Group-ring payloads are tuples, which are always
+truthy; there ``list.count`` first recognises a zero vector in one C pass,
+and otherwise each entry is compared with the zero payload.
+:func:`mat_vec` walks the support of the vector and of each row it uses.
+
+:class:`RowBasis` keeps its rows *fully* reduced: each row is 1 at its own
+pivot column and 0 at every other row's pivot column.  Subtracting a
+multiple of one row therefore never changes ``v`` at another pivot, so the
+multiplier of each row is ``v``'s own entry at that row's pivot, and
+:meth:`RowBasis._reduce` needs only the pivots in the support of ``v``
+(looked up in a pivot-column -> row map) and, for each, the support of
+its row.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import not_
 
 from .rings import Ring
 
@@ -27,9 +47,19 @@ class FreenessUndetermined(Exception):
         self.column = column
 
 
+def _support(ring: Ring, v) -> list:
+    """Positions of the non-zero entries of v, in increasing order."""
+    if ring.is_zero is not_:
+        # truthiness is this ring's zero test: the entries select themselves
+        return list(compress(range(len(v)), v)) if any(v) else []
+    zero = ring.zero()
+    if v.count(zero) == len(v):  # one pass in C for the many zero vectors
+        return []
+    return [idx for idx, x in enumerate(v) if x != zero]
+
+
 def vec_is_zero(ring: Ring, v) -> bool:
-    z = ring.zero()
-    return all(x == z for x in v)
+    return not _support(ring, v)
 
 
 def unit_vector(ring: Ring, width: int, pos: int):
@@ -39,7 +69,8 @@ def unit_vector(ring: Ring, width: int, pos: int):
 
 
 class RowBasis:
-    """A growing reduced row-echelon basis with unit pivots normalized to 1.
+    """A growing fully reduced row-echelon basis with unit pivots normalized
+    to 1.
 
     With ``track=True`` each stored row also carries its expression over
     the vectors successfully inserted so far, which makes
@@ -54,6 +85,7 @@ class RowBasis:
         self.pivots: list = []
         self.combos: list = []
         self.n_inserted = 0
+        self._row_of: dict = {}  # pivot column -> index of its row
 
     @property
     def rank(self) -> int:
@@ -62,16 +94,18 @@ class RowBasis:
     def _reduce(self, v):
         """Residual of v against the stored rows, plus the row multipliers."""
         R = self.ring
-        zero = R.zero()
+        sub, mul = R.sub, R.mul
         v = list(v)
-        mults = [zero] * len(self.rows)
-        for r, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            c = v[p]
-            if c != zero:
+        mults = [R.zero()] * len(self.rows)
+        row_of = self._row_of
+        for p in _support(R, v):
+            r = row_of.get(p)
+            if r is not None:
+                c = v[p]
                 mults[r] = c
-                for idx, x in enumerate(row):
-                    if x != zero:
-                        v[idx] = R.sub(v[idx], R.mul(c, x))
+                row = self.rows[r]
+                for idx in _support(R, row):
+                    v[idx] = sub(v[idx], mul(c, row[idx]))
         return v, mults
 
     def residual(self, v):
@@ -82,40 +116,49 @@ class RowBasis:
 
     def insert(self, v) -> bool:
         """Add v to the span.  True if the rank grew, False if v was already
-        in the span.  Raises FreenessUndetermined when the leading residual
-        coefficient is not a unit."""
+        in the span.  The pivot is the first unit entry of the residual;
+        raises FreenessUndetermined when no residual entry is a unit."""
         R = self.ring
         zero = R.zero()
         res, mults = self._reduce(v)
-        lead = next((idx for idx, x in enumerate(res) if x != zero), None)
-        if lead is None:
+        support = _support(R, res)
+        if not support:
             return False
-        inv = R.inv(res[lead])
-        if inv is None:
-            raise FreenessUndetermined(lead, R.format(res[lead]))
-        row = [R.mul(inv, x) for x in res]
+        for lead in support:
+            inv = R.inv(res[lead])
+            if inv is not None:
+                break
+        else:
+            raise FreenessUndetermined(support[0], R.format(res[support[0]]))
+        row = [zero] * len(res)
+        for idx in support:
+            row[idx] = R.mul(inv, res[idx])
         combo = None
         if self.track:
             # new row = inv * (v - sum mults[r] * old basis combinations)
             combo = [zero] * (self.n_inserted + 1)
             combo[self.n_inserted] = inv
-            for r, m in enumerate(mults):
-                if m != zero:
-                    cm = R.mul(inv, m)
-                    for k, x in enumerate(self.combos[r]):
-                        combo[k] = R.sub(combo[k], R.mul(cm, x))
+            for r in _support(R, mults):
+                cm = R.mul(inv, mults[r])
+                old = self.combos[r]
+                for k in _support(R, old):
+                    combo[k] = R.sub(combo[k], R.mul(cm, old[k]))
             for other in self.combos:
                 other.extend([zero] * (self.n_inserted + 1 - len(other)))
-        # keep full reduced form: clear the new pivot column above
+            combo_support = _support(R, combo)
+        # keep full reduced form: clear the new pivot column in the other
+        # rows (the new row is zero at their pivots, as a unit times a
+        # non-zero entry is non-zero and the residual is zero there)
         for r, other in enumerate(self.rows):
             c = other[lead]
             if c != zero:
-                for idx, x in enumerate(row):
-                    if x != zero:
-                        other[idx] = R.sub(other[idx], R.mul(c, x))
+                for idx in support:
+                    other[idx] = R.sub(other[idx], R.mul(c, row[idx]))
                 if self.track:
-                    for k, x in enumerate(combo):
-                        self.combos[r][k] = R.sub(self.combos[r][k], R.mul(c, x))
+                    mine = self.combos[r]
+                    for k in combo_support:
+                        mine[k] = R.sub(mine[k], R.mul(c, combo[k]))
+        self._row_of[lead] = len(self.rows)
         self.rows.append(row)
         self.pivots.append(lead)
         if self.track:
@@ -221,12 +264,12 @@ def nullspace(ring: Ring, rows, width: int) -> list:
 def mat_vec(ring: Ring, rows, v):
     """Apply a matrix given as rows of coefficients to a coordinate vector:
     out = sum_k v[k] * rows[k] (rows are images of basis vectors)."""
-    zero = ring.zero()
+    add, mul = ring.add, ring.mul
     width = len(rows[0]) if rows else 0
-    out = [zero] * width
-    for c, row in zip(v, rows):
-        if c != zero:
-            for idx, x in enumerate(row):
-                if x != zero:
-                    out[idx] = ring.add(out[idx], ring.mul(c, x))
+    out = [ring.zero()] * width
+    for k in _support(ring, v):
+        c = v[k]
+        row = rows[k]
+        for idx in _support(ring, row):
+            out[idx] = add(out[idx], mul(c, row[idx]))
     return out

@@ -61,6 +61,9 @@ class Ring:
     it only with a cheaper test of the same truth.  Python truthiness is
     such a test where the zero payload is the only falsy one (ints,
     fractions, residues), never for tuple payloads, which are always truthy.
+    A ring whose ``is_zero`` is ``operator.not_`` declares exactly that, and
+    the vector kernels in :mod:`censym.linalg` then let the entries select
+    themselves.
     """
 
     is_field: bool = False
@@ -303,13 +306,16 @@ class GroupRingC2(Ring):
         if not isinstance(base, Ring):
             raise RingError(f"group-ring base must be a ring, got {base!r}")
         self.base = base
+        # one shared zero pair: vectors filled with it are recognised as
+        # zero by identity (list.count), and zero() allocates nothing
+        z = base.zero()
+        self._zero = (z, z)
         # payloads are canonical tuples, so tuple equality with the zero
         # pair is the zero test
-        self.is_zero = self.zero().__eq__
+        self.is_zero = self._zero.__eq__
 
     def zero(self):
-        z = self.base.zero()
-        return (z, z)
+        return self._zero
 
     def one(self):
         return (self.base.one(), self.base.zero())

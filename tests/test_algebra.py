@@ -439,3 +439,10 @@ def test_validate_multiplicative_involution():
         "involution is not an anti-homomorphism at (E2_2, E1_2)",
         "involution is not an anti-homomorphism at (E2_2, E2_1)",
     ]
+
+
+def test_table_entry_naming_a_basis_index_twice_is_rejected():
+    # mul would add the two coefficients where mul_basis kept the last one;
+    # such a table has no single meaning
+    with pytest.raises(ValueError, match=r"table entry \(1, 2\) names a basis index twice"):
+        broken_m2({(1, 2): ((0, 1), (3, 1), (3, -1))})

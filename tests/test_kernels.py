@@ -229,7 +229,7 @@ def sparse_vectors(ring, width):
 
 
 @pytest.mark.parametrize("literal", ORACLE_RINGS)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_algebra_mul_of_sparse_vectors_matches_schoolbook(literal, data):
     a = data.draw(st.sampled_from(witness_algebras(literal)))
@@ -247,7 +247,7 @@ def schoolbook_mat_vec(ring, rows, v):
 
 
 @pytest.mark.parametrize("literal", ORACLE_RINGS)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_mat_vec_matches_schoolbook(literal, data):
     ring = ring_from_literal(literal)
@@ -287,7 +287,7 @@ REDUCTION_RINGS = ["int", "rat", "gf:2", "zmod:4", "c2:int", "c2:c2:int"]
 
 
 @pytest.mark.parametrize("literal", REDUCTION_RINGS)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_rowbasis_reduction_matches_row_order_reference(literal, data):
     ring = ring_from_literal(literal)

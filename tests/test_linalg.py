@@ -42,9 +42,29 @@ def test_freeness_undetermined():
     rb = RowBasis(Z, 2)
     with pytest.raises(FreenessUndetermined):
         rb.insert([2, 0])
+    with pytest.raises(FreenessUndetermined, match="column 0; leading value 2"):
+        rb.insert([2, 4])
     # over a field the same vector is fine
     rb5 = RowBasis(GF5, 2)
     assert rb5.insert([2, 0])
+
+
+def test_insert_pivots_on_the_first_unit_entry():
+    # the leading entry 2 is not a unit over the integers, the next one is
+    rb = RowBasis(Z, 2, track=True)
+    assert rb.insert([2, 1])
+    assert rb.pivots == [1]
+    assert rb.express([4, 2]) == [2]
+    assert rb.express([1, 0]) is None
+    # the first unit, not any unit: columns 1 and 2 both hold one
+    rb = RowBasis(Z, 3, track=True)
+    assert rb.insert([2, 1, -1])
+    assert rb.pivots == [1]
+    # a later row clears the earlier pivot column, keeping full reduction
+    assert rb.insert([1, 0, 0])
+    assert rb.pivots == [1, 0]
+    assert rb.rows == [[0, 1, -1], [1, 0, 0]]
+    assert rb.express([3, 5, -5]) == [5, -7]
 
 
 def test_span_basis_deferred_retry():
