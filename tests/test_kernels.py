@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from censym import basis as fb
-from censym.algebra import algebra_of_censym, full_matrix_algebra
+from censym.algebra import algebra_of_censym, centre_basis, full_matrix_algebra
 from censym.basis import canonical_basis, coords, structure_constants
 from censym.linalg import FreenessUndetermined, RowBasis, mat_vec
 from censym.matrices import Matrix, cells_times, matrix_unit, times_cells
@@ -338,3 +338,30 @@ def test_contains_and_express_agree_under_insertion_orders(ring, data):
                 for c, w in zip(cs, inserted):
                     total = [ring.add(t, ring.mul(c, x)) for t, x in zip(total, w)]
                 assert total == v
+
+
+CENTRE_CASES = ([("censym", n) for n in range(1, 7)]
+                + [("matrix", m) for m in range(1, 4)])
+
+
+@pytest.mark.parametrize("kind,n", CENTRE_CASES, ids=[f"{k}-{n}" for k, n in CENTRE_CASES])
+def test_centre_basis_matches_sympy_nullspace(kind, n):
+    """The commutator system z*b_u - b_u*z = 0 built from
+    ``StructureAlgebra.mul`` on basis vectors, solved by sympy, spans the
+    same subspace as ``centre_basis``."""
+    sympy = pytest.importorskip("sympy")
+    a = algebra_of_censym(Q, n) if kind == "censym" else full_matrix_algebra(Q, n)
+    r = a.rank
+    basis = [a.basis_vector(u) for u in range(r)]
+    rows = []
+    for bu in basis:
+        # column w holds the commutator b_w*b_u - b_u*b_w
+        comms = [[x - y for x, y in zip(a.mul(bw, bu), a.mul(bu, bw))] for bw in basis]
+        rows.extend([comms[w][t] for w in range(r)] for t in range(r))
+    want = sympy.Matrix(rows).nullspace()
+    got = centre_basis(a)
+    assert len(got) == len(want)
+    ours = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in v]
+                         for v in got])
+    theirs = sympy.Matrix.hstack(*want).T
+    assert ours.rank() == theirs.rank() == sympy.Matrix.vstack(ours, theirs).rank()
