@@ -285,13 +285,9 @@ def peirce_component(ring: Ring, n: int, i: int, j: int) -> list:
     k = half_ceil(n)
     if not (1 <= i <= k and 1 <= j <= k):
         raise IndexError(f"corner index ({i}, {j}) out of range; need 1..{k}")
-    seen = []
-    for jj in (j, n + 1 - j):
-        ci, cj = canon_index(n, i, jj)
-        idx = BasisIndex(n, ci, cj)
-        if idx not in [s[0] for s in seen]:
-            seen.append((idx, CentroMatrix(basis_matrix(ring, n, ci, cj))))
-    return seen
+    cells = dict.fromkeys(canon_index(n, i, jj) for jj in (j, n + 1 - j))
+    return [(BasisIndex(n, ci, cj), CentroMatrix(basis_matrix(ring, n, ci, cj)))
+            for ci, cj in cells]
 
 
 class SymSeq:

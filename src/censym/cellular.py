@@ -47,6 +47,7 @@ from .linalg import (
 )
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
 from .rings import Ring
+from .structure import odd_quotient
 
 
 @dataclass
@@ -271,20 +272,13 @@ def cell_chain_odd(ring: Ring, n: int) -> CellChainWitness:
     if n % 2 == 0:
         raise ValueError(f"odd size required, got {n}")
     m = n // 2
-    a = algebra_of_censym(ring, n)
+    a, _, quot, proj = odd_quotient(ring, m)
     pos = fb.positions(n)
-    delta1 = [a.basis_vector(pos[(i, m + 1)]) for i in range(1, m + 1)]
-    delta1.append(a.basis_vector(pos[(m + 1, m + 1)]))
+    delta1 = [a.basis_vector(pos[(i, m + 1)]) for i in range(1, m + 2)]
     w1 = canonical_cell_witness(a, delta1, name="middle-column")
     layers = [CellLayer([list(v) for v in w1.j_basis], a, w1)]
     if m:
-        ideal = ideal_generated(a, [a.basis_vector(pos[(m + 1, m + 1)])])
-        quot, proj = quotient_by_ideal(a, ideal)
-        span2 = [a.basis_vector(pos[(i, j)])
-                 for i in range(1, m + 1) for j in range(1, m + 1)]
-        delta2 = [proj.apply(a.basis_vector(pos[(i, 1)])) for i in range(1, m + 1)]
-        w2 = canonical_cell_witness(quot, delta2, name="matrix-quotient")
-        layers.append(CellLayer(span2, quot, w2))
+        layers.append(_matrix_quotient_layer(a, pos, m, quot, proj))
     return CellChainWitness(a, layers, {"n": n, "ring": ring.literal(), "parity": "odd"})
 
 
@@ -311,12 +305,17 @@ def cell_chain_even(ring: Ring, n: int) -> CellChainWitness:
     w1 = CellIdealWitness(a, j1, delta1, alpha, name="skew-part")
     ideal = IdealBasis(a, span_basis(ring, j1, a.rank), [list(v) for v in j1])
     quot, proj = quotient_by_ideal(a, ideal)
-    span2 = [a.basis_vector(pos[(i, j)])
-             for i in range(1, m + 1) for j in range(1, m + 1)]
-    delta2 = [proj.apply(a.basis_vector(pos[(i, 1)])) for i in range(1, m + 1)]
-    w2 = canonical_cell_witness(quot, delta2, name="matrix-quotient")
-    layers = [CellLayer(j1, a, w1), CellLayer(span2, quot, w2)]
+    layers = [CellLayer(j1, a, w1), _matrix_quotient_layer(a, pos, m, quot, proj)]
     return CellChainWitness(a, layers, {"n": n, "ring": ring.literal(), "parity": "even"})
+
+
+def _matrix_quotient_layer(a: StructureAlgebra, pos: dict, m: int,
+                           quot: StructureAlgebra, proj) -> CellLayer:
+    """The top layer of both chains: the span of f[i,j] for i, j <= m, and
+    in the m-by-m matrix quotient the cell witness of its first column."""
+    span = [a.basis_vector(pos[(i, j)]) for i in range(1, m + 1) for j in range(1, m + 1)]
+    delta = [proj.apply(a.basis_vector(pos[(i, 1)])) for i in range(1, m + 1)]
+    return CellLayer(span, quot, canonical_cell_witness(quot, delta, name="matrix-quotient"))
 
 
 def verify_cell_chain(chain: CellChainWitness) -> Report:
@@ -507,7 +506,7 @@ def quasi_hereditary_chain_odd(ring: Ring, n: int):
     if not ring.is_field:
         raise ValueError(f"heredity chains are computed over fields, got {ring.literal()}")
     m = n // 2
-    a = algebra_of_censym(ring, n)
+    a, _, quot, proj = odd_quotient(ring, m)
     pos = fb.positions(n)
     params = {"n": n, "ring": ring.literal()}
     witnesses = [heredity_check(a, a.basis_vector(pos[(m + 1, m + 1)]),
@@ -515,8 +514,6 @@ def quasi_hereditary_chain_odd(ring: Ring, n: int):
     clauses = {"stage1": witnesses[0].report.verdict}
     saturates = None
     if m:
-        ideal = ideal_generated(a, [a.basis_vector(pos[(m + 1, m + 1)])])
-        quot, proj = quotient_by_ideal(a, ideal)
         for i in range(1, m + 1):
             ebar = proj.apply(a.basis_vector(pos[(i, i)]))
             hw = heredity_check(quot, ebar,

@@ -4,8 +4,12 @@ Commands: verify, table, iso, frobenius, cellchain, centre,
 demo-bisymmetric, dump-algebra.  Common flags: --n, --ring, --json,
 --seed, --matrix-file.  Exit status: 0 when nothing failed (unknown and
 undetermined verdicts do not fail scripting), 1 when at least one check
-reported fail, 2 on usage errors.  With a fixed --seed the --json output
-is byte-identical across runs.
+reported fail, 2 on usage errors (an empty --check list, or an --n that
+an iso kind is not built for, among them).  With a fixed --seed the
+--json output is byte-identical across runs.
+
+``CHECKS`` maps each verify check to its reports and ``ISO_KINDS`` each
+iso kind to its sizes and builder; each table serves two commands.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import basis as fb
 from .algebra import (
@@ -48,12 +54,6 @@ from .structure import (
     s3_presentation,
     wedderburn_split,
 )
-
-CHECK_NAMES = (
-    "closure", "rank", "structure-constants", "frobenius", "separability",
-    "split", "isos", "cellchain", "heredity", "centre",
-)
-
 
 def check_closure(ring: Ring, n: int, seed: int, batch: int = 100) -> Report:
     """All pairwise canonical-basis products and a seeded batch of random
@@ -120,39 +120,59 @@ def check_structure_constants(ring: Ring, n: int) -> Report:
                   witness={"formula_pairs": applicable, "total_pairs": len(idxs) ** 2})
 
 
+@dataclass(frozen=True)
+class IsoKind:
+    """One family of isomorphism witnesses: the sizes it is built for, in
+    words and as a test, the size ``iso`` uses without --n, and a builder
+    returning (witness, extra report params) pairs."""
+
+    sizes: str
+    applies: Callable[[int], bool]
+    build: Callable[[Ring, int], list]
+    default_n: int = 2
+
+
+# ``verify --check isos`` runs the kinds in this order
+ISO_KINDS = {
+    "s2": IsoKind("--n 2", lambda n: n == 2, lambda ring, n: [(iso_s2(ring), {})]),
+    "s3": IsoKind("--n 3", lambda n: n == 3,
+                  lambda ring, n: [(s3_presentation(ring)[1], {})], default_n=3),
+    "even": IsoKind("an even --n", lambda n: n % 2 == 0,
+                    lambda ring, n: [(iso_even(ring, n // 2), {})]),
+    "odd-quotient": IsoKind("an odd --n >= 3", lambda n: n >= 3 and n % 2 == 1,
+                            lambda ring, n: [(iso_odd_quotient(ring, n // 2), {})]),
+    "morita": IsoKind("--n >= 4", lambda n: n >= 4, lambda ring, n: [
+        (morita_column_iso(ring, n, j), {"j": j}) for j in range(2, n // 2 + 1)]),
+    "endring": IsoKind("an odd --n >= 5", lambda n: n >= 5 and n % 2 == 1,
+                       lambda ring, n: [(endring_odd(ring, n)[1], {})]),
+    "wedderburn": IsoKind("any --n", lambda n: True,
+                          lambda ring, n: [(wedderburn_split(ring, n).witness, {})]),
+}
+
+
 def check_isos(ring: Ring, n: int) -> list:
+    """Every iso kind that applies at size n; Wedderburn only when 2 is
+    invertible, with a construction error there reported as its fail."""
+    params = {"n": n, "ring": ring.literal()}
     reports = []
-    if n == 2:
-        reports.append(check_witness(iso_s2(ring), {"n": n, "ring": ring.literal()}))
-    if n == 3:
-        _, w = s3_presentation(ring)
-        reports.append(check_witness(w, {"n": n, "ring": ring.literal()}))
-    if n >= 2 and n % 2 == 0:
-        reports.append(check_witness(iso_even(ring, n // 2),
-                                     {"n": n, "ring": ring.literal()}))
-    if n >= 3 and n % 2 == 1:
-        reports.append(check_witness(iso_odd_quotient(ring, n // 2),
-                                     {"n": n, "ring": ring.literal()}))
-    if n >= 4:
-        for j in range(2, n // 2 + 1):
-            reports.append(check_witness(morita_column_iso(ring, n, j),
-                                         {"n": n, "ring": ring.literal(), "j": j}))
-    if n >= 5 and n % 2 == 1:
-        _, w = endring_odd(ring, n)
-        reports.append(check_witness(w, {"n": n, "ring": ring.literal()}))
-    if ring.invert_two() is not None:
+    for kind, iso in ISO_KINDS.items():
+        if not iso.applies(n) or kind == "wedderburn" and ring.invert_two() is None:
+            continue
         try:
-            ws = wedderburn_split(ring, n)
-            reports.append(check_witness(ws.witness, {"n": n, "ring": ring.literal()}))
+            built = iso.build(ring, n)
         except (ValueError, FreenessUndetermined) as exc:
-            reports.append(Report("witness:wedderburn", {"n": n, "ring": ring.literal()},
-                                  FAIL, counterexample={"reason": str(exc)}))
+            if kind != "wedderburn":
+                raise
+            reports.append(Report("witness:wedderburn", params, FAIL,
+                                  counterexample={"reason": str(exc)}))
+            continue
+        reports.extend(check_witness(w, dict(params, **extra)) for w, extra in built)
     return reports
 
 
-def check_cellchain(ring: Ring, n: int) -> Report:
-    chain = cell_chain_odd(ring, n) if n % 2 else cell_chain_even(ring, n)
-    return verify_cell_chain(chain)
+def cell_chain(ring: Ring, n: int):
+    """The odd or the even cell chain, by the parity of n."""
+    return cell_chain_odd(ring, n) if n % 2 else cell_chain_even(ring, n)
 
 
 def check_heredity(ring: Ring, n: int) -> Report:
@@ -175,28 +195,24 @@ def check_centre(ring: Ring, n: int) -> Report:
     return rep
 
 
+CHECKS = {
+    "closure": lambda ring, n, seed: [check_closure(ring, n, seed)],
+    "rank": lambda ring, n, seed: [check_rank(ring, n, seed)],
+    "structure-constants": lambda ring, n, seed: [check_structure_constants(ring, n)],
+    "frobenius": lambda ring, n, seed: [
+        verify_frobenius_system(FrobeniusSystem(ring, n), seed=seed)],
+    "separability": lambda ring, n, seed: [separability_check(FrobeniusSystem(ring, n))],
+    "split": lambda ring, n, seed: [splitness_check(FrobeniusSystem(ring, n))],
+    "isos": lambda ring, n, seed: check_isos(ring, n),
+    "cellchain": lambda ring, n, seed: [verify_cell_chain(cell_chain(ring, n))],
+    "heredity": lambda ring, n, seed: [check_heredity(ring, n)],
+    "centre": lambda ring, n, seed: [check_centre(ring, n)],
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
 def run_check(name: str, ring: Ring, n: int, seed: int) -> list:
-    if name == "closure":
-        return [check_closure(ring, n, seed)]
-    if name == "rank":
-        return [check_rank(ring, n, seed)]
-    if name == "structure-constants":
-        return [check_structure_constants(ring, n)]
-    if name == "frobenius":
-        return [verify_frobenius_system(FrobeniusSystem(ring, n), seed=seed)]
-    if name == "separability":
-        return [separability_check(FrobeniusSystem(ring, n))]
-    if name == "split":
-        return [splitness_check(FrobeniusSystem(ring, n))]
-    if name == "isos":
-        return check_isos(ring, n)
-    if name == "cellchain":
-        return [check_cellchain(ring, n)]
-    if name == "heredity":
-        return [check_heredity(ring, n)]
-    if name == "centre":
-        return [check_centre(ring, n)]
-    raise RingError(f"unknown check {name!r}; choose from {', '.join(CHECK_NAMES)}")
+    return CHECKS[name](ring, n, seed)
 
 
 def matrix_file_report(path: str) -> Report:
@@ -240,6 +256,8 @@ def cmd_verify(args) -> int:
     checks = []
     for chunk in args.check or ["all"]:
         checks.extend(c.strip() for c in chunk.split(",") if c.strip())
+    if not checks:
+        raise RingError(f"--check names no check; choose from {', '.join(CHECK_NAMES)}")
     if "all" in checks:
         checks = list(CHECK_NAMES)
     for c in checks:
@@ -274,66 +292,40 @@ def cmd_table(args) -> int:
     return 0
 
 
-ISO_KINDS = ("s2", "s3", "even", "odd-quotient", "wedderburn", "morita", "endring")
-
-
 def cmd_iso(args) -> int:
     ring = ring_from_literal(args.ring)
-    n = args.n or 2
+    iso = ISO_KINDS[args.kind]
+    n = args.n or iso.default_n
+    if not iso.applies(n):
+        raise RingError(f"--kind {args.kind} needs {iso.sizes}")
     params = {"n": n, "ring": ring.literal()}
-    reports = []
-    if args.kind == "s2":
-        reports.append(check_witness(iso_s2(ring), params))
-    elif args.kind == "s3":
-        _, w = s3_presentation(ring)
-        reports.append(check_witness(w, params))
-    elif args.kind == "even":
-        if n % 2:
-            raise RingError("--kind even needs an even --n")
-        reports.append(check_witness(iso_even(ring, n // 2), params))
-    elif args.kind == "odd-quotient":
-        if n % 2 == 0 or n < 3:
-            raise RingError("--kind odd-quotient needs an odd --n >= 3")
-        reports.append(check_witness(iso_odd_quotient(ring, n // 2), params))
-    elif args.kind == "wedderburn":
-        ws = wedderburn_split(ring, n)
-        rep = check_witness(ws.witness, params)
-        rep.witness = {
-            "plus_rank": ws.plus_algebra.rank,
-            "minus_rank": ws.minus_algebra.rank,
-            "p_plus": format_vector(ring, ws.witness.source.labels, ws.p_plus),
-            "p_minus": format_vector(ring, ws.witness.source.labels, ws.p_minus),
-        }
-        reports.append(rep)
-    elif args.kind == "morita":
-        if n < 4:
-            raise RingError("--kind morita needs --n >= 4")
-        for j in range(2, n // 2 + 1):
-            reports.append(check_witness(morita_column_iso(ring, n, j), dict(params, j=j)))
-    elif args.kind == "endring":
-        if n < 5 or n % 2 == 0:
-            raise RingError("--kind endring needs an odd --n >= 5")
-        _, w = endring_odd(ring, n)
-        reports.append(check_witness(w, params))
-    return emit(reports, args.json)
+    if args.kind != "wedderburn":
+        return emit([check_witness(w, dict(params, **extra))
+                     for w, extra in iso.build(ring, n)], args.json)
+    ws = wedderburn_split(ring, n)
+    rep = check_witness(ws.witness, params)
+    rep.witness = {
+        "plus_rank": ws.plus_algebra.rank,
+        "minus_rank": ws.minus_algebra.rank,
+        "p_plus": format_vector(ring, ws.witness.source.labels, ws.p_plus),
+        "p_minus": format_vector(ring, ws.witness.source.labels, ws.p_minus),
+    }
+    return emit([rep], args.json)
 
 
-def cmd_frobenius(args) -> int:
-    ring = ring_from_literal(args.ring)
-    n = args.n or 2
-    sysm = FrobeniusSystem(ring, n)
-    reports = [
-        verify_frobenius_system(sysm, seed=args.seed),
-        separability_check(sysm),
-        splitness_check(sysm),
-    ]
-    return emit(reports, args.json)
+def checks_command(*names):
+    """A subcommand that runs the named ``verify`` checks at its one size."""
+    def cmd(args) -> int:
+        ring = ring_from_literal(args.ring)
+        return emit([rep for name in names for rep in run_check(name, ring, args.n, args.seed)],
+                    args.json)
+    return cmd
 
 
 def cmd_cellchain(args) -> int:
     ring = ring_from_literal(args.ring)
     n = args.n or 2
-    chain = cell_chain_odd(ring, n) if n % 2 else cell_chain_even(ring, n)
+    chain = cell_chain(ring, n)
     report = verify_cell_chain(chain)
     if not args.json:
         for p, layer in enumerate(chain.layers, start=1):
@@ -343,12 +335,6 @@ def cmd_cellchain(args) -> int:
             print("  delta: " + "; ".join(
                 stage.format_element(v) for v in layer.witness.delta_basis))
     return emit([report], args.json)
-
-
-def cmd_centre(args) -> int:
-    ring = ring_from_literal(args.ring)
-    n = args.n or 2
-    return emit([check_centre(ring, n)], args.json)
 
 
 def cmd_demo_bisymmetric(args) -> int:
@@ -436,13 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("iso", help="build and check one isomorphism witness")
-    common(p, default_n=2)
-    p.add_argument("--kind", required=True, choices=ISO_KINDS)
+    common(p)
+    p.add_argument("--kind", required=True, choices=ISO_KINDS,
+                   help="; ".join(f"{k}: {v.sizes}" for k, v in ISO_KINDS.items()))
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("frobenius", help="Frobenius system, separability, splitness")
     common(p, default_n=2)
-    p.set_defaults(func=cmd_frobenius)
+    p.set_defaults(func=checks_command("frobenius", "separability", "split"))
 
     p = sub.add_parser("cellchain", help="build and verify the cell chain")
     common(p, default_n=2)
@@ -450,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("centre", help="centre of the algebra")
     common(p, default_n=2)
-    p.set_defaults(func=cmd_centre)
+    p.set_defaults(func=checks_command("centre"))
 
     p = sub.add_parser("demo-bisymmetric",
                        help="the bisymmetric non-closure example at size 3")

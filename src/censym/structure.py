@@ -9,11 +9,14 @@ are verified on whole bases, never sampled.  Covered:
 * even sizes 2m are isomorphic to m-by-m matrices over the group ring;
 * odd sizes 2m+1 map onto m-by-m matrices after killing the middle-column
   ideal, with the sign rule f[i,j] == -f[i,n+1-j] in the quotient;
-* all column modules S*f_j are isomorphic to S*f_1 by explicit right
-  multiplications, and the endomorphism ring of S*f_1 (+) S*f_mid for odd
-  sizes is the size-3 algebra again;
+* all column modules S*f_j are isomorphic to S*f_1 by right
+  multiplication with f[1,j], and the endomorphism ring of S*f_1 (+)
+  S*f_mid for odd sizes is the size-3 algebra again;
 * with 2 invertible, the central idempotents (1 +- c)/2 split the algebra
   into two full matrix algebras of sizes ceil(n/2) and floor(n/2).
+
+The isomorphisms that send basis vectors to basis vectors share one
+builder, :func:`_relabelling`.
 """
 
 from __future__ import annotations
@@ -34,22 +37,40 @@ from .algebra import (
     zero_algebra,
 )
 from .linalg import RowBasis, unit_vector
-from .matrices import matrix_unit
 from .rings import GroupRingC2, Ring
+
+
+def _relabelling(src: StructureAlgebra, tgt: StructureAlgebra, images,
+                 name: str) -> LinearMapWitness:
+    """The isomorphism sending the u-th source basis vector to the
+    images[u]-th target basis vector; its inverse is the inverse
+    permutation."""
+    inverse = [None] * tgt.rank
+    for u, t in enumerate(images):
+        inverse[t] = src.basis_vector(u)
+    return LinearMapWitness(
+        src, tgt, [tgt.basis_vector(t) for t in images], inverse,
+        claimed=("algebra-homomorphism", "bijective", "involution-equivariant"),
+        name=name,
+    )
+
+
+# images in the size-3 algebra of the block presentation (a, b, u, d, v) and
+# of the corner basis (f1_1, f1_n, f1_mid, f_mid_1, f_mid_mid) of endring_odd
+_S3_IMAGES = ((1, 1), (1, 3), (1, 2), (2, 1), (2, 2))
+
+
+def _onto_s3(src: StructureAlgebra, name: str) -> LinearMapWitness:
+    pos = fb.positions(3)
+    tgt = algebra_of_censym(src.ring, 3)
+    return _relabelling(src, tgt, [pos[c] for c in _S3_IMAGES], name)
 
 
 def iso_s2(ring: Ring) -> LinearMapWitness:
     """Group ring over the order-two cyclic group onto the size-2 algebra:
     1 -> f1_1, x -> f1_2."""
     src = full_matrix_algebra(GroupRingC2(ring), 1)
-    tgt = algebra_of_censym(ring, 2)
-    matrix = [tgt.basis_vector(0), tgt.basis_vector(1)]
-    inverse = [src.basis_vector(0), src.basis_vector(1)]
-    return LinearMapWitness(
-        src, tgt, matrix, inverse,
-        claimed=("algebra-homomorphism", "bijective", "involution-equivariant"),
-        name="s2-group-ring",
-    )
+    return _relabelling(src, algebra_of_censym(ring, 2), [0, 1], "s2-group-ring")
 
 
 _S3_SYMBOLS = ("a", "b", "u", "d", "v")
@@ -82,20 +103,7 @@ def s3_presentation(ring: Ring):
     swap = {"a": "a", "b": "b", "u": "d", "d": "u", "v": "v"}
     invol = [unit_vector(ring, 5, pos[swap[s]]) for s in _S3_SYMBOLS]
     pres = StructureAlgebra(ring, _S3_SYMBOLS, table, unit, invol)
-
-    tgt = algebra_of_censym(ring, 3)
-    tpos = fb.positions(3)
-    image_of = {"a": (1, 1), "b": (1, 3), "u": (1, 2), "d": (2, 1), "v": (2, 2)}
-    matrix = [tgt.basis_vector(tpos[image_of[s]]) for s in _S3_SYMBOLS]
-    inverse = [None] * 5
-    for k, s in enumerate(_S3_SYMBOLS):
-        inverse[tpos[image_of[s]]] = pres.basis_vector(k)
-    witness = LinearMapWitness(
-        pres, tgt, matrix, inverse,
-        claimed=("algebra-homomorphism", "bijective", "involution-equivariant"),
-        name="s3-block-presentation",
-    )
-    return pres, witness
+    return pres, _onto_s3(pres, "s3-block-presentation")
 
 
 def iso_even(ring: Ring, m: int) -> LinearMapWitness:
@@ -104,25 +112,12 @@ def iso_even(ring: Ring, m: int) -> LinearMapWitness:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     n = 2 * m
-    src = full_matrix_algebra(GroupRingC2(ring), m)
-    tgt = algebra_of_censym(ring, n)
-    tpos = fb.positions(n)
-    matrix = []
-    inverse = [None] * tgt.rank
-    u = 0
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            for g in (0, 1):
-                col = j if g == 0 else n + 1 - j
-                t = tpos[fb.canon_index(n, i, col)]
-                matrix.append(tgt.basis_vector(t))
-                inverse[t] = src.basis_vector(u)
-                u += 1
-    return LinearMapWitness(
-        src, tgt, matrix, inverse,
-        claimed=("algebra-homomorphism", "bijective", "involution-equivariant"),
-        name=f"even-size-{n}",
-    )
+    pos = fb.positions(n)
+    images = [pos[fb.canon_index(n, i, col)]
+              for i in range(1, m + 1) for j in range(1, m + 1)
+              for col in (j, n + 1 - j)]
+    return _relabelling(full_matrix_algebra(GroupRingC2(ring), m),
+                        algebra_of_censym(ring, n), images, f"even-size-{n}")
 
 
 def odd_quotient(ring: Ring, m: int):
@@ -156,10 +151,8 @@ def iso_odd_quotient(ring: Ring, m: int) -> LinearMapWitness:
             v = tgt.zero_vector()
             v[(i - 1) * m + n - j] = minus_one
             matrix.append(v)
-    inverse = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            inverse.append(proj.apply(a.basis_vector(pos[(i, j)])))
+    inverse = [proj.apply(a.basis_vector(pos[(i, j)]))
+               for i in range(1, m + 1) for j in range(1, m + 1)]
     return LinearMapWitness(
         quot, tgt, matrix, inverse,
         claimed=("algebra-homomorphism", "bijective", "involution-equivariant"),
@@ -175,35 +168,29 @@ def _parse_f_label(label: str):
 def column_module(a: StructureAlgebra, ring: Ring, n: int, j: int) -> BasedModule:
     """The left module S*f_j: elements supported on columns j and n+1-j."""
     pos = fb.positions(n)
-    vectors = []
-    for i in range(1, fb.half_ceil(n) + 1):
-        seen = []
-        for col in (j, n + 1 - j):
-            cij = fb.canon_index(n, i, col)
-            if cij not in seen:
-                seen.append(cij)
-                vectors.append(a.basis_vector(pos[cij]))
-    return BasedModule(a, vectors, name=f"S*f{j}")
+    # an odd middle column j == n+1-j names each f[i,j] once
+    cells = dict.fromkeys(fb.canon_index(n, i, col)
+                          for i in range(1, fb.half_ceil(n) + 1) for col in (j, n + 1 - j))
+    return BasedModule(a, [a.basis_vector(pos[c]) for c in cells], name=f"S*f{j}")
 
 
 def morita_column_iso(ring: Ring, n: int, j: int) -> LinearMapWitness:
     """Left-module isomorphism S*f_1 -> S*f_j by right multiplication with
-    e[1,j] + e[n,n+1-j]; inverse extracts columns j and n+1-j back."""
+    f[1,j] = e[1,j] + e[n,n+1-j]; the inverse multiplies by
+    f[j,1] = e[j,1] + e[n+1-j,n], extracting columns j and n+1-j back."""
     if n < 4:
         raise ValueError("column isomorphisms are built for sizes >= 4")
     if not (2 <= j <= n // 2):
         raise ValueError(f"column index {j} out of range; need 2..{n // 2}")
     a = algebra_of_censym(ring, n)
+    pos = fb.positions(n)
     src = column_module(a, ring, n, 1)
     tgt = column_module(a, ring, n, j)
-    mult = matrix_unit(ring, n, 1, j) + matrix_unit(ring, n, n, n + 1 - j)
-    inv_mult = matrix_unit(ring, n, j, 1) + matrix_unit(ring, n, n + 1 - j, n)
 
-    def push(module_from, module_to, mat):
+    def push(module_from, module_to, f):
         rows = []
         for v in module_from.vectors:
-            ambient = fb.from_coords(ring, n, v).inner * mat
-            cs = module_to.express(fb.coords(fb.CentroMatrix(ambient)))
+            cs = module_to.express(a.mul(v, f))
             if cs is None:
                 raise ValueError("right multiplication left the column module")
             rows.append(cs)
@@ -211,8 +198,8 @@ def morita_column_iso(ring: Ring, n: int, j: int) -> LinearMapWitness:
 
     return LinearMapWitness(
         src, tgt,
-        matrix=push(src, tgt, mult),
-        inverse=push(tgt, src, inv_mult),
+        matrix=push(src, tgt, a.basis_vector(pos[(1, j)])),
+        inverse=push(tgt, src, a.basis_vector(pos[(j, 1)])),
         claimed=("left-module-homomorphism", "bijective"),
         name=f"column-1-to-{j}-size-{n}",
     )
@@ -235,20 +222,7 @@ def endring_odd(ring: Ring, n: int):
     unit[pos[(1, 1)]] = ring.one()
     unit[pos[(mid, mid)]] = ring.one()
     end = subalgebra_from_vectors(a, vectors, labels, unit, induce_invol=True)
-
-    tgt = algebra_of_censym(ring, 3)
-    tpos = fb.positions(3)
-    images = [(1, 1), (1, 3), (1, 2), (2, 1), (2, 2)]
-    matrix = [tgt.basis_vector(tpos[c]) for c in images]
-    inverse = [None] * 5
-    for k, c in enumerate(images):
-        inverse[tpos[c]] = end.basis_vector(k)
-    witness = LinearMapWitness(
-        end, tgt, matrix, inverse,
-        claimed=("algebra-homomorphism", "bijective", "involution-equivariant"),
-        name=f"endring-size-{n}",
-    )
-    return end, witness
+    return end, _onto_s3(end, f"endring-size-{n}")
 
 
 @dataclass
@@ -283,29 +257,24 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
     k = fb.half_ceil(n)
     low = fb.half_floor(n)
 
-    plus_vectors, plus_labels = [], []
+    plus_vectors = []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            base = a.basis_vector(pos[fb.canon_index(n, i, j)])
-            v = a.mul(base, p_plus)
+            v = a.mul(a.basis_vector(pos[fb.canon_index(n, i, j)]), p_plus)
             if n % 2 and j == k and i < k:
                 v = [ring.mul(t, x) for x in v]
             plus_vectors.append(v)
-            plus_labels.append(f"E{i}_{j}")
-    minus_vectors, minus_labels = [], []
-    for i in range(1, low + 1):
-        for j in range(1, low + 1):
-            base = a.basis_vector(pos[(i, j)])
-            minus_vectors.append(a.mul(base, p_minus))
-            minus_labels.append(f"E{i}_{j}")
+    minus_vectors = [a.mul(a.basis_vector(pos[(i, j)]), p_minus)
+                     for i in range(1, low + 1) for j in range(1, low + 1)]
 
+    # the pieces take the labels E{i}_{j} of the full matrix algebras
     plus_full = full_matrix_algebra(ring, k, flatten_group_ring=False)
-    plus_piece = subalgebra_from_vectors(a, plus_vectors, plus_labels, p_plus)
+    plus_piece = subalgebra_from_vectors(a, plus_vectors, plus_full.labels, p_plus)
     if plus_piece.table != plus_full.table:
         raise ValueError("plus piece does not match full matrix structure constants")
     if low:
-        minus_piece = subalgebra_from_vectors(a, minus_vectors, minus_labels, p_minus)
         minus_full = full_matrix_algebra(ring, low, flatten_group_ring=False)
+        minus_piece = subalgebra_from_vectors(a, minus_vectors, minus_full.labels, p_minus)
         if minus_piece.table != minus_full.table:
             raise ValueError("minus piece does not match full matrix structure constants")
     else:

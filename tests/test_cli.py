@@ -113,6 +113,27 @@ def test_iso_kind_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["iso", "--kind", "s2", "--n", "5"],
+    ["iso", "--kind", "s2", "--n", "3", "--json"],
+    ["iso", "--kind", "s3", "--n", "2"],
+    ["iso", "--kind", "s3", "--n", "5", "--json"],
+])
+def test_iso_kind_of_one_size_rejects_other_sizes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"--kind {argv[2]} needs --n " in err
+
+
+def test_iso_s3_defaults_to_size_3(capsys):
+    code, out, _ = run(capsys, "iso", "--kind", "s3", "--json")
+    assert code == 0
+    (rep,) = json.loads(out)["reports"]
+    assert rep["params"]["n"] == 3
+    assert rep["verdict"] == "pass"
+
+
 def test_frobenius_command(capsys):
     code, out, _ = run(capsys, "frobenius", "--n", "3", "--ring", "zmod:9")
     assert code == 0
@@ -186,23 +207,34 @@ def test_matrix_file_bad(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--n", "-3", "--check", "rank"],
-    ["verify", "--n", "-2", "--check", "structure-constants"],
-    ["verify", "--n", "-2", "--check", "split"],
-    ["verify", "--n", "-2", "--check", "heredity"],
-    ["verify", "--n", "-2", "--check", "isos"],
-    ["verify", "--n", "0"],
-    ["verify", "--n", "0", "--json"],
-    ["iso", "--kind", "s2", "--n", "-2"],
-    ["table", "--n", "0"],
-    ["frobenius", "--n", "0"],
-    ["centre", "--n", "-1"],
-])
-def test_non_positive_size_is_usage_error(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+NON_POSITIVE_SIZE = "matrix size must be >= 1"
+BAD_INPUT = [
+    (["verify", "--n", "-3", "--check", "rank"], NON_POSITIVE_SIZE),
+    (["verify", "--n", "-2", "--check", "structure-constants"], NON_POSITIVE_SIZE),
+    (["verify", "--n", "-2", "--check", "split"], NON_POSITIVE_SIZE),
+    (["verify", "--n", "-2", "--check", "heredity"], NON_POSITIVE_SIZE),
+    (["verify", "--n", "-2", "--check", "isos"], NON_POSITIVE_SIZE),
+    (["verify", "--n", "0"], NON_POSITIVE_SIZE),
+    (["verify", "--n", "0", "--json"], NON_POSITIVE_SIZE),
+    (["iso", "--kind", "s2", "--n", "-2"], NON_POSITIVE_SIZE),
+    (["table", "--n", "0"], NON_POSITIVE_SIZE),
+    (["frobenius", "--n", "0"], NON_POSITIVE_SIZE),
+    (["centre", "--n", "-1"], NON_POSITIVE_SIZE),
+    (["verify", "--check", ","], "--check names no check"),
+    (["verify", "--check", "", "--json"], "--check names no check"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_INPUT,
+                         ids=[f"argv{k}" for k in range(len(BAD_INPUT))])
+def test_non_positive_size_is_usage_error(capsys, argv, message):
+    """Bad input exits 2 with nothing on stdout, whether argparse rejects
+    it (SystemExit) or the command does (return code)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert "matrix size must be >= 1" in out.err
+    assert message in out.err

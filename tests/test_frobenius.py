@@ -178,6 +178,29 @@ def test_wrong_e_fails_bimodule_only(ring, n):
     assert rep.counterexample == {"identity": "bimodule", "input": "(f1_1, unit)"}
 
 
+NEGATIVE_CONTROLS = (MirrorOnlySystem, SkewedSystem, RowTwoSystem, IdentitySystem)
+
+
+@pytest.mark.parametrize("system", NEGATIVE_CONTROLS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_negative_controls_do_not_depend_on_the_batch(system, n):
+    """Every clause covers the matrix units on its own, so a wrong E fails
+    the same clauses with the same counterexample without random probes."""
+    bare = verify_frobenius_system(system(Z, n), seed=0, batch=0)
+    full = verify_frobenius_system(system(Z, n), seed=0, batch=100)
+    assert bare.verdict == full.verdict == "fail"
+    assert bare.clauses == full.clauses
+    assert bare.counterexample == full.counterexample
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_identity_e_fails_image_clause_without_random_probes(n):
+    rep = verify_frobenius_system(IdentitySystem(Z, n), batch=0)
+    assert rep.verdict == "fail"
+    assert rep.clauses["image-centrosymmetric"] == "fail"
+    assert rep.counterexample == {"identity": "image", "input": "e1_1"}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_identity_e_fails_image_clause(n):
     rep = verify_frobenius_system(IdentitySystem(Z, n), batch=5)
@@ -233,7 +256,7 @@ def dense_frobenius_report(sys, seed=0, batch=100) -> dict:
         if bimod == "fail":
             break
     image = "pass"
-    for name, a in probes[n * n:]:
+    for name, a in probes:
         if not is_centrosymmetric(e(a)):
             image = "fail"
             ce = ce or {"identity": "image", "input": name}

@@ -8,7 +8,8 @@ them the command runs every check at n = 1..8.
 ``golden/outputs.json`` maps a full argument vector (subcommand first) to
 the sha256 of its standard output.  It covers what ``verify`` never
 prints: the ``dump-algebra`` tensors of the censym and full matrix
-algebras, the ``table`` dump and the ``iso`` witness reports.
+algebras, the ``table`` dump and the ``iso`` witness reports, and the
+``frobenius``, ``cellchain`` and ``centre`` subcommands at one size.
 
 A change that alters any verdict, witness, counterexample, table entry or
 formatting byte of these outputs fails here.
