@@ -201,14 +201,22 @@ def from_coords(ring: Ring, n: int, v) -> CentroMatrix:
 _SC_CACHE: dict = {}
 
 
+class NotClosed(ValueError):
+    """A basis product that is not centrosymmetric, named by ``pair``."""
+
+    def __init__(self, pair: str):
+        super().__init__(f"basis product {pair} is not centrosymmetric")
+        self.pair = pair
+
+
 def structure_constants(ring: Ring, n: int) -> dict:
     """Sparse product table: (u, v) -> tuple of (w, coeff) with f_u f_v = sum.
 
     Computed by the matrix-unit oracle: expand f_u and f_v into their unit
     cells, multiply the units (e[a, b] e[c, d] = kron(b, c) e[a, d]) and
     accumulate the product cells, then read the coefficients off the
-    canonical cells in ascending w.  A product that is not centrosymmetric
-    raises the same ValueError as :func:`coords`.  Cached per (ring, n).
+    canonical cells in ascending w.  A product cell that differs from its
+    mirror (c*P*c != P) raises :class:`NotClosed`.  Cached per (ring, n).
     """
     key = (ring, n)
     cached = _SC_CACHE.get(key)
@@ -228,7 +236,7 @@ def structure_constants(ring: Ring, n: int) -> dict:
                         prod[a, d] = add(prod.get((a, d), zero), one)
             for (a, d), x in prod.items():
                 if prod.get((n + 1 - a, n + 1 - d), zero) != x:
-                    raise ValueError("matrix is not centrosymmetric")
+                    raise NotClosed(f"({idxs[u].label}, {idxs[v].label})")
             terms = sorted((pos[cell], x) for cell, x in prod.items()
                            if cell in pos and x != zero)
             if terms:

@@ -1,8 +1,13 @@
+import argparse
 import json
 
 import pytest
 
-from censym.cli import main
+from censym import basis as fb
+from censym.cli import ISO_KINDS, build_parser, check_closure, check_rank, main
+from censym.rings import ring_from_literal
+
+Z = ring_from_literal("int")
 
 
 def run(capsys, *argv):
@@ -40,6 +45,68 @@ def test_verify_multiple_checks(capsys):
                        "--check", "closure,rank", "--check", "centre")
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_closure_fails_when_a_basis_product_leaves_the_algebra(capsys, monkeypatch):
+    """Negative control: basis elements without their mirror cell multiply
+    out of the centrosymmetric matrices, and closure names the pair."""
+    real = fb.unit_cells
+    monkeypatch.setattr(fb, "unit_cells", lambda n, i, j: real(n, i, j)[:1])
+    monkeypatch.setattr(fb, "_SC_CACHE", {})
+    rep = check_closure(Z, 2)
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {"pair": "(f1_1, f1_1)"}
+    code, out, _ = run(capsys, "verify", "--check", "closure", "--json")
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    assert [r["verdict"] for r in reports] == ["pass"] + ["fail"] * 7  # n = 1 has one cell
+    assert all(set(r["counterexample"]) == {"pair"} for r in reports[1:])
+
+
+def test_rank_fails_when_coords_loses_a_coordinate(capsys, monkeypatch):
+    """Negative control: a coords that zeroes the last coordinate breaks
+    the round trip on the last basis element, and rank names it."""
+    real = fb.coords
+    monkeypatch.setattr(fb, "coords", lambda a: real(a)[:-1] + [a.ring.zero()])
+    rep = check_rank(Z, 3)
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {"round_trip": "f2_2"}
+    code, _, _ = run(capsys, "verify", "--n", "3", "--check", "rank")
+    assert code == 1
+
+
+@pytest.mark.parametrize("ring", ["int", "rat", "c2:int"])
+def test_closure_and_rank_do_not_depend_on_the_seed(capsys, ring):
+    """Both checks are exhaustive on the basis, so --seed cannot reach them."""
+    outs = []
+    for seed in ("0", "7"):
+        code, out, _ = run(capsys, "verify", "--json", "--check", "closure,rank",
+                           "--ring", ring, "--seed", seed)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_size_help_names_each_default():
+    """Each subcommand's --n help names the size it uses without --n."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {}
+    for name, p in sub.choices.items():
+        (n_opt,) = [a for a in p._actions if a.dest == "n"]
+        got[name] = (n_opt.default, n_opt.help)
+    assert got == {
+        "verify": (None, "matrix size (default: every size 1..8)"),
+        "table": (3, "matrix size (default: 3)"),
+        "iso": (None, "matrix size (default: 3 for --kind s3, 2 for every other kind)"),
+        "frobenius": (2, "matrix size (default: 2)"),
+        "cellchain": (2, "matrix size (default: 2)"),
+        "centre": (2, "matrix size (default: 2)"),
+        "demo-bisymmetric": (3, "matrix size (default: 3)"),
+        "dump-algebra": (2, "matrix size (default: 2)"),
+    }
+    assert {k: v.default_n for k, v in ISO_KINDS.items()} == {
+        k: 3 if k == "s3" else 2 for k in ISO_KINDS}
 
 
 def test_usage_error_exit_2(capsys):
