@@ -25,7 +25,6 @@ from .linalg import (
     unit_vector,
     vec_is_zero,
 )
-from .matrices import Matrix
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
 from .rings import GroupRingC2, Ring
 
@@ -228,7 +227,7 @@ def algebra_of_censym(ring: Ring, n: int) -> StructureAlgebra:
     pos = fb.positions(n)
     labels = [ix.label for ix in idxs]
     table = fb.structure_constants(ring, n)
-    unit = fb.coords(fb.CentroMatrix(Matrix.identity(ring, n)))
+    unit = [ring.one() if ix.i == ix.j else ring.zero() for ix in idxs]
     invol = []
     for ix in idxs:
         ti, tj = fb.canon_index(n, ix.j, ix.i)
@@ -520,7 +519,6 @@ class IdealBasis:
 
     algebra: StructureAlgebra
     rowbasis: RowBasis
-    gens: list
 
     @property
     def rank(self) -> int:
@@ -559,7 +557,7 @@ def ideal_generated(a: StructureAlgebra, gens) -> IdealBasis:
                 stuck = []
     if stuck:
         rb.insert(stuck[0])  # re-raise with context
-    return IdealBasis(a, rb, [list(g) for g in gens])
+    return IdealBasis(a, rb)
 
 
 def ideal_is_two_sided(j: IdealBasis) -> bool:

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Commands: verify, table, iso, frobenius, cellchain, centre,
-demo-bisymmetric, dump-algebra.  Common flags: --n, --ring, --json,
---seed, --matrix-file.  Exit status: 0 when nothing failed (unknown and
+demo-bisymmetric, dump-algebra.  Each command takes only the flags it
+reads: --n and --ring on every command but demo-bisymmetric, --json on
+every command but dump-algebra (which always prints JSON), --seed on
+verify and frobenius, --check and --matrix-file on verify, --kind on iso
+and dump-algebra.  Exit status: 0 when nothing failed (unknown and
 undetermined verdicts do not fail scripting), 1 when at least one check
 reported fail, 2 on usage errors (an empty --check list, or an --n that
 an iso kind is not built for, among them).  --seed reaches only the
@@ -392,13 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"matrix size (default: {n_default_help or default_n})")
         p.add_argument("--ring", default="int",
                        help="ring literal: int, rat, zmod:<m>, gf:<p>, c2:<ring>")
+
+    def json_flag(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report document")
+
+    def seed_flag(p):
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the random probes of the frobenius check; "
                             "no other check draws random input")
 
     p = sub.add_parser("verify", help="run verification suites")
     common(p, n_default_help="every size 1..8")
+    json_flag(p)
+    seed_flag(p)
     p.add_argument("--check", action="append",
                    help=f"subset of: {', '.join(CHECK_NAMES)}, or all "
                         "(repeatable / comma separated)")
@@ -407,29 +416,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="multiplication table of the canonical basis")
     common(p, default_n=3)
+    json_flag(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("iso", help="build and check one isomorphism witness")
     common(p, n_default_help="3 for --kind s3, 2 for every other kind")
+    json_flag(p)
     p.add_argument("--kind", required=True, choices=ISO_KINDS,
                    help="; ".join(f"{k}: {v.sizes}" for k, v in ISO_KINDS.items()))
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("frobenius", help="Frobenius system, separability, splitness")
     common(p, default_n=2)
+    json_flag(p)
+    seed_flag(p)
     p.set_defaults(func=checks_command("frobenius", "separability", "split"))
 
     p = sub.add_parser("cellchain", help="build and verify the cell chain")
     common(p, default_n=2)
+    json_flag(p)
     p.set_defaults(func=cmd_cellchain)
 
     p = sub.add_parser("centre", help="centre of the algebra")
     common(p, default_n=2)
-    p.set_defaults(func=checks_command("centre"))
+    json_flag(p)
+    # the centre check draws no random input; checks_command reads a seed
+    p.set_defaults(func=checks_command("centre"), seed=0)
 
     p = sub.add_parser("demo-bisymmetric",
                        help="the bisymmetric non-closure example at size 3")
-    common(p, default_n=3)
+    json_flag(p)
     p.set_defaults(func=cmd_demo_bisymmetric)
 
     p = sub.add_parser("dump-algebra", help="JSON dump of a structure algebra")

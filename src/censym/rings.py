@@ -191,7 +191,7 @@ class RationalRing(Ring):
     is_zero = operator.not_
 
     def inv(self, a):
-        return 1 / a if a else None
+        return Fraction(1) / a if a else None
 
     def format(self, a):
         return str(a)

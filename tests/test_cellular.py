@@ -2,11 +2,13 @@ import pytest
 
 from censym.algebra import (
     algebra_of_censym,
+    direct_product,
     full_matrix_algebra,
     ideal_generated,
 )
 from censym.basis import canonical_indices, rank_of
 from censym.cellular import (
+    CellChainWitness,
     CellIdealWitness,
     CellLayer,
     canonical_cell_witness,
@@ -241,6 +243,15 @@ def test_chain_with_repeated_span_fails_direct_sum_with_counterexample():
     assert rep.clauses["rank-sum"] == "pass"
     assert rep.counterexample == {"clause": "direct-sum", "vectors": 5,
                                   "span_rank": 4, "rank": 5}
+
+
+def test_direct_sum_retries_a_vector_with_no_unit_entry():
+    # over Z x Z, (2, 3) has no unit entry until (1, 1) is reduced out of
+    # it: the layers span Z^2, which the deferred retry certifies
+    a = direct_product(full_matrix_algebra(Z, 1), full_matrix_algebra(Z, 1))
+    w = canonical_cell_witness(a, [a.basis_vector(0)])
+    chain = CellChainWitness(a, [CellLayer([[2, 3]], a, w), CellLayer([[1, 1]], a, w)])
+    assert verify_cell_chain(chain).clauses["direct-sum"] == "pass"
 
 
 def test_chain_with_wrong_cell_ranks_fails_rank_sum_with_counterexample():

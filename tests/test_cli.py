@@ -93,8 +93,8 @@ def test_size_help_names_each_default():
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     got = {}
     for name, p in sub.choices.items():
-        (n_opt,) = [a for a in p._actions if a.dest == "n"]
-        got[name] = (n_opt.default, n_opt.help)
+        for n_opt in (a for a in p._actions if a.dest == "n"):
+            got[name] = (n_opt.default, n_opt.help)
     assert got == {
         "verify": (None, "matrix size (default: every size 1..8)"),
         "table": (3, "matrix size (default: 3)"),
@@ -102,11 +102,32 @@ def test_size_help_names_each_default():
         "frobenius": (2, "matrix size (default: 2)"),
         "cellchain": (2, "matrix size (default: 2)"),
         "centre": (2, "matrix size (default: 2)"),
-        "demo-bisymmetric": (3, "matrix size (default: 3)"),
         "dump-algebra": (2, "matrix size (default: 2)"),
     }
     assert {k: v.default_n for k, v in ISO_KINDS.items()} == {
         k: 3 if k == "s3" else 2 for k in ISO_KINDS}
+
+
+UNREAD_FLAGS = [
+    *([cmd, "--seed", "1"] for cmd in ("table", "cellchain", "centre", "demo-bisymmetric",
+                                       "dump-algebra")),
+    ["iso", "--kind", "s2", "--seed", "1"],
+    ["demo-bisymmetric", "--n", "5"],
+    ["demo-bisymmetric", "--ring", "gf:2"],
+    ["dump-algebra", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
+def test_flag_no_command_reads_is_usage_error(capsys, argv):
+    """A subcommand accepts only the flags it reads: any other is an
+    argparse usage error, not a report about something else."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments" in out.err
 
 
 def test_usage_error_exit_2(capsys):

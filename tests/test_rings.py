@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from censym.linalg import span_basis
 from censym.rings import (
     GroupRingC2,
     RingError,
@@ -48,6 +49,13 @@ def test_arith_examples():
     assert Z4.mul(2, 3) == 2
     assert C2Z.mul((1, 1), (1, -1)) == (0, 0)
     assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+
+
+def test_rational_inverse_is_exact():
+    assert type(Q.inv(2)) is Fraction and Q.inv(2) == Fraction(1, 2)
+    assert type(Q.inv(Fraction(2, 3))) is Fraction
+    (row,) = span_basis(Q, [[2, 1]], 2).rows
+    assert row == [1, Fraction(1, 2)] and all(type(c) is Fraction for c in row)
 
 
 def test_invert_two():
