@@ -20,6 +20,7 @@ from censym.algebra import (
 from censym.basis import coords, exchange_coords, from_coords, rank_of
 from censym.linalg import spans_equal, vec_is_zero
 from censym.rings import GroupRingC2
+from censym.structure import morita_column_iso
 
 from conftest import C2Z, GF2, GF3, GF5, Q, Z
 
@@ -197,6 +198,22 @@ def test_check_witness_negative_control():
     assert rep.counterexample["property"] == "algebra-homomorphism"
 
 
+def test_module_hom_negative_control_pins_counterexample():
+    # a Morita column witness with one image doubled is no longer a
+    # left-module map; the first failing pair in basis order is reported
+    w = morita_column_iso(Z, 6, 2)
+    matrix = [list(r) for r in w.matrix]
+    matrix[2] = [2 * c for c in matrix[2]]
+    bad = LinearMapWitness(w.source, w.target, matrix, w.inverse,
+                           claimed=w.claimed, name=w.name)
+    rep = check_witness(bad)
+    assert rep.verdict == "fail"
+    assert rep.clauses["left-module-homomorphism"] == "fail"
+    assert rep.counterexample == {"input": "(f1_2, S*f1[2])", "lhs": "f1_2",
+                                  "rhs": "2*f1_2",
+                                  "property": "left-module-homomorphism"}
+
+
 def test_check_witness_identity_passes():
     a = algebra_of_censym(GF3, 4)
     eye = [a.basis_vector(u) for u in range(a.rank)]
@@ -254,6 +271,17 @@ def test_centre_containment_certificate_over_int():
     assert rep.witness["certificate"] == "containment"
     rep_bad = centre(a, candidates=[a.basis_vector(1)])
     assert rep_bad.verdict == "fail"
+
+
+def test_centre_containment_fail_pins_candidate_and_basis_element():
+    # over int the containment path names the first non-central candidate
+    # and the first basis element, in basis order, it fails to commute with
+    a = algebra_of_censym(Z, 5)
+    lab = label_map(a)
+    rep = centre(a, candidates=[a.unit, exchange_coords(Z, 5),
+                                a.basis_vector(lab["f3_2"])])
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {"candidate": "f3_2", "against": "f1_3"}
 
 
 def test_centre_field_fail_names_a_non_central_candidate():
