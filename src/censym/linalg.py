@@ -213,25 +213,30 @@ def spans_equal(ring: Ring, vecs_a, vecs_b, width: int) -> bool:
 
 def invert_matrix(ring: Ring, rows):
     """Two-sided inverse of a square matrix given as a list of rows, or None
-    if singular.  Raises FreenessUndetermined if elimination gets stuck on
-    non-unit pivots over a non-field."""
+    if singular.  Each step pivots on a unit anywhere in the remaining block
+    (columns swapped as needed); raises FreenessUndetermined over a
+    non-field when that block has no unit and no zero row or column."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     R = ring
     zero = R.zero()
     aug = [list(r) + unit_vector(R, n, i) for i, r in enumerate(rows)]
+    perm = list(range(n))  # perm[k]: the original column now at position k
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != zero and R.inv(aug[r][col]) is not None:
-                piv = r
-                break
+        block = range(col, n)
+        piv = next(((r, c) for r in block for c in block
+                    if aug[r][c] != zero and R.inv(aug[r][c]) is not None), None)
         if piv is None:
-            if any(aug[r][col] != zero for r in range(col, n)):
-                raise FreenessUndetermined(col, "no unit entry")
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
+            rest = [aug[r][col:n] for r in block]
+            if any(vec_is_zero(R, v) for v in rest + [list(c) for c in zip(*rest)]):
+                return None  # a zero row or column is left
+            raise FreenessUndetermined(col, "no unit entry")
+        r, c = piv
+        for row in aug:
+            row[col], row[c] = row[c], row[col]
+        perm[col], perm[c] = perm[c], perm[col]
+        aug[col], aug[r] = aug[r], aug[col]
         inv = R.inv(aug[col][col])
         aug[col] = [R.mul(inv, x) for x in aug[col]]
         for r in range(n):
@@ -239,7 +244,8 @@ def invert_matrix(ring: Ring, rows):
                 c = aug[r][col]
                 if c != zero:
                     aug[r] = [R.sub(x, R.mul(c, y)) for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    # aug inverts the column-permuted matrix: its row k is row perm[k] here
+    return [aug[perm.index(k)][n:] for k in range(n)]
 
 
 def nullspace(ring: Ring, rows, width: int) -> list:

@@ -18,9 +18,9 @@ from censym.algebra import (
     zero_algebra,
 )
 from censym.basis import coords, exchange_coords, from_coords, rank_of
-from censym.linalg import spans_equal, vec_is_zero
+from censym.linalg import span_basis, spans_equal, vec_is_zero
 from censym.rings import GroupRingC2
-from censym.structure import morita_column_iso
+from censym.structure import morita_column_iso, odd_quotient
 
 from conftest import C2Z, GF2, GF3, GF5, Q, Z
 
@@ -474,3 +474,86 @@ def test_table_entry_naming_a_basis_index_twice_is_rejected():
     # such a table has no single meaning
     with pytest.raises(ValueError, match=r"table entry \(1, 2\) names a basis index twice"):
         broken_m2({(1, 2): ((0, 1), (3, 1), (3, -1))})
+
+
+def _word_span_rank(a):
+    """Rank of the R-span of the words in a.generators(), found by span_basis
+    alone: extend the span by left products with the generators until it
+    stops growing (span_basis either grows the rank, confirms membership or
+    raises, so an unchanged rank means the span is closed)."""
+    gens = [a.basis_vector(g) for g in a.generators()]
+    rows, rank = gens, None
+    while True:
+        rb = span_basis(a.ring, rows, a.rank)
+        if rb.rank == rank:
+            return rank
+        rank = rb.rank
+        rows = [list(r) for r in rb.rows]
+        rows += [a.mul(g, r) for g in gens for r in rows]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generators_span_censym_algebra(n, any_ring):
+    a = algebra_of_censym(any_ring, n)
+    assert _word_span_rank(a) == a.rank
+    # the certificate stays well short of the whole basis from n = 6 on
+    assert n < 6 or 2 * len(a.generators()) < a.rank
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("ring,flatten", [(Z, True), (GF5, True), (C2Z, True),
+                                          (C2Z, False)])
+def test_generators_span_full_matrix_algebra(m, ring, flatten):
+    a = full_matrix_algebra(ring, m, flatten_group_ring=flatten)
+    assert _word_span_rank(a) == a.rank
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_generators_span_odd_quotient(m, any_ring):
+    _, _, quot, _ = odd_quotient(any_ring, m)
+    assert _word_span_rank(quot) == quot.rank
+
+
+def test_fail_names_the_basis_order_counterexample_whatever_the_generator_order():
+    # a clause scans the generators first and re-scans the whole basis only
+    # on a fail; with the generators reversed the scan meets a later failure
+    # first, and the report must still name the first one in basis order
+    w = morita_column_iso(Z, 6, 2)
+    matrix = [list(r) for r in w.matrix]
+    matrix[4] = [2 * c for c in matrix[4]]
+    a = w.source.algebra
+    a._generators = tuple(reversed(a.generators()))
+    rep = check_witness(LinearMapWitness(w.source, w.target, matrix, w.inverse,
+                                         claimed=w.claimed, name=w.name))
+    assert rep.counterexample == {"input": "(f1_3, S*f1[4])", "lhs": "f1_2",
+                                  "rhs": "2*f1_2",
+                                  "property": "left-module-homomorphism"}
+    b = algebra_of_censym(Z, 5)
+    b._generators = tuple(reversed(b.generators()))
+    rep = centre(b, candidates=[b.unit, b.basis_vector(label_map(b)["f3_2"])])
+    assert rep.counterexample == {"candidate": "f3_2", "against": "f1_3"}
+    rep = check_witness(LinearMapWitness(b, b, [list(r) for r in b.invol],
+                                         claimed=("algebra-homomorphism",)))
+    assert rep.counterexample == {"input": "(f1_1, f1_2)", "lhs": "f2_1", "rhs": "0",
+                                  "property": "algebra-homomorphism"}
+
+
+def test_generators_fall_back_to_whole_basis_on_square_zero_radical():
+    # basis 1, x, y with x*x = x*y = y*x = y*y = 0: no product of basis
+    # elements reaches x or y, so every index must be its own generator
+    table = {(0, v): ((v, 1),) for v in range(3)}
+    table.update({(v, 0): ((v, 1),) for v in range(1, 3)})
+    a = StructureAlgebra(Z, ["1", "x", "y"], table, [1, 0, 0])
+    assert a.validate() == []
+    assert a.generators() == (0, 1, 2)
+    assert _word_span_rank(a) == a.rank
+
+
+def test_generators_skip_a_non_unit_reach():
+    # over int the odd middle idempotent f3_3 is twice a word in f1_*, f2_1
+    # and f3_1, which the certificate cannot divide out, so f3_3 joins G
+    a, b = algebra_of_censym(Z, 5), algebra_of_censym(GF5, 5)
+    assert [a.labels[g] for g in a.generators()] == [
+        "f1_1", "f1_2", "f1_3", "f1_4", "f1_5", "f2_1", "f3_1", "f3_3"]
+    assert [b.labels[g] for g in b.generators()] == [
+        "f1_1", "f1_2", "f1_3", "f1_4", "f1_5", "f2_1", "f3_1"]

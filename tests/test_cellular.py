@@ -316,6 +316,17 @@ def test_row_delta_fails_left_ideal():
                                   "reason": "delta is not a left ideal"}
 
 
+def test_alpha_bimodule_fail_does_not_depend_on_generator_order():
+    # a reversed generator list meets a later failure first; the re-scan of
+    # the whole basis still names the first one in basis order
+    w = _m2_witness(["E2_1", "E2_2"], whole_algebra=True)
+    w.algebra._generators = tuple(reversed(w.algebra.generators()))
+    rep = verify_cell_ideal(w)
+    assert rep.counterexample == {"clause": "alpha-bimodule",
+                                  "input": "(E1_2, delta[0])",
+                                  "reason": "delta is not a left ideal"}
+
+
 def test_chain_with_exchanged_spans_fails_partial_sums():
     # the first partial sum becomes the span of f1_1 alone, not an ideal
     chain = cell_chain_odd(Q, 3)

@@ -8,8 +8,9 @@ them the command runs every check at n = 1..8.
 ``golden/outputs.json`` maps a full argument vector (subcommand first) to
 the sha256 of its standard output.  It covers what ``verify`` never
 prints: the ``dump-algebra`` tensors of the censym and full matrix
-algebras, the ``table`` dump and the ``iso`` witness reports, and the
-``frobenius``, ``cellchain`` and ``centre`` subcommands at one size.
+algebras, the ``table`` dump and the ``iso`` witness reports, the
+``frobenius``, ``cellchain`` and ``centre`` subcommands at one size, and
+``verify`` of the witness checks at n = 11 and 12, above the sweep's grid.
 
 A change that alters any verdict, witness, counterexample, table entry or
 formatting byte of these outputs fails here.
