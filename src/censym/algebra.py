@@ -606,7 +606,7 @@ def ideal_generated(a: StructureAlgebra, gens) -> IdealBasis:
 
 def ideal_is_two_sided(j: IdealBasis) -> bool:
     """Whether b*J and J*b lie in J for b in the generators; the b that pass
-    are closed under products (b*b'*J lies in b*J), so all of A does."""
+    are closed under products (b*b'*J lies in b*J), so all of A passes."""
     a = j.algebra
     for u in a.generators():
         bu = a.basis_vector(u)

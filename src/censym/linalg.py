@@ -232,11 +232,11 @@ def invert_matrix(ring: Ring, rows):
             if any(vec_is_zero(R, v) for v in rest + [list(c) for c in zip(*rest)]):
                 return None  # a zero row or column is left
             raise FreenessUndetermined(col, "no unit entry")
-        r, c = piv
+        pr, pc = piv
         for row in aug:
-            row[col], row[c] = row[c], row[col]
-        perm[col], perm[c] = perm[c], perm[col]
-        aug[col], aug[r] = aug[r], aug[col]
+            row[col], row[pc] = row[pc], row[col]
+        perm[col], perm[pc] = perm[pc], perm[col]
+        aug[col], aug[pr] = aug[pr], aug[col]
         inv = R.inv(aug[col][col])
         aug[col] = [R.mul(inv, x) for x in aug[col]]
         for r in range(n):
