@@ -1,9 +1,10 @@
 """Exact arithmetic for pluggable commutative rings.
 
 Ring elements are plain canonical payload values rather than wrapper
-objects: arbitrary-precision ``int`` for the integer ring,
-``fractions.Fraction`` (reduced, positive denominator) for rationals,
-residues in ``[0, m)`` for modular rings, and 2-tuples ``(a, b)`` meaning
+objects: arbitrary-precision ``int`` for the integer ring; for rationals,
+an ``int`` when the value is integral and otherwise a reduced
+``fractions.Fraction`` whose denominator is above 1 (never a ``float``);
+residues in ``[0, m)`` for modular rings; and 2-tuples ``(a, b)`` meaning
 ``a + b*x`` with ``x**2 == 1`` for group rings of the order-two cyclic
 group.  Payload equality is ring-element equality, and every operation
 returns a payload in canonical form.  A :class:`Ring` instance supplies
@@ -55,6 +56,12 @@ def is_prime(m: int) -> bool:
 
 class Ring:
     """A commutative ring with identity, operating on canonical payloads.
+
+    Each element has exactly one canonical payload, and every method that
+    returns an element (``zero``, ``one``, ``from_int``, ``add``, ``neg``,
+    ``mul``, ``sub``, ``inv``, ``parse``, ``sample``) returns that payload.
+    Over ``rat`` it is the ``int`` of an integral value and a ``Fraction``
+    with denominator above 1 otherwise.
 
     ``is_zero(a)`` must equal ``a == self.zero()`` on every canonical
     payload.  The default is exactly that comparison; a subclass overrides
@@ -167,43 +174,61 @@ class IntegerRing(Ring):
         return hash("int")
 
 
+def _canonical_rational(q):
+    """The canonical ``rat`` payload of an ``int`` or ``Fraction`` ``q``:
+    ``q`` itself unless it is a ``Fraction`` with denominator 1, whose
+    numerator is returned.  The ``int`` test comes first: it is the common
+    case, and int op int stays int."""
+    return q if q.__class__ is int or q.denominator != 1 else q.numerator
+
+
 class RationalRing(Ring):
+    """The rationals.  An integral value is carried as its ``int``, any other
+    value as a reduced ``Fraction`` with denominator above 1.
+
+    Most values the checks touch (structure constants, matrix units, the
+    unit, most pivots) are integers, and ``int`` arithmetic skips
+    ``Fraction``'s constructor and comparisons.  ``int`` and ``Fraction``
+    mix in arithmetic, compare and hash alike (``hash(Fraction(k)) ==
+    hash(k)``) and print alike, so only the payload type tells them apart.
+    """
+
     is_field = True
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, k):
-        return Fraction(k)
+        return int(k)
 
     def add(self, a, b):
-        return a + b
+        return _canonical_rational(a + b)
 
     def neg(self, a):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        return _canonical_rational(a * b)
 
     is_zero = operator.not_
 
     def inv(self, a):
-        return Fraction(1) / a if a else None
+        return _canonical_rational(Fraction(1) / a) if a else None
 
     def format(self, a):
         return str(a)
 
     def parse(self, text):
         try:
-            return Fraction(text.strip())
+            return _canonical_rational(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError):
             raise RingError(f"bad rational literal {text!r}") from None
 
     def sample(self, rng):
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return _canonical_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
     def literal(self):
         return "rat"

@@ -23,7 +23,10 @@ def elements(ring):
     if isinstance(ring, IntegerRing):
         return st.integers(-50, 50)
     if isinstance(ring, RationalRing):
-        return st.fractions(min_value=-50, max_value=50, max_denominator=20)
+        # an integral rational's canonical payload is its int
+        return st.fractions(min_value=-50, max_value=50, max_denominator=20).map(
+            lambda q: q.numerator if q.denominator == 1 else q
+        )
     if isinstance(ring, ModularRing):
         return st.integers(0, ring.modulus - 1)
     if isinstance(ring, GroupRingC2):

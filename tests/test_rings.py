@@ -51,11 +51,64 @@ def test_arith_examples():
     assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 
 
+def is_canonical(ring, a) -> bool:
+    """``a`` is the canonical payload of a ``rat`` or ``c2:...rat`` value:
+    an ``int`` if integral, else a ``Fraction`` with denominator above 1
+    (so never a ``float``, a ``bool`` or an integral ``Fraction``)."""
+    if isinstance(ring, GroupRingC2):
+        return type(a) is tuple and len(a) == 2 and all(is_canonical(ring.base, c) for c in a)
+    return type(a) is int or (type(a) is Fraction and a.denominator > 1)
+
+
+def as_fractions(ring, a):
+    """The same value with every rational coordinate a ``Fraction``."""
+    if isinstance(ring, GroupRingC2):
+        return tuple(as_fractions(ring.base, c) for c in a)
+    return Fraction(a)
+
+
+RATIONAL_RINGS = [Q, GroupRingC2(Q)]
+
+
+@pytest.mark.parametrize("ring", RATIONAL_RINGS, ids=lambda r: r.literal())
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rational_payloads_are_canonical(ring, data):
+    a = data.draw(elements(ring))
+    b = data.draw(st.one_of(elements(ring), st.just(ring.neg(a))))
+    k = data.draw(st.integers(-50, 50))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    results = [
+        ring.zero(), ring.one(), ring.from_int(k),
+        ring.add(a, b), ring.mul(a, b), ring.sub(a, b), ring.neg(a),
+        ring.parse(ring.format(a)), ring.sample(rng),
+    ]
+    inverse = ring.inv(a)
+    if inverse is not None:
+        results.append(inverse)
+        assert ring.mul(a, inverse) == ring.one()
+    assert all(is_canonical(ring, r) for r in results)
+    # Fraction operands give the same canonical result
+    fa, fb = as_fractions(ring, a), as_fractions(ring, b)
+    assert ring.add(fa, fb) == results[3] and ring.mul(fa, fb) == results[4]
+    # zero test, equality, hash and text agree with the all-Fraction payload
+    values = [a, b, *results]
+    for x in values:
+        fx = as_fractions(ring, x)
+        assert ring.is_zero(x) == ring.is_zero(fx) == (fx == as_fractions(ring, ring.zero()))
+        assert hash(x) == hash(fx)
+        assert ring.format(x) == ring.format(fx)
+        for y in values:
+            assert (x == y) == (fx == as_fractions(ring, y))
+
+
 def test_rational_inverse_is_exact():
-    assert type(Q.inv(2)) is Fraction and Q.inv(2) == Fraction(1, 2)
-    assert type(Q.inv(Fraction(2, 3))) is Fraction
+    assert Q.inv(2) == Fraction(1, 2) and is_canonical(Q, Q.inv(2))
+    assert Q.inv(Fraction(2, 3)) == Fraction(3, 2) and is_canonical(Q, Q.inv(Fraction(2, 3)))
+    assert type(Q.inv(Fraction(1, 3))) is int and type(Q.inv(-1)) is int
+    assert type(Q.parse("4/2")) is int
     (row,) = span_basis(Q, [[2, 1]], 2).rows
-    assert row == [1, Fraction(1, 2)] and all(type(c) is Fraction for c in row)
+    assert row == [1, Fraction(1, 2)] and all(is_canonical(Q, c) for c in row)
 
 
 def test_invert_two():
