@@ -71,7 +71,7 @@ RATIONAL_RINGS = [Q, GroupRingC2(Q)]
 
 
 @pytest.mark.parametrize("ring", RATIONAL_RINGS, ids=lambda r: r.literal())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rational_payloads_are_canonical(ring, data):
     a = data.draw(elements(ring))
