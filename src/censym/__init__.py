@@ -27,17 +27,12 @@ from .algebra import (
 from .basis import (
     BasisIndex,
     CentroMatrix,
-    SymSeq,
     canonical_basis,
     canonical_indices,
     coords,
     from_coords,
-    idempotents,
     is_centrosymmetric,
-    matrix_to_seq,
-    peirce_component,
     rank_of,
-    seq_to_matrix,
     structure_constants,
 )
 from .cellular import (
@@ -48,7 +43,6 @@ from .cellular import (
     cell_chain_even,
     cell_chain_odd,
     heredity_check,
-    injectivity_check_mu,
     quasi_hereditary_chain_odd,
     verify_cell_chain,
     verify_cell_ideal,
@@ -72,7 +66,6 @@ from .rings import (
     Ring,
     RingError,
     RingMismatchError,
-    group_ring_c2,
     ring_from_literal,
 )
 from .structure import (

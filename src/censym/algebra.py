@@ -201,18 +201,6 @@ class StructureAlgebra:
         zero = R.zero()
         return {w: x for w, x in acc.items() if x != zero}
 
-    def invol_is_signed_permutation(self) -> bool:
-        if self.invol is None:
-            return False
-        R = self.ring
-        zero, one = R.zero(), R.one()
-        minus = R.neg(one)
-        for row in self.invol:
-            nz = [c for c in row if c != zero]
-            if len(nz) != 1 or nz[0] not in (one, minus):
-                return False
-        return True
-
     def to_json_dict(self) -> dict:
         R = self.ring
         r = self.rank

@@ -130,26 +130,8 @@ class CentroMatrix:
     def n(self) -> int:
         return self.inner.n
 
-    def __getitem__(self, ij):
-        return self.inner[ij]
-
-    def __add__(self, other):
-        return CentroMatrix(self.inner + _unwrap(other))
-
-    def __sub__(self, other):
-        return CentroMatrix(self.inner - _unwrap(other))
-
-    def __neg__(self):
-        return CentroMatrix(-self.inner)
-
     def __mul__(self, other):
         return CentroMatrix(self.inner * _unwrap(other))
-
-    def scale(self, r):
-        return CentroMatrix(self.inner.scale(r))
-
-    def transpose(self):
-        return CentroMatrix(self.inner.transpose())
 
     def __eq__(self, other):
         return isinstance(other, CentroMatrix) and other.inner == self.inner
@@ -279,80 +261,6 @@ def formula_product(ring: Ring, n: int, a: BasisIndex, b: BasisIndex):
         out[w] = ring.add(out.get(w, ring.zero()), one)
     zero = ring.zero()
     return {w: c for w, c in out.items() if c != zero}
-
-
-def idempotents(ring: Ring, n: int) -> list:
-    """The diagonal elements f_1 .. f_ceil(n/2): orthogonal, summing to 1."""
-    return [
-        CentroMatrix(basis_matrix(ring, n, i, i)) for i in range(1, half_ceil(n) + 1)
-    ]
-
-
-def peirce_component(ring: Ring, n: int, i: int, j: int) -> list:
-    """Basis of the corner f_i * S * f_j: one or two canonical elements."""
-    k = half_ceil(n)
-    if not (1 <= i <= k and 1 <= j <= k):
-        raise IndexError(f"corner index ({i}, {j}) out of range; need 1..{k}")
-    cells = dict.fromkeys(canon_index(n, i, jj) for jj in (j, n + 1 - j))
-    return [(BasisIndex(n, ci, cj), CentroMatrix(basis_matrix(ring, n, ci, cj)))
-            for ci, cj in cells]
-
-
-class SymSeq:
-    """A palindromic sequence of ring elements: a[i] == a[m+1-i]."""
-
-    __slots__ = ("ring", "entries")
-
-    def __init__(self, ring: Ring, entries):
-        entries = tuple(entries)
-        m = len(entries)
-        for i in range(m // 2):
-            if entries[i] != entries[m - 1 - i]:
-                raise ValueError(
-                    f"sequence is not symmetric at positions {i + 1} and {m - i}"
-                )
-        self.ring = ring
-        self.entries = entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymSeq)
-            and other.ring == self.ring
-            and other.entries == self.entries
-        )
-
-    def __repr__(self):
-        return f"SymSeq({self.ring.literal()}, {[self.ring.format(e) for e in self.entries]})"
-
-
-def is_symmetric_sequence(entries) -> bool:
-    entries = list(entries)
-    m = len(entries)
-    return all(entries[i] == entries[m - 1 - i] for i in range(m // 2))
-
-
-def fill_square(ring: Ring, entries) -> Matrix:
-    """Row-major fill of a length-n^2 sequence into an n-by-n matrix."""
-    entries = list(entries)
-    n = int(len(entries) ** 0.5)
-    while n * n < len(entries):
-        n += 1
-    if n * n != len(entries):
-        raise ValueError(f"sequence length {len(entries)} is not a perfect square")
-    return Matrix(ring, n, entries)
-
-
-def seq_to_matrix(s: SymSeq) -> CentroMatrix:
-    """Identify a symmetric sequence of square length with a centrosymmetric matrix."""
-    return CentroMatrix(fill_square(s.ring, s.entries))
-
-
-def matrix_to_seq(a) -> SymSeq:
-    m = _unwrap(a)
-    return SymSeq(m.ring, m.entries)
 
 
 def exchange_coords(ring: Ring, n: int) -> list:

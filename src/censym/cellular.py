@@ -531,42 +531,3 @@ def ideal_square_is_zero(a: StructureAlgebra, j: IdealBasis) -> bool:
         vec_is_zero(a.ring, a.mul(x, y)) for x in vecs for y in vecs
     )
 
-
-def injectivity_check_mu(ring: Ring, n: int, i: int, j: int) -> Report:
-    """Injectivity of the corner multiplication map through the middle
-    idempotent of odd n.  For i, j below the middle the rank-one tensor
-    maps onto the free generator f[i,j] + f[i,n+1-j]; when the middle index
-    is involved, right or left unit action is checked directly."""
-    if n % 2 == 0:
-        raise ValueError(f"odd size required, got {n}")
-    mid = (n + 1) // 2
-    if not (1 <= i <= mid and 1 <= j <= mid):
-        raise IndexError(f"corner index ({i}, {j}) out of range; need 1..{mid}")
-    a = algebra_of_censym(ring, n)
-    pos = fb.positions(n)
-    params = {"n": n, "ring": ring.literal(), "i": i, "j": j}
-    fmid = a.basis_vector(pos[(mid, mid)])
-    if i == mid or j == mid:
-        # the corner f_i * S * f_j is spanned by this one element
-        x = a.basis_vector(pos[fb.canon_index(n, i, j)])
-        ok = (j != mid or a.mul(x, fmid) == x) and (i != mid or a.mul(fmid, x) == x)
-        return Report(
-            "mu-injectivity", params, PASS if ok else FAIL,
-            witness={"branch": "middle-index", "note": "unit action is the identity"}
-            if ok else None,
-            counterexample=None if ok else {"reason": "unit action failed"},
-        )
-    x = a.basis_vector(pos[fb.canon_index(n, i, mid)])
-    y = a.basis_vector(pos[fb.canon_index(n, mid, j)])
-    image = a.mul(x, y)
-    expected = a.zero_vector()
-    one = ring.one()
-    expected[pos[fb.canon_index(n, i, j)]] = one
-    expected[pos[fb.canon_index(n, i, n + 1 - j)]] = one
-    free = any(c == one or c == ring.neg(one) for c in image)
-    ok = image == expected and free and not vec_is_zero(ring, image)
-    return Report(
-        "mu-injectivity", params, PASS if ok else FAIL,
-        witness={"branch": "generic", "generator": a.format_element(image)} if ok else None,
-        counterexample=None if ok else {"image": a.format_element(image)},
-    )

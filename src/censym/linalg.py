@@ -203,14 +203,6 @@ def span_basis(ring: Ring, vectors, width: int) -> RowBasis:
     return rb
 
 
-def spans_equal(ring: Ring, vecs_a, vecs_b, width: int) -> bool:
-    ra = span_basis(ring, vecs_a, width)
-    rb = span_basis(ring, vecs_b, width)
-    if ra.rank != rb.rank:
-        return False
-    return all(ra.contains(v) for v in vecs_b) and all(rb.contains(v) for v in vecs_a)
-
-
 def invert_matrix(ring: Ring, rows):
     """Two-sided inverse of a square matrix given as a list of rows, or None
     if singular.  Each step pivots on a unit anywhere in the remaining block

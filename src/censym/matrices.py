@@ -72,11 +72,6 @@ class Matrix:
             for a, b in zip(self.entries, other.entries)
         ])
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._compat(other)
-        sub = self.ring.sub
-        return Matrix(self.ring, self.n, [sub(a, b) for a, b in zip(self.entries, other.entries)])
-
     def __neg__(self) -> "Matrix":
         neg = self.ring.neg
         return Matrix(self.ring, self.n, [neg(a) for a in self.entries])
@@ -234,10 +229,6 @@ def is_symmetric(a: Matrix) -> bool:
 def is_persymmetric(a: Matrix) -> bool:
     t = a.transpose()
     return t.conj_by_c() == a
-
-
-def is_bisymmetric(a: Matrix) -> bool:
-    return is_symmetric(a) and is_persymmetric(a)
 
 
 def is_centrosymmetric(a: Matrix) -> bool:

@@ -413,11 +413,6 @@ class GroupRingC2(Ring):
         return hash(("c2", self.base))
 
 
-def group_ring_c2(base: Ring) -> GroupRingC2:
-    """Group-ring constructor over the order-two cyclic group."""
-    return GroupRingC2(base)
-
-
 def ring_from_literal(text: str) -> Ring:
     """Parse a ring literal: int, rat, zmod:<m>, gf:<p>, c2:<ring>."""
     t = text.strip()

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
+from censym.linalg import span_basis
 from censym.rings import (
     GroupRingC2,
     IntegerRing,
@@ -16,6 +17,12 @@ GF5 = ModularRing(5)
 Z4 = ModularRing(4)
 Z9 = ModularRing(9)
 C2Z = GroupRingC2(Z)
+
+
+def same_span(ring, vecs_a, vecs_b, width):
+    """Whether two lists of coordinate vectors span the same submodule."""
+    ra, rb = span_basis(ring, vecs_a, width), span_basis(ring, vecs_b, width)
+    return all(rb.contains(v) for v in vecs_a) and all(ra.contains(v) for v in vecs_b)
 
 
 def elements(ring):

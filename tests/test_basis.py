@@ -2,27 +2,21 @@ import random
 
 import pytest
 
+from censym.algebra import algebra_of_censym
 from censym.basis import (
     BasisIndex,
     CentroMatrix,
-    SymSeq,
     basis_matrix,
     canon_index,
     canonical_basis,
     canonical_indices,
     coords,
     exchange_coords,
-    fill_square,
     formula_applicable,
     formula_product,
     from_coords,
     half_ceil,
-    idempotents,
-    is_symmetric_sequence,
-    matrix_to_seq,
-    peirce_component,
     rank_of,
-    seq_to_matrix,
     structure_constants,
 )
 from censym.matrices import Matrix, exchange, is_centrosymmetric, matrix_unit
@@ -170,55 +164,61 @@ def test_squares_of_antidiagonal_elements():
                 assert got == expect, (n, i, j)
 
 
+def diagonal_idempotents(a, n):
+    lab = labels(a.ring, n)
+    return [a.basis_vector(lab[f"f{i}_{i}"]) for i in range(1, half_ceil(n) + 1)]
+
+
 def test_idempotents():
-    ids5 = idempotents(Z, 5)
-    assert len(ids5) == 3
-    assert ids5[2].inner == matrix_unit(Z, 5, 3, 3)
-    total = ids5[0]
-    for f in ids5[1:]:
-        total = total + f
-    assert total.inner == Matrix.identity(Z, 5)
+    assert basis_matrix(Z, 5, 3, 3) == matrix_unit(Z, 5, 3, 3)
+    assert basis_matrix(Z, 4, 1, 1) == matrix_unit(Z, 4, 1, 1) + matrix_unit(Z, 4, 4, 4)
+    assert basis_matrix(Z, 4, 2, 2) == matrix_unit(Z, 4, 2, 2) + matrix_unit(Z, 4, 3, 3)
+    assert basis_matrix(Z, 1, 1, 1) == Matrix.identity(Z, 1)
 
-    ids4 = idempotents(Z, 4)
-    assert ids4[0].inner == matrix_unit(Z, 4, 1, 1) + matrix_unit(Z, 4, 4, 4)
-    assert ids4[1].inner == matrix_unit(Z, 4, 2, 2) + matrix_unit(Z, 4, 3, 3)
+    # f_1 .. f_ceil(n/2) are orthogonal idempotents summing to the unit
+    for ring in (Z, Q):
+        for n in range(1, 7):
+            a = algebra_of_censym(ring, n)
+            ids = diagonal_idempotents(a, n)
+            for i, fi in enumerate(ids):
+                for j, fj in enumerate(ids):
+                    assert a.mul(fi, fj) == (fi if i == j else a.zero_vector())
+            assert [sum(col) for col in zip(*ids)] == a.unit
 
-    assert idempotents(Z, 1)[0].inner == Matrix.identity(Z, 1)
 
-    for n in (2, 3, 4, 5, 6):
-        ids = idempotents(Q, n)
-        for i, fi in enumerate(ids):
-            assert fi * fi == fi
-            for j, fj in enumerate(ids):
-                if i != j:
-                    assert (fi * fj).inner == Matrix.zero(Q, n)
+def peirce_labels(n, i, j):
+    """The canonical basis labels of the corner f_i * S * f_j."""
+    return {"f%d_%d" % canon_index(n, i, jj) for jj in (j, n + 1 - j)}
 
 
 def test_peirce_components():
-    assert [ix.label for ix, _ in peirce_component(Z, 3, 1, 1)] == ["f1_1", "f1_3"]
-    assert [ix.label for ix, _ in peirce_component(Z, 3, 2, 2)] == ["f2_2"]
-    assert [ix.label for ix, _ in peirce_component(Z, 4, 1, 2)] == ["f1_2", "f1_3"]
-    with pytest.raises(IndexError):
-        peirce_component(Z, 3, 1, 3)
+    assert peirce_labels(3, 1, 1) == {"f1_1", "f1_3"}
+    assert peirce_labels(3, 2, 2) == {"f2_2"}
+    assert peirce_labels(4, 1, 2) == {"f1_2", "f1_3"}
+    # the corners partition the canonical basis
     for n in range(1, 9):
         k = half_ceil(n)
-        total = sum(
-            len(peirce_component(Z, n, i, j))
-            for i in range(1, k + 1)
-            for j in range(1, k + 1)
-        )
-        assert total == rank_of(n)
+        corners = [peirce_labels(n, i, j) for i in range(1, k + 1) for j in range(1, k + 1)]
+        assert sum(map(len, corners)) == rank_of(n)
+        assert set().union(*corners) == set(labels(Z, n))
 
 
 def test_peirce_spans_are_corners():
-    # every component element is fixed by f_i on the left and f_j on the right
-    for n in (3, 4, 5):
-        ids = idempotents(Z, n)
+    # f_i * b * f_j lies in the span of the corner cells for every basis
+    # element b, and each corner element is fixed by f_i and f_j
+    for n in (1, 2, 3, 4, 5):
+        a = algebra_of_censym(Z, n)
+        ids = diagonal_idempotents(a, n)
+        lab = labels(Z, n)
         k = half_ceil(n)
         for i in range(1, k + 1):
             for j in range(1, k + 1):
-                for _, m in peirce_component(Z, n, i, j):
-                    assert ids[i - 1] * m * ids[j - 1] == m
+                corner = {lab[c] for c in peirce_labels(n, i, j)}
+                for u in range(a.rank):
+                    b = a.basis_vector(u)
+                    w = a.mul(a.mul(ids[i - 1], b), ids[j - 1])
+                    assert {v for v, c in enumerate(w) if c} <= corner
+                    assert (w == b) == (u in corner)
 
 
 def test_transpose_permutes_basis():
@@ -234,44 +234,25 @@ def test_transpose_permutes_basis():
             assert fixed == (ix.i == ix.j or ix.i + ix.j == n + 1)
 
 
-def test_seq_codec():
-    s = SymSeq(Z, [7, 2, 2, 7])
-    m = seq_to_matrix(s)
-    assert m.inner == Matrix(Z, 2, [7, 2, 2, 7])
-    assert matrix_to_seq(m) == s
-
-    s9 = SymSeq(Z, [1, 2, 3, 4, 5, 4, 3, 2, 1])
-    m9 = seq_to_matrix(s9)
-    assert m9.inner == Matrix(Z, 3, [1, 2, 3, 4, 5, 4, 3, 2, 1])
-    assert is_centrosymmetric(m9.inner)
-
-    const = SymSeq(Q, [Q.one()] * 4)
-    assert is_centrosymmetric(seq_to_matrix(const).inner)
-
-
 def test_seq_codec_round_trip(any_ring):
+    # a palindromic entry tuple is a centrosymmetric matrix, and its
+    # canonical coordinates rebuild it
     rng = random.Random(17)
     for n in (1, 2, 3, 4):
         total = n * n
         half = [any_ring.sample(rng) for _ in range((total + 1) // 2)]
         full = half + [half[total - 1 - i] for i in range(len(half), total)]
-        s = SymSeq(any_ring, full)
-        assert matrix_to_seq(seq_to_matrix(s)) == s
+        m = Matrix(any_ring, n, full)
+        assert is_centrosymmetric(m)
+        assert from_coords(any_ring, n, coords(m)).inner == m
 
 
 def test_seq_iff_centrosymmetric():
     rng = random.Random(19)
     for _ in range(20):
-        entries = [Z.sample(rng) for _ in range(9)]
-        m = fill_square(Z, entries)
-        assert is_symmetric_sequence(entries) == is_centrosymmetric(m)
-
-
-def test_seq_errors():
-    with pytest.raises(ValueError):
-        SymSeq(Z, [1, 2, 3])  # not symmetric
-    with pytest.raises(ValueError):
-        seq_to_matrix(SymSeq(Z, [1, 2, 1]))  # length 3 is not a square
+        e = tuple(Z.sample(rng) for _ in range(9))
+        for entries in (e, e[:5] + e[3::-1]):
+            assert is_centrosymmetric(Matrix(Z, 3, entries)) == (entries == entries[::-1])
 
 
 def test_closure_on_basis_pairs():

@@ -16,7 +16,6 @@ from censym.cellular import (
     cell_chain_odd,
     heredity_check,
     ideal_square_is_zero,
-    injectivity_check_mu,
     quasi_hereditary_chain_odd,
     verify_cell_chain,
     verify_cell_ideal,
@@ -24,7 +23,7 @@ from censym.cellular import (
 from censym.linalg import vec_is_zero
 from censym.rings import GroupRingC2
 
-from conftest import GF2, GF3, GF5, Q, Z
+from conftest import GF2, GF3, GF5, Q, Z, same_span
 
 
 def positions(n):
@@ -76,13 +75,11 @@ def test_odd_chain_n3_layers():
 
 
 def test_odd_chain_layer1_equals_generated_ideal():
-    from censym.linalg import spans_equal
-
     chain = cell_chain_odd(Z, 5)
     a = chain.algebra
     pos = positions(5)
     ideal = ideal_generated(a, [a.basis_vector(pos[(3, 3)])])
-    assert spans_equal(Z, chain.layers[0].span, ideal.vectors, a.rank)
+    assert same_span(Z, chain.layers[0].span, ideal.vectors, a.rank)
 
 
 def test_even_chain_n2_skew_layer():
@@ -190,34 +187,50 @@ def test_quasi_hereditary_requires_odd_and_field():
         quasi_hereditary_chain_odd(Z, 3)
 
 
+def middle_heredity(ring, n):
+    a = algebra_of_censym(ring, n)
+    mid = (n + 1) // 2
+    return heredity_check(a, a.basis_vector(positions(n)[(mid, mid)]))
+
+
+def assert_multiplication_injective(hw, n):
+    # Ae (x) eA -> AeA through the middle idempotent: the (m+1)^2 products
+    # of the Ae and eA bases are independent
+    m = n // 2
+    assert hw.report.clauses["multiplication-injective"] == "pass"
+    assert hw.report.witness["ae_rank"] == hw.report.witness["ea_rank"] == m + 1
+    assert hw.report.witness["ideal_rank"] == (m + 1) ** 2
+
+
 def test_mu_injectivity():
-    rep = injectivity_check_mu(Z, 3, 1, 1)
-    assert rep.verdict == "pass"
-    assert rep.witness["generator"] == "f1_1 + f1_3"
-
-    rep = injectivity_check_mu(Z, 5, 1, 2)
-    assert rep.witness["generator"] == "f1_2 + f1_4"
-
-    rep = injectivity_check_mu(Z, 5, 3, 1)
-    assert rep.verdict == "pass"
-    assert rep.witness["branch"] == "middle-index"
-
-    rep = injectivity_check_mu(Z, 5, 2, 3)
-    assert rep.verdict == "pass"
-    assert rep.witness["branch"] == "middle-index"
-
-    with pytest.raises(IndexError):
-        injectivity_check_mu(Z, 5, 4, 1)
-    with pytest.raises(ValueError):
-        injectivity_check_mu(Z, 4, 1, 1)
+    for n in (3, 5):
+        hw = middle_heredity(Z, n)
+        assert hw.ok
+        assert_multiplication_injective(hw, n)
 
 
 def test_mu_injectivity_all_corners():
-    for n in (3, 5, 7):
-        mid = (n + 1) // 2
-        for i in range(1, mid + 1):
-            for j in range(1, mid + 1):
-                assert injectivity_check_mu(Q, n, i, j).verdict == "pass"
+    for ring in (Z, Q):
+        for n in (3, 5, 7, 9):
+            assert_multiplication_injective(middle_heredity(ring, n), n)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_heredity_fails_on_the_unit(n):
+    a = algebra_of_censym(Z, n)
+    rep = heredity_check(a, a.unit).report
+    assert rep.verdict == "fail"
+    assert rep.clauses["corner-rank-one"] == "fail"
+    assert rep.clauses["multiplication-injective"] == "fail"
+    assert rep.counterexample == {"input": "f1_1", "reason": "e*A*e has rank above one",
+                                  "clause": "corner-rank-one"}
+
+
+def test_heredity_fails_on_zero():
+    a = algebra_of_censym(Z, 3)
+    rep = heredity_check(a, a.zero_vector()).report
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {"reason": "e is zero", "clause": "corner-rank-one"}
 
 
 def test_alpha_normalization_reordering_consistency():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from censym.basis import canonical_basis, is_centrosymmetric
+from censym import frobenius
+from censym.basis import CentroMatrix, canonical_basis, is_centrosymmetric
 from censym.frobenius import (
     FrobeniusSystem,
     centralizer_membership,
@@ -110,6 +111,23 @@ def test_splitness_verdicts():
     assert splitness_check(FrobeniusSystem(Z, 2)).verdict == "unknown"
     assert splitness_check(FrobeniusSystem(GF2, 3)).verdict == "unknown"
     assert splitness_check(FrobeniusSystem(Z4, 2)).verdict == "unknown"
+
+
+def test_separability_fails_on_a_wrong_dual_system(monkeypatch):
+    # y_i = e[1, 1] for every i: sum_i x_i * 1 * y_i is the first column
+    monkeypatch.setattr(FrobeniusSystem, "y",
+                        lambda self, i: matrix_unit(self.ring, self.n, 1, 1))
+    rep = separability_check(FrobeniusSystem(Z, 2))
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {"sum": "Matrix(int, 2: 1 0; 1 0)"}
+
+
+def test_splitness_fails_on_a_wrong_e(monkeypatch):
+    # the identity map leaves d = (1/2)*1 where E(d) = 1 needs to land
+    monkeypatch.setattr(frobenius, "e_map", lambda sys, a: CentroMatrix(a))
+    rep = splitness_check(FrobeniusSystem(Q, 2))
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {"E(d)": "Matrix(rat, 2: 1/2 0; 0 1/2)"}
 
 
 def test_centralizer_membership():

@@ -9,7 +9,6 @@ from censym.linalg import (
     mat_vec,
     nullspace,
     span_basis,
-    spans_equal,
 )
 
 from conftest import GF5, Q, Z, Z4
@@ -80,11 +79,6 @@ def test_span_basis_deferred_retry():
     # {[1, 1], [1, -1]} spans the even-coordinate-sum subgroup
     with pytest.raises(FreenessUndetermined):
         span_basis(Z, [[1, 1], [1, -1]], 2)
-
-
-def test_spans_equal():
-    assert spans_equal(Z, [[1, 0], [0, 1]], [[1, 1], [0, 1]], 2)
-    assert not spans_equal(Z, [[1, 0]], [[0, 1]], 2)
 
 
 def test_invert_matrix():
