@@ -13,7 +13,10 @@ algebras, the ``table`` dump and the ``iso`` witness reports, the
 ``verify`` of the witness checks at n = 11 and 12, above the sweep's grid,
 and outputs that print non-integral rationals or run the nested ``c2:rat``
 path (``iso`` wedderburn, ``frobenius`` and ``verify`` over ``rat`` and
-``c2:rat``).
+``c2:rat``).  It also covers odd quotients at odd n >= 9 over rings off
+the acceptance grid (``zmod:4``, ``zmod:6``, ``c2:c2:int``, ``c2:gf:3``),
+where a reduced ideal basis over a non-field could depend on the order in
+which the ideal closure inserts its rows.
 
 A change that alters any verdict, witness, counterexample, table entry or
 formatting byte of these outputs fails here.
