@@ -10,11 +10,16 @@ modules travel as :class:`LinearMapWitness` values whose claimed properties
 are machine-checked exhaustively on basis pairs by :func:`check_witness`.
 Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
 centre) hold on the whole basis once they hold on :meth:`StructureAlgebra.generators`.
+Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
+(the centrosymmetric algebra and the odd quotient) build once per argument
+tuple and hand every caller the same object.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import wraps
 
 from . import basis as fb
 from .linalg import (
@@ -248,9 +253,43 @@ def format_vector(ring: Ring, labels, v) -> str:
     return out
 
 
+_shared: dict | None = None  # (builder, args, kwargs) -> build, inside shared_builds()
+
+
+@contextmanager
+def shared_builds():
+    """Within the block each :func:`shared_in_scope` builder builds once per
+    argument tuple and returns that one object to every caller; the builds
+    are dropped when the block exits, and outside any block every call
+    builds afresh.  Callers treat a shared build as read-only (caches such
+    as :meth:`StructureAlgebra.generators` aside), so no caller sees
+    another's use of it."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def shared_in_scope(build):
+    """Mark a builder whose result :func:`shared_builds` may share."""
+    @wraps(build)
+    def shared(*args, **kwargs):
+        if _shared is None:
+            return build(*args, **kwargs)
+        key = (build, args, tuple(sorted(kwargs.items())))
+        if key not in _shared:
+            _shared[key] = build(*args, **kwargs)
+        return _shared[key]
+    return shared
+
+
+@shared_in_scope
 def algebra_of_censym(ring: Ring, n: int) -> StructureAlgebra:
     """The centrosymmetric algebra on the canonical f-basis, with the matrix
-    transpose as its involution (a plus-signed basis permutation)."""
+    transpose as its involution (a plus-signed basis permutation); built
+    once per (ring, n) inside a :func:`shared_builds` block."""
     idxs = fb.canonical_indices(n)
     pos = fb.positions(n)
     labels = [ix.label for ix in idxs]
@@ -565,9 +604,14 @@ class IdealBasis:
 
 
 def ideal_generated(a: StructureAlgebra, gens) -> IdealBasis:
-    """Smallest two-sided ideal containing the generators, as a reduced
-    unit-pivot basis.  Raises FreenessUndetermined when elimination cannot
-    certify a free basis over the ring."""
+    """Smallest two-sided ideal containing ``gens``, as a reduced unit-pivot
+    basis.  Each row the basis grows by is multiplied on both sides by the
+    certified generators G of :meth:`StructureAlgebra.generators` only.  The
+    span J is then closed under products with G on both sides; the b with
+    b*J and J*b inside J are closed under products (b*b'*J lies in b*J), and
+    words in G span A, so J is a two-sided ideal.  Raises
+    FreenessUndetermined when elimination cannot certify a free basis over
+    the ring."""
     ring = a.ring
     rb = RowBasis(ring, a.rank)
     stuck: list = []
@@ -580,7 +624,7 @@ def ideal_generated(a: StructureAlgebra, gens) -> IdealBasis:
             stuck.append(v)
             continue
         if added:
-            for u in range(a.rank):
+            for u in a.generators():
                 bu = a.basis_vector(u)
                 queue.append(a.mul(bu, v))
                 queue.append(a.mul(v, bu))

@@ -14,6 +14,11 @@ byte-identical across runs.
 
 ``CHECKS`` maps each verify check to its reports and ``ISO_KINDS`` each
 iso kind to its sizes and builder; each table serves two commands.
+``verify`` runs each size's checks inside one
+:func:`censym.algebra.shared_builds` block, so the checks of a size share
+one centrosymmetric algebra and one odd quotient.  In text mode a report
+prints its summary line, the flags and coordinates of a matrix-file
+report, and the failing clauses and counterexample of a fail.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .algebra import (
     check_witness,
     full_matrix_algebra,
     format_vector,
+    shared_builds,
 )
 from .cellular import (
     cell_chain_even,
@@ -227,6 +233,10 @@ def emit(reports: list, as_json: bool) -> int:
     else:
         for r in reports:
             print(r.summary_line())
+            # the matrix-file report's symmetry flags and canonical coordinates
+            for key in ("flags", "coords"):
+                if key in (r.witness or {}):
+                    print(f"    {key}: {' '.join(r.witness[key]) or '(none)'}")
             if r.verdict == FAIL:
                 if r.clauses:
                     bad = {k: v for k, v in r.clauses.items() if v != PASS}
@@ -255,8 +265,9 @@ def cmd_verify(args) -> int:
             raise RingError(f"unknown check {c!r}; choose from {', '.join(CHECK_NAMES)}")
     sizes = [args.n] if args.n else list(range(1, 9))
     for n in sizes:
-        for c in checks:
-            reports.extend(run_check(c, ring, n, args.seed))
+        with shared_builds():
+            for c in checks:
+                reports.extend(run_check(c, ring, n, args.seed))
     return emit(reports, args.json)
 
 

@@ -72,10 +72,6 @@ class Matrix:
             for a, b in zip(self.entries, other.entries)
         ])
 
-    def __neg__(self) -> "Matrix":
-        neg = self.ring.neg
-        return Matrix(self.ring, self.n, [neg(a) for a in self.entries])
-
     def scale(self, r) -> "Matrix":
         mul = self.ring.mul
         return Matrix(self.ring, self.n, [mul(r, a) for a in self.entries])

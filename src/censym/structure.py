@@ -33,6 +33,7 @@ from .algebra import (
     full_matrix_algebra,
     ideal_generated,
     quotient_by_ideal,
+    shared_in_scope,
     subalgebra_from_vectors,
     zero_algebra,
 )
@@ -120,9 +121,11 @@ def iso_even(ring: Ring, m: int) -> LinearMapWitness:
                         algebra_of_censym(ring, n), images, f"even-size-{n}")
 
 
+@shared_in_scope
 def odd_quotient(ring: Ring, m: int):
     """The size-(2m+1) algebra, its middle-column ideal, the quotient, and
-    the projection witness."""
+    the projection witness; built once per (ring, m) inside a
+    :func:`censym.algebra.shared_builds` block."""
     n = 2 * m + 1
     a = algebra_of_censym(ring, n)
     pos = fb.positions(n)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from censym.algebra import (
+    IdealBasis,
     LinearMapWitness,
     StructureAlgebra,
     algebra_of_censym,
@@ -17,12 +18,12 @@ from censym.algebra import (
     subalgebra_from_vectors,
     zero_algebra,
 )
-from censym.basis import coords, exchange_coords, from_coords, rank_of
-from censym.linalg import span_basis, vec_is_zero
+from censym.basis import coords, exchange_coords, from_coords, positions, rank_of
+from censym.linalg import FreenessUndetermined, RowBasis, span_basis, vec_is_zero
 from censym.rings import GroupRingC2
 from censym.structure import morita_column_iso, odd_quotient
 
-from conftest import C2Z, GF2, GF3, GF5, Q, Z, same_span
+from conftest import C2Z, GF2, GF3, GF5, Q, Z, Z4, same_span
 
 
 def label_map(a):
@@ -559,3 +560,71 @@ def test_generators_skip_a_non_unit_reach():
         "f1_1", "f1_2", "f1_3", "f1_4", "f1_5", "f2_1", "f3_1", "f3_3"]
     assert [b.labels[g] for g in b.generators()] == [
         "f1_1", "f1_2", "f1_3", "f1_4", "f1_5", "f2_1", "f3_1"]
+
+
+def _ideal_over_whole_basis(a, gens):
+    """Reference closure: each row the basis grows by is multiplied on both
+    sides by every basis element, not only by the certified generators."""
+    rb = RowBasis(a.ring, a.rank)
+    stuck, queue = [], [list(g) for g in gens]
+    while queue:
+        v = queue.pop()
+        try:
+            added = rb.insert(v)
+        except FreenessUndetermined:
+            stuck.append(v)
+            continue
+        if added:
+            for u in range(a.rank):
+                bu = a.basis_vector(u)
+                queue += [a.mul(bu, v), a.mul(v, bu)]
+            queue += stuck
+            stuck = []
+    if stuck:
+        rb.insert(stuck[0])
+    return IdealBasis(a, rb)
+
+
+def _assert_same_ideal(a, seed):
+    """Same span, pivots and quotient from both closures, or both stuck (the
+    ideal of f1_1 at odd n holds 2*f_mid_mid, but f_mid_mid only if 2 is a
+    unit)."""
+    try:
+        fast = ideal_generated(a, [seed])
+    except FreenessUndetermined:
+        with pytest.raises(FreenessUndetermined):
+            _ideal_over_whole_basis(a, [seed])
+        return
+    ref = _ideal_over_whole_basis(a, [seed])
+    assert same_span(a.ring, fast.vectors, ref.vectors, a.rank)
+    assert set(fast.rowbasis.pivots) == set(ref.rowbasis.pivots)
+    (qf, _), (qr, _) = quotient_by_ideal(a, fast), quotient_by_ideal(a, ref)
+    assert (qf.labels, qf.table, qf.unit, qf.invol) == (qr.labels, qr.table, qr.unit, qr.invol)
+
+
+CLOSURE_RINGS = [Z, GF2, GF5, Z4, C2Z, Q]
+
+
+def _assert_generators_reduce(a, n):
+    """The closure over the generators multiplies by fewer elements: from
+    n = 4 on, and at n = 3 when 2 is a unit, G leaves out basis indices."""
+    if n >= 4 or n == 3 and a.ring.invert_two() is not None:
+        assert len(a.generators()) < a.rank
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("ring", CLOSURE_RINGS, ids=lambda r: r.literal())
+def test_ideal_closure_over_generators_matches_whole_basis_middle(ring, n):
+    a = algebra_of_censym(ring, n)
+    _assert_generators_reduce(a, n)
+    mid = (n + 1) // 2
+    _assert_same_ideal(a, a.basis_vector(positions(n)[(mid, mid)]))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("ring", CLOSURE_RINGS, ids=lambda r: r.literal())
+def test_ideal_closure_over_generators_matches_whole_basis_seeds(ring, n):
+    a = algebra_of_censym(ring, n)
+    _assert_generators_reduce(a, n)
+    for cell in [(1, 1), (1, 2)]:
+        _assert_same_ideal(a, a.basis_vector(positions(n)[cell]))

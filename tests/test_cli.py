@@ -4,8 +4,10 @@ import json
 import pytest
 
 from censym import basis as fb
-from censym.cli import ISO_KINDS, build_parser, check_closure, check_rank, main
+from censym.algebra import algebra_of_censym, shared_builds
+from censym.cli import CHECK_NAMES, ISO_KINDS, build_parser, check_closure, check_rank, main
 from censym.rings import ring_from_literal
+from censym.structure import odd_quotient
 
 Z = ring_from_literal("int")
 
@@ -38,6 +40,36 @@ def test_verify_cellchain_even_gf2(capsys):
     (rep,) = doc["reports"]
     assert rep["verdict"] == "pass"
     assert rep["witness"]["layer_delta_ranks"] == [2, 2]
+
+
+def verify_reports(capsys, ring, n, checks):
+    code, out, _ = run(capsys, "verify", "--json", "--ring", ring, "--n", str(n),
+                       "--check", ",".join(checks))
+    assert code == 0
+    return json.loads(out)["reports"]
+
+
+@pytest.mark.parametrize("ring", ["int", "gf:5", "zmod:4", "c2:int"])
+@pytest.mark.parametrize("n,checks", [(3, CHECK_NAMES), (4, CHECK_NAMES), (5, CHECK_NAMES),
+                                      (9, ("isos", "cellchain", "heredity", "centre"))],
+                         ids=["3", "4", "5", "9"])
+def test_shared_builds_do_not_leak_between_checks(capsys, ring, n, checks):
+    """A check shares its size's algebra and odd quotient with the checks
+    before it; its reports must be those it gives when run alone."""
+    alone = {c: verify_reports(capsys, ring, n, [c]) for c in checks}
+    for order in (list(checks), list(reversed(checks))):
+        assert verify_reports(capsys, ring, n, order) == [
+            rep for c in order for rep in alone[c]]
+
+
+def test_shared_builds_share_within_the_scope_only():
+    with shared_builds():
+        a, q = algebra_of_censym(Z, 5), odd_quotient(Z, 2)
+        assert algebra_of_censym(Z, 5) is a and odd_quotient(Z, 2) is q
+        assert q[0] is a and algebra_of_censym(ring=Z, n=5) is algebra_of_censym(ring=Z, n=5)
+        assert algebra_of_censym(Z, 3) is not a and odd_quotient(Z, 1) is not q
+    assert algebra_of_censym(Z, 5) is not a and odd_quotient(Z, 2) is not q
+    assert algebra_of_censym(Z, 5) is not algebra_of_censym(Z, 5)
 
 
 def test_verify_multiple_checks(capsys):
@@ -286,6 +318,19 @@ def test_matrix_file_flow(tmp_path, capsys):
     filerep = [r for r in doc["reports"] if r["check"] == "matrix-file"][0]
     assert "centrosymmetric" in filerep["witness"]["flags"]
     assert filerep["witness"]["coords"] == ["1", "2", "3", "4", "5"]
+
+
+def test_matrix_file_text_prints_flags_and_coords(tmp_path, capsys):
+    path = tmp_path / "mat.txt"
+    path.write_text("n 3 ring int\n1 2 3\n4 5 4\n3 2 1\n")
+    code, out, _ = run(capsys, "verify", "--matrix-file", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == ["    flags: centrosymmetric",
+                                    "    coords: 1 2 3 4 5"]
+    path.write_text("n 2 ring int\n1 2\n3 4\n")
+    code, out, _ = run(capsys, "verify", "--matrix-file", str(path))
+    assert code == 0
+    assert out.splitlines()[1:] == ["    flags: (none)"]
 
 
 def test_matrix_file_bad(tmp_path, capsys):

@@ -136,10 +136,9 @@ def test_mismatch_errors():
         a * Matrix.identity(Z, 3)
 
 
-def test_scale_and_neg():
+def test_scale():
     a = matrix_unit(Z, 2, 1, 2)
     assert a.scale(3)[1, 2] == 3
-    assert (-a)[1, 2] == -1
 
 
 def test_matrix_ring_axioms_sampled():
