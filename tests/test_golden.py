@@ -16,7 +16,12 @@ path (``iso`` wedderburn, ``frobenius`` and ``verify`` over ``rat`` and
 ``c2:rat``).  It also covers odd quotients at odd n >= 9 over rings off
 the acceptance grid (``zmod:4``, ``zmod:6``, ``c2:c2:int``, ``c2:gf:3``),
 where a reduced ideal basis over a non-field could depend on the order in
-which the ideal closure inserts its rows.
+which the ideal closure inserts its rows.  Three outputs pin the Frobenius
+system at its edges: ``frobenius`` over ``rat`` at n = 1, where the
+certified E is the identity while the split check keeps its doubling map;
+``frobenius`` over ``c2:gf:2`` at n = 3, a nested ring where 2 = 0; and
+``verify`` of the frobenius, separability and split checks over
+``zmod:4`` at n = 7 with the random batch drawn from seed 7.
 
 A change that alters any verdict, witness, counterexample, table entry or
 formatting byte of these outputs fails here.
