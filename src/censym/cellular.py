@@ -395,9 +395,6 @@ class HeredityWitness:
 
     algebra: StructureAlgebra
     e: list
-    ae_basis: list | None
-    ea_basis: list | None
-    product_basis: list | None
     cell: CellIdealWitness | None
     report: Report
 
@@ -482,7 +479,7 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
     }
     report = combine_clauses("heredity", params, clauses, witness=witness,
                              counterexample=ce)
-    return HeredityWitness(a, e, ae_rows, ea_rows, prod_rows, cell, report)
+    return HeredityWitness(a, e, cell, report)
 
 
 def quasi_hereditary_chain_odd(ring: Ring, n: int):

@@ -12,10 +12,6 @@ test is the ring's ``is_zero``.
   added in k order).
 * Addition skips the ring add wherever one of the two entries is zero and
   keeps the other entry, which is the same canonical payload.
-* ``cells_times`` and ``times_cells`` multiply by a sum of matrix units
-  e[i, j] given as cells (i, j), on the left and on the right.  Each cell
-  moves one row or one column, so the product costs O(n^2) without a
-  ring multiplication; ``Matrix.__mul__`` stays the general product.
 """
 
 from __future__ import annotations
@@ -170,46 +166,6 @@ def matrix_unit(ring: Ring, n: int, i: int, j: int) -> Matrix:
     entries = list(m.entries)
     entries[(i - 1) * n + (j - 1)] = ring.one()
     return Matrix(ring, n, entries)
-
-
-def cells_times(cells, a: Matrix) -> Matrix:
-    """(sum of e[i, j] over the cells (i, j)) * a, by row moves.
-
-    Row i of the result is the sum of rows j of ``a`` over the cells in
-    row i; rows without a cell are zero.  Cells are distinct 1-based pairs.
-    """
-    n, R = a.n, a.ring
-    add, e = R.add, a.entries
-    out = [R.zero()] * (n * n)
-    filled = set()
-    for i, j in cells:
-        lo, src = (i - 1) * n, e[(j - 1) * n : j * n]
-        if i in filled:
-            out[lo : lo + n] = [add(x, y) for x, y in zip(out[lo : lo + n], src)]
-        else:
-            out[lo : lo + n] = src
-            filled.add(i)
-    return Matrix(R, n, out)
-
-
-def times_cells(a: Matrix, cells) -> Matrix:
-    """a * (sum of e[i, j] over the cells (i, j)), by column moves.
-
-    Column j of the result is the sum of columns i of ``a`` over the cells
-    in column j; columns without a cell are zero.
-    """
-    n, R = a.n, a.ring
-    add, e = R.add, a.entries
-    out = [R.zero()] * (n * n)
-    filled = set()
-    for i, j in cells:
-        src = e[i - 1 :: n]
-        if j in filled:
-            out[j - 1 :: n] = [add(x, y) for x, y in zip(out[j - 1 :: n], src)]
-        else:
-            out[j - 1 :: n] = src
-            filled.add(j)
-    return Matrix(R, n, out)
 
 
 def exchange(ring: Ring, n: int) -> Matrix:

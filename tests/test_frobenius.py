@@ -13,6 +13,7 @@ from censym.frobenius import (
     verify_frobenius_system,
 )
 from censym.matrices import Matrix, exchange, matrix_unit
+from censym.rings import GroupRingC2
 
 from conftest import C2Z, GF2, GF3, Q, Z, Z4, Z9
 
@@ -31,12 +32,12 @@ def test_left_identity_stepwise_n2():
     # walk the first unit identity by hand at size 2 with a = e[1,2]
     sys2 = FrobeniusSystem(Z, 2)
     a = matrix_unit(Z, 2, 1, 2)
-    y1a = sys2.y(1) * a
+    y1a = matrix_unit(Z, 2, 1, 1) * a
     assert y1a == a
     e_y1a = y1a + y1a.conj_by_c()
     assert e_y1a == matrix_unit(Z, 2, 1, 2) + matrix_unit(Z, 2, 2, 1)
-    assert sys2.x(1) * e_y1a == a
-    assert sys2.y(2) * a == Matrix.zero(Z, 2)
+    assert matrix_unit(Z, 2, 1, 1) * e_y1a == a
+    assert matrix_unit(Z, 2, 1, 2) * a == Matrix.zero(Z, 2)
 
 
 def test_identity_probe_with_identity_matrix():
@@ -44,7 +45,8 @@ def test_identity_probe_with_identity_matrix():
     total = Matrix.zero(Z, 3)
     one = Matrix.identity(Z, 3)
     for i in range(1, 4):
-        total = total + sys3.x(i) * sys3.system_e(sys3.y(i) * one)
+        x, y = matrix_unit(Z, 3, i, 1), matrix_unit(Z, 3, 1, i)
+        total = total + x * sys3.system_e(y * one)
     assert total == one
 
 
@@ -95,10 +97,9 @@ def test_separability_all_rings():
 
 def test_separability_sum_is_identity():
     for n in range(1, 9):
-        sysn = FrobeniusSystem(Z, n)
         total = Matrix.zero(Z, n)
         for i in range(1, n + 1):
-            total = total + sysn.x(i) * sysn.y(i)
+            total = total + matrix_unit(Z, n, i, 1) * matrix_unit(Z, n, 1, i)
         assert total == Matrix.identity(Z, n)
 
 
@@ -115,8 +116,7 @@ def test_splitness_verdicts():
 
 def test_separability_fails_on_a_wrong_dual_system(monkeypatch):
     # y_i = e[1, 1] for every i: sum_i x_i * 1 * y_i is the first column
-    monkeypatch.setattr(FrobeniusSystem, "y",
-                        lambda self, i: matrix_unit(self.ring, self.n, 1, 1))
+    monkeypatch.setattr(FrobeniusSystem, "y_cells", lambda self, i: ((1, 1),))
     rep = separability_check(FrobeniusSystem(Z, 2))
     assert rep.verdict == "fail"
     assert rep.counterexample == {"sum": "Matrix(int, 2: 1 0; 1 0)"}
@@ -298,9 +298,25 @@ DENSE_CASES = [(system, n)
 
 @pytest.mark.parametrize("system,n", DENSE_CASES,
                          ids=[f"{c.__name__}-{n}" for c, n in DENSE_CASES])
-@pytest.mark.parametrize("ring", [Z, Q, C2Z], ids=lambda r: r.literal())
+# where 2 = 0 the odd middle unit's table entry e + c*e*c is empty
+@pytest.mark.parametrize("ring", [Z, Q, C2Z, GF2, GroupRingC2(GF2)],
+                         ids=lambda r: r.literal())
 def test_row_and_column_moves_match_dense_sums(system, n, ring):
     sysn = system(ring, n)
     rep = verify_frobenius_system(sysn, seed=3, batch=6)
     want = dense_frobenius_report(sysn, seed=3, batch=6)
     assert {"clauses": rep.clauses, "counterexample": rep.counterexample} == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_e_is_called_once_per_matrix_unit(monkeypatch, n):
+    """The check reads E only through its table on the n^2 matrix units,
+    however many random probes it draws."""
+    seen = []
+    system_e = FrobeniusSystem.system_e
+    monkeypatch.setattr(FrobeniusSystem, "system_e",
+                        lambda self, a: seen.append(a) or system_e(self, a))
+    rep = verify_frobenius_system(FrobeniusSystem(Q, n), seed=1, batch=10)
+    assert rep.verdict == "pass"
+    assert seen == [matrix_unit(Q, n, i, j)
+                    for i in range(1, n + 1) for j in range(1, n + 1)]

@@ -1,13 +1,14 @@
 """Differential tests of the sparse kernels against schoolbook references.
 
-The program has one general product (the zero-skipping ``Matrix.__mul__``),
-row and column moves for products with sums of matrix units
-(``cells_times``/``times_cells``), one zero test per ring (``is_zero``) and
-one structure-constant oracle (the sparse matrix-unit expansion).  The
-witness layer has one structure-algebra product (``StructureAlgebra.mul``),
-one coefficient-matrix helper (``linalg.mat_vec``) and one row reduction
+The program has one matrix product (the zero-skipping ``Matrix.__mul__``),
+one zero test per ring (``is_zero``) and one structure-constant oracle
+(the sparse matrix-unit expansion).  The witness layer has one
+structure-algebra product (``StructureAlgebra.mul``), one
+coefficient-matrix helper (``linalg.mat_vec``) and one row reduction
 (``RowBasis``).  The dense loops survive only here, as independent
-references that visit every entry, zero or not.
+references that visit every entry, zero or not.  The Frobenius check,
+which reads E off its table on the matrix units, has its dense reference
+in ``test_frobenius.py``.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from censym import basis as fb
 from censym.algebra import algebra_of_censym, centre_basis, full_matrix_algebra
 from censym.basis import canonical_basis, coords, structure_constants
 from censym.linalg import FreenessUndetermined, RowBasis, mat_vec
-from censym.matrices import Matrix, cells_times, matrix_unit, times_cells
+from censym.matrices import Matrix, matrix_unit
 from censym.rings import ring_from_literal
 
 from conftest import C2Z, GF5, Q, Z, Z4, elements
@@ -123,54 +124,6 @@ def test_is_zero_matches_comparison_with_zero(literal, data):
     ring = ring_from_literal(literal)
     x = data.draw(st.one_of(st.just(ring.zero()), elements(ring)))
     assert ring.is_zero(x) is (x == ring.zero())
-
-
-@st.composite
-def cell_products(draw):
-    """A matrix over rat or c2:int and the cells of a sum of matrix units:
-    a single unit, a canonical basis element (two cells sharing a row in
-    the odd middle row), or an arbitrary set of distinct cells."""
-    ring = draw(st.sampled_from([Q, C2Z]))
-    n = draw(st.integers(1, 5))
-    entries = draw(st.lists(elements(ring), min_size=n * n, max_size=n * n))
-    a = Matrix(ring, n, entries)
-    index = st.integers(1, n)
-    kind = draw(st.sampled_from(["unit", "basis", "set"]))
-    if kind == "unit":
-        cells = ((draw(index), draw(index)),)
-    elif kind == "basis":
-        idx = draw(st.sampled_from(fb.canonical_indices(n)))
-        cells = fb.unit_cells(n, idx.i, idx.j)
-    else:
-        cells = tuple(draw(st.sets(st.tuples(index, index), min_size=1, max_size=4)))
-    return a, cells
-
-
-def cells_matrix(ring, n, cells) -> Matrix:
-    total = Matrix.zero(ring, n)
-    for i, j in cells:
-        total = total + matrix_unit(ring, n, i, j)
-    return total
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=cell_products())
-def test_cell_moves_match_matrix_product(case):
-    a, cells = case
-    s = cells_matrix(a.ring, a.n, cells)
-    assert cells_times(cells, a) == s * a == schoolbook(s, a)
-    assert times_cells(a, cells) == a * s == schoolbook(a, s)
-
-
-def test_cell_moves_on_the_odd_middle_row():
-    # f[2,1] = e[2,1] + e[2,3] at n = 3: both cells sit in row 2
-    def m(*xs):
-        return Matrix(Q, 3, [Q.from_int(x) for x in xs])
-
-    a = m(1, 2, 3, 4, 5, 6, 7, 8, 9)
-    cells = fb.unit_cells(3, 2, 1)
-    assert cells_times(cells, a) == m(0, 0, 0, 8, 10, 12, 0, 0, 0)
-    assert times_cells(a, cells) == m(2, 0, 2, 5, 0, 5, 8, 0, 8)
 
 
 @settings(max_examples=100, deadline=None)
