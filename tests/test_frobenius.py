@@ -30,7 +30,6 @@ def test_e_map_examples():
 
 def test_left_identity_stepwise_n2():
     # walk the first unit identity by hand at size 2 with a = e[1,2]
-    sys2 = FrobeniusSystem(Z, 2)
     a = matrix_unit(Z, 2, 1, 2)
     y1a = matrix_unit(Z, 2, 1, 1) * a
     assert y1a == a
@@ -298,7 +297,7 @@ DENSE_CASES = [(system, n)
 
 @pytest.mark.parametrize("system,n", DENSE_CASES,
                          ids=[f"{c.__name__}-{n}" for c, n in DENSE_CASES])
-# where 2 = 0 the odd middle unit's table entry e + c*e*c is empty
+# where 2 = 0 the middle unit's table entry e + c*e*c is empty at odd n >= 3
 @pytest.mark.parametrize("ring", [Z, Q, C2Z, GF2, GroupRingC2(GF2)],
                          ids=lambda r: r.literal())
 def test_row_and_column_moves_match_dense_sums(system, n, ring):
