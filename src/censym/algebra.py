@@ -12,7 +12,8 @@ Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
 centre) hold on the whole basis once they hold on :meth:`StructureAlgebra.generators`.
 Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
 (the centrosymmetric algebra and the odd quotient) build once per argument
-tuple and hand every caller the same object.
+tuple and hand every caller the same object, so the shared algebra is the
+only memo of the structure-constant table.
 """
 
 from __future__ import annotations

@@ -30,17 +30,8 @@ def kron(i: int, j: int) -> int:
     return 1 if i == j else 0
 
 
-def akron(i: int, j: int) -> int:
-    """Anti-Kronecker delta: 0 iff i == j."""
-    return 0 if i == j else 1
-
-
 def half_ceil(n: int) -> int:
     return (n + 1) // 2
-
-
-def half_floor(n: int) -> int:
-    return n // 2
 
 
 def rank_of(n: int) -> int:
@@ -100,7 +91,7 @@ def unit_cells(n: int, i: int, j: int) -> tuple:
     of the definition.
     """
     mi, mj = n + 1 - i, n + 1 - j
-    return ((i, j), (mi, mj)) if akron(i, mi) or akron(j, mj) else ((i, j),)
+    return ((i, j), (mi, mj)) if (i, j) != (mi, mj) else ((i, j),)
 
 
 def basis_matrix(ring: Ring, n: int, i: int, j: int) -> Matrix:
@@ -180,9 +171,6 @@ def from_coords(ring: Ring, n: int, v) -> CentroMatrix:
     return CentroMatrix(Matrix(ring, n, [x for row in grid for x in row]))
 
 
-_SC_CACHE: dict = {}
-
-
 class NotClosed(ValueError):
     """A basis product that is not centrosymmetric, named by ``pair``."""
 
@@ -198,12 +186,9 @@ def structure_constants(ring: Ring, n: int) -> dict:
     cells, multiply the units (e[a, b] e[c, d] = kron(b, c) e[a, d]) and
     accumulate the product cells, then read the coefficients off the
     canonical cells in ascending w.  A product cell that differs from its
-    mirror (c*P*c != P) raises :class:`NotClosed`.  Cached per (ring, n).
+    mirror (c*P*c != P) raises :class:`NotClosed`.  Uncached: the table is
+    built once per ``shared_builds()`` block through ``algebra_of_censym``.
     """
-    key = (ring, n)
-    cached = _SC_CACHE.get(key)
-    if cached is not None:
-        return cached
     idxs = canonical_indices(n)
     pos = positions(n)
     cells = [unit_cells(n, ix.i, ix.j) for ix in idxs]
@@ -223,7 +208,6 @@ def structure_constants(ring: Ring, n: int) -> dict:
                            if cell in pos and x != zero)
             if terms:
                 table[(u, v)] = tuple(terms)
-    _SC_CACHE[key] = table
     return table
 
 

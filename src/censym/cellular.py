@@ -404,6 +404,15 @@ class HeredityWitness:
 
 
 def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> HeredityWitness:
+    """Certify A*e*A as a heredity ideal through three clauses:
+    ``corner-rank-one`` (e is non-zero and e*A*e lies in the span of e),
+    ``multiplicity-free`` (Ae and eA have free bases under unit-pivot
+    elimination) and ``multiplication-injective`` (the products of those
+    bases are independent, so A*e*A is Ae (x) eA).  The witness flag
+    ``cell_witness`` says e is fixed by the involution and the products are
+    independent, so ``cell`` holds the canonical cell-ideal witness on Ae,
+    which :func:`verify_cell_ideal` checks.  Raises ``ValueError`` when
+    e*e != e."""
     ring = a.ring
     e = list(e)
     if a.mul(e, e) != e:

@@ -16,9 +16,10 @@ byte-identical across runs.
 iso kind to its sizes and builder; each table serves two commands.
 ``verify`` runs each size's checks inside one
 :func:`censym.algebra.shared_builds` block, so the checks of a size share
-one centrosymmetric algebra and one odd quotient.  In text mode a report
-prints its summary line, the flags and coordinates of a matrix-file
-report, and the failing clauses and counterexample of a fail.
+one centrosymmetric algebra (and so build its structure-constant table
+once) and one odd quotient.  In text mode a report prints its summary
+line, the flags and coordinates of a matrix-file report, and the failing
+clauses and counterexample of a fail.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ from .structure import (
 
 def check_closure(ring: Ring, n: int) -> Report:
     """The product is bilinear, so centrosymmetric matrices are closed under
-    it once every basis product f_u f_v is centrosymmetric.  The oracle
-    builds each f_u f_v from unit cells and compares every cell with its
-    mirror (c*P*c == P), so closure holds exactly when the oracle builds."""
+    it once every basis product f_u f_v is centrosymmetric.  Building the
+    algebra builds each f_u f_v from unit cells and compares every cell with
+    its mirror (c*P*c == P), so closure holds exactly when the algebra builds."""
     params = {"check": "closure", "n": n, "ring": ring.literal()}
     try:
-        fb.structure_constants(ring, n)
+        algebra_of_censym(ring, n)
     except fb.NotClosed as exc:
         return Report("closure", params, FAIL, counterexample={"pair": exc.pair})
     return Report("closure", params, PASS, witness={"basis_pairs": fb.rank_of(n) ** 2})
@@ -94,11 +95,11 @@ def check_rank(ring: Ring, n: int) -> Report:
 
 
 def check_structure_constants(ring: Ring, n: int) -> Report:
-    """The matrix-unit oracle tensor agrees with the closed product formula
-    on all applicable canonical index pairs."""
+    """The matrix-unit oracle tensor, read from the algebra's table, agrees
+    with the closed product formula on all applicable canonical index pairs."""
     params = {"check": "structure-constants", "n": n, "ring": ring.literal()}
     idxs = fb.canonical_indices(n)
-    table = fb.structure_constants(ring, n)
+    table = algebra_of_censym(ring, n).table
     applicable = 0
     for u, a in enumerate(idxs):
         for v, b in enumerate(idxs):

@@ -146,6 +146,8 @@ class Matrix:
             n = int(head[1])
         except ValueError:
             raise RingError(f"bad matrix size {head[1]!r}") from None
+        if n < 1:
+            raise RingError(f"matrix size must be >= 1, got {n}")
         ring = ring_from_literal(head[3])
         if len(lines) != n + 1:
             raise RingError(f"expected {n} matrix rows, got {len(lines) - 1}")

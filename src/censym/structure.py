@@ -258,7 +258,7 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
     p_plus = [ring.mul(t, ring.add(x, y)) for x, y in zip(a.unit, c)]
     p_minus = [ring.mul(t, ring.sub(x, y)) for x, y in zip(a.unit, c)]
     k = fb.half_ceil(n)
-    low = fb.half_floor(n)
+    low = n // 2
 
     plus_vectors = []
     for i in range(1, k + 1):

@@ -1,5 +1,6 @@
 import argparse
 import json
+from collections import Counter
 
 import pytest
 
@@ -72,6 +73,20 @@ def test_shared_builds_share_within_the_scope_only():
     assert algebra_of_censym(Z, 5) is not algebra_of_censym(Z, 5)
 
 
+@pytest.mark.parametrize("n,sizes", [(4, [4]), (5, [5, 3])], ids=["4", "5"])
+def test_verify_builds_one_table_per_size(capsys, monkeypatch, n, sizes):
+    """The checks of a size read one structure-constant table, built with the
+    size's shared algebra; at odd n the endomorphism-ring iso adds n = 3."""
+    calls = []
+    real = fb.structure_constants
+    monkeypatch.setattr(fb, "structure_constants",
+                        lambda ring, m: calls.append((ring, m)) or real(ring, m))
+    code, _, _ = run(capsys, "verify", "--n", str(n), "--ring", "int",
+                     "--check", "closure,structure-constants,isos,cellchain,centre")
+    assert code == 0
+    assert Counter(calls) == Counter((Z, m) for m in sizes)
+
+
 def test_verify_multiple_checks(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2", "--ring", "gf:5",
                        "--check", "closure,rank", "--check", "centre")
@@ -84,7 +99,6 @@ def test_closure_fails_when_a_basis_product_leaves_the_algebra(capsys, monkeypat
     out of the centrosymmetric matrices, and closure names the pair."""
     real = fb.unit_cells
     monkeypatch.setattr(fb, "unit_cells", lambda n, i, j: real(n, i, j)[:1])
-    monkeypatch.setattr(fb, "_SC_CACHE", {})
     rep = check_closure(Z, 2)
     assert rep.verdict == "fail"
     assert rep.counterexample == {"pair": "(f1_1, f1_1)"}

@@ -58,7 +58,6 @@ def dense_structure_constants(ring, n: int) -> dict:
 @pytest.mark.parametrize("literal", ORACLE_RINGS)
 def test_sparse_structure_constants_match_dense_reference(literal, n):
     ring = ring_from_literal(literal)
-    fb._SC_CACHE.pop((ring, n), None)  # force a cold build of the sparse table
     assert structure_constants(ring, n) == dense_structure_constants(ring, n)
 
 

@@ -125,6 +125,9 @@ def test_text_errors():
         Matrix.from_text("n 2 ring int\n1 0\n")
     with pytest.raises(RingError):
         Matrix.from_text("n 2 ring int\n1 0 0\n0 1 0\n")
+    for text in ("n 0 ring int\n", "n -1 ring int\n"):
+        with pytest.raises(RingError, match="matrix size must be >= 1"):
+            Matrix.from_text(text)
 
 
 def test_mismatch_errors():
