@@ -71,6 +71,10 @@ class Ring:
     A ring whose ``is_zero`` is ``operator.not_`` declares exactly that, and
     the vector kernels in :mod:`censym.linalg` then let the entries select
     themselves.
+
+    Two rings are equal exactly when their literals are equal, and a ring
+    hashes as its literal: the literal is the ring's name in every report
+    and the text that :func:`ring_from_literal` parses back.
     """
 
     is_field: bool = False
@@ -124,9 +128,19 @@ class Ring:
     def __repr__(self) -> str:
         return self.literal()
 
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Ring) and other.literal() == self.literal()
+        )
 
-class IntegerRing(Ring):
-    is_field = False
+    def __hash__(self):
+        return hash(self.literal())
+
+
+class _NumberRing(Ring):
+    """Shared payload rules of ``int``, ``rat`` and ``zmod``/``gf``: the
+    payloads are Python numbers, printed by ``str``, whose only falsy value
+    is zero."""
 
     def zero(self):
         return 0
@@ -137,23 +151,25 @@ class IntegerRing(Ring):
     def from_int(self, k):
         return int(k)
 
-    def add(self, a, b):
-        return a + b
-
     def neg(self, a):
         return -a
-
-    def mul(self, a, b):
-        return a * b
 
     # a builtin is not a descriptor, so ring.is_zero(a) calls not_(a)
     is_zero = operator.not_
 
-    def inv(self, a):
-        return a if a in (1, -1) else None
-
     def format(self, a):
         return str(a)
+
+
+class IntegerRing(_NumberRing):
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return a if a in (1, -1) else None
 
     def parse(self, text):
         try:
@@ -167,12 +183,6 @@ class IntegerRing(Ring):
     def literal(self):
         return "int"
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("int")
-
 
 def _canonical_rational(q):
     """The canonical ``rat`` payload of an ``int`` or ``Fraction`` ``q``:
@@ -182,7 +192,7 @@ def _canonical_rational(q):
     return q if q.__class__ is int or q.denominator != 1 else q.numerator
 
 
-class RationalRing(Ring):
+class RationalRing(_NumberRing):
     """The rationals.  An integral value is carried as its ``int``, any other
     value as a reduced ``Fraction`` with denominator above 1.
 
@@ -195,31 +205,14 @@ class RationalRing(Ring):
 
     is_field = True
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, k):
-        return int(k)
-
     def add(self, a, b):
         return _canonical_rational(a + b)
-
-    def neg(self, a):
-        return -a
 
     def mul(self, a, b):
         return _canonical_rational(a * b)
 
-    is_zero = operator.not_
-
     def inv(self, a):
         return _canonical_rational(Fraction(1) / a) if a else None
-
-    def format(self, a):
-        return str(a)
 
     def parse(self, text):
         try:
@@ -233,14 +226,8 @@ class RationalRing(Ring):
     def literal(self):
         return "rat"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalRing)
 
-    def __hash__(self):
-        return hash("rat")
-
-
-class ModularRing(Ring):
+class ModularRing(_NumberRing):
     """Integers modulo m, residues stored in [0, m); a field iff m is prime."""
 
     def __init__(self, modulus: int):
@@ -248,12 +235,6 @@ class ModularRing(Ring):
             raise RingError(f"modulus must be an integer >= 2, got {modulus!r}")
         self.modulus = modulus
         self.is_field = is_prime(modulus)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.modulus
 
     def from_int(self, k):
         return int(k) % self.modulus
@@ -267,16 +248,11 @@ class ModularRing(Ring):
     def mul(self, a, b):
         return (a * b) % self.modulus
 
-    is_zero = operator.not_
-
     def inv(self, a):
         try:
             return pow(a, -1, self.modulus)
         except ValueError:
             return None
-
-    def format(self, a):
-        return str(a)
 
     def parse(self, text):
         try:
@@ -289,12 +265,6 @@ class ModularRing(Ring):
 
     def literal(self):
         return f"gf:{self.modulus}" if self.is_field else f"zmod:{self.modulus}"
-
-    def __eq__(self, other):
-        return isinstance(other, ModularRing) and other.modulus == self.modulus
-
-    def __hash__(self):
-        return hash(("mod", self.modulus))
 
 
 def _strip_outer_parens(text: str) -> str:
@@ -324,8 +294,6 @@ class GroupRingC2(Ring):
     Elements print as ``a+b*x``; when the base is itself a group ring the
     two components are parenthesized so nested literals stay unambiguous.
     """
-
-    is_field = False
 
     def __init__(self, base: Ring):
         if not isinstance(base, Ring):
@@ -405,12 +373,6 @@ class GroupRingC2(Ring):
 
     def literal(self):
         return "c2:" + self.base.literal()
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingC2) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("c2", self.base))
 
 
 def ring_from_literal(text: str) -> Ring:

@@ -227,6 +227,32 @@ def test_check_witness_identity_passes():
     assert check_witness(w).verdict == "pass"
 
 
+def test_involution_equivariance_negative_control_pins_counterexample():
+    # the identity with f1_2 sent to f1_3 no longer commutes with the
+    # involution at f1_2, whose mirror f2_1 it still fixes
+    a = algebra_of_censym(Z, 3)
+    lab = label_map(a)
+    eye = [a.basis_vector(u) for u in range(a.rank)]
+    eye[lab["f1_2"]] = a.basis_vector(lab["f1_3"])
+    w = LinearMapWitness(a, a, eye, claimed=("involution-equivariant",))
+    rep = check_witness(w)
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {"input": "f1_2", "lhs": "f1_3", "rhs": "f2_1",
+                                  "property": "involution-equivariant"}
+
+
+def test_bijective_negative_control_pins_counterexample():
+    # twice the identity is not an inverse of the identity over int
+    a = algebra_of_censym(Z, 3)
+    eye = [a.basis_vector(u) for u in range(a.rank)]
+    twice = [[2 * c for c in row] for row in eye]
+    w = LinearMapWitness(a, a, eye, twice, claimed=("bijective",))
+    rep = check_witness(w)
+    assert rep.verdict == "fail"
+    assert rep.counterexample == {"input": "f1_1", "reason": "inverse(map(u)) != u",
+                                  "property": "bijective"}
+
+
 def test_bijective_needs_inverse():
     a = algebra_of_censym(Z, 2)
     eye = [a.basis_vector(u) for u in range(a.rank)]

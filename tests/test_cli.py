@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from censym import basis as fb
+from censym import cli
 from censym.algebra import algebra_of_censym, shared_builds
 from censym.cli import CHECK_NAMES, ISO_KINDS, build_parser, check_closure, check_rank, main
 from censym.rings import ring_from_literal
@@ -119,6 +120,48 @@ def test_rank_fails_when_coords_loses_a_coordinate(capsys, monkeypatch):
     assert rep.counterexample == {"round_trip": "f2_2"}
     code, _, _ = run(capsys, "verify", "--n", "3", "--check", "rank")
     assert code == 1
+
+
+def test_structure_constants_fail_when_the_formula_drops_a_term(capsys, monkeypatch):
+    """Negative control: a closed formula missing the (1, 3) term of
+    f1_2 * f2_1 disagrees with the oracle, and the report names the pair."""
+    real = fb.formula_product
+
+    def dropped(ring, n, a, b):
+        f = real(ring, n, a, b)
+        if (a.label, b.label) == ("f1_2", "f2_1"):
+            f.pop((1, 3))
+        return f
+
+    monkeypatch.setattr(fb, "formula_product", dropped)
+    code, out, _ = run(capsys, "verify", "--json", "--n", "3", "--ring", "int",
+                       "--check", "structure-constants")
+    assert code == 1
+    (rep,) = json.loads(out)["reports"]
+    assert rep["verdict"] == "fail"
+    assert rep["counterexample"] == {"formula": "{(1, 1): 1}",
+                                     "oracle": "{(1, 1): 1, (1, 3): 1}",
+                                     "pair": "(f1_2, f2_1)"}
+
+
+def test_isos_report_a_wedderburn_construction_error_as_its_fail(capsys, monkeypatch):
+    reason = "plus piece does not match full matrix structure constants"
+
+    def broken(ring, n):
+        raise ValueError(reason)
+
+    monkeypatch.setattr(cli, "wedderburn_split", broken)
+    code, out, _ = run(capsys, "verify", "--json", "--n", "3", "--ring", "rat",
+                       "--check", "isos")
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    assert [(r["check"], r["verdict"]) for r in reports] == [
+        ("witness:s3-block-presentation", "pass"),
+        ("witness:odd-quotient-size-3", "pass"),
+        ("witness:wedderburn", "fail"),
+    ]
+    assert reports[-1]["counterexample"] == {"reason": reason}
+    assert reports[-1]["params"] == {"n": 3, "ring": "rat"}
 
 
 @pytest.mark.parametrize("ring", ["int", "rat", "c2:int"])

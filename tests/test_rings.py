@@ -203,5 +203,12 @@ def test_sampling_is_canonical():
 def test_ring_equality_and_hash():
     assert ring_from_literal("zmod:4") == Z4
     assert hash(ring_from_literal("c2:int")) == hash(C2Z)
-    assert Z != Q
+    # the three number rings share a base class, not an equality
+    assert Z != Q and Z != GF5 and Q != GF5
     assert GroupRingC2(Z) != GroupRingC2(Q)
+    for ring in RINGS:
+        again = ring_from_literal(ring.literal())
+        assert again == ring and hash(again) == hash(ring)
+    assert ring_from_literal("zmod:5") == ring_from_literal("gf:5")
+    assert Z != "int"
+    assert GroupRingC2(GroupRingC2(Z)) == ring_from_literal("c2:c2:int")
