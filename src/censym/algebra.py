@@ -9,7 +9,8 @@ corner subalgebras, and quotients.  Linear maps between algebras or based
 modules travel as :class:`LinearMapWitness` values whose claimed properties
 are machine-checked exhaustively on basis pairs by :func:`check_witness`.
 Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
-centre) hold on the whole basis once they hold on :meth:`StructureAlgebra.generators`.
+centre) hold on the whole basis once they hold on :meth:`StructureAlgebra.generators`,
+an irredundant generating set read off the product table alone.
 Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
 (the centrosymmetric algebra and the odd quotient) build once per argument
 tuple and hand every caller the same object, so the shared algebra is the
@@ -80,32 +81,51 @@ class StructureAlgebra:
         return unit_vector(self.ring, self.rank, u)
 
     def generators(self) -> tuple:
-        """Basis indices G whose words span the algebra, certified from the
-        table and cached.  Index u is reached when some T[g, v] or T[v, g],
-        g in G and v reached, is a unit at u and reached elsewhere; so by
-        induction each reached e_u is an R-combination of words in G.  When
-        nothing new is reached the lowest unreached index joins G."""
+        """An irredundant set G of basis indices whose words span the
+        algebra, certified from the table alone and cached.  Index u is
+        reached when some T[g, v] or T[v, g], g in G and v reached, is a unit
+        at u and reached elsewhere; so by induction each reached e_u is an
+        R-combination of words in G.  A greedy pass adds the lowest
+        unreached index to G whenever nothing new is reached; a prune pass
+        then drops each index of G, last to first, whose removal still
+        leaves every index reached."""
         if self._generators is None:
-            inv, tbl = self.ring.inv, self.table
-            gens, reached, waiting = [], set(), []
-            for u in range(self.rank):
-                if u in reached:
-                    continue
-                gens.append(u)
-                reached.add(u)
-                waiting += [tbl.get(p, ()) for v in reached for p in ((u, v), (v, u))]
-                fresh = {u}
-                while fresh:
-                    fresh, keep = set(), []
-                    for terms in waiting:
+            inv, partners = self.ring.inv, {}
+            for (u, v), terms in self.table.items():
+                partners.setdefault(u, []).append((v, terms))
+                partners.setdefault(v, []).append((u, terms))
+
+            def grow(candidates, skip_reached):
+                # join each candidate to G (unless skip_reached and it is
+                # reached) and close under the rule; an entry that names
+                # unreached indices waits under each of them
+                gens, reached, waiting = set(), set(), {}
+                for u in candidates:
+                    if skip_reached and u in reached:
+                        continue
+                    gens.add(u)
+                    reached.add(u)
+                    todo = [t for v, t in partners.get(u, ()) if v in reached]
+                    todo += waiting.pop(u, [])
+                    while todo:
+                        terms = todo.pop()
                         new = [(w, c) for w, c in terms if w not in reached]
                         if len(new) == 1 and inv(new[0][1]) is not None:
-                            fresh.add(new[0][0])
-                        elif new:
-                            keep.append(terms)
-                    reached |= fresh
-                    waiting = keep + [tbl.get(p, ()) for x in fresh for g in gens
-                                      for p in ((g, x), (x, g))]
+                            x = new[0][0]
+                            reached.add(x)
+                            todo += [t for g, t in partners.get(x, ()) if g in gens]
+                            todo += waiting.pop(x, [])
+                        else:
+                            for w, _ in new:
+                                waiting.setdefault(w, []).append(terms)
+                return sorted(gens), len(reached)
+
+            gens = grow(range(self.rank), True)[0]
+            # the rest of G reaches no more than before the last index joined
+            for g in reversed(gens[:-1]):
+                rest = [h for h in gens if h != g]
+                if grow(rest, False)[1] == self.rank:
+                    gens = rest
             self._generators = tuple(gens)
         return self._generators
 
@@ -694,19 +714,22 @@ def quotient_by_ideal(a: StructureAlgebra, j: IdealBasis):
 def centre_basis(a: StructureAlgebra) -> list:
     """Basis of the centre over a field: the exact nullspace of the
     commutation system z*b_u - b_u*z = 0 for b_u in the generators (what
-    commutes with them commutes with every word).  The nullspace, and so
-    the unique fully reduced form it is read from, is the whole basis's."""
-    ring = a.ring
+    commutes with them commutes with every word).  Its rows are read off
+    the table entries T[w, u] and T[u, w], one row per e_t coordinate.  The
+    nullspace, and so the unique fully reduced form it is read from, is the
+    whole basis's."""
+    ring, tbl = a.ring, a.table
     r = a.rank
     rows = []
     for u in a.generators():
-        # cols[w] is the commutator b_w*b_u - b_u*b_w, read off the table
-        cols = [[ring.sub(x, y) for x, y in zip(a.mul_basis(w, u), a.mul_basis(u, w))]
-                for w in range(r)]
-        for t in range(r):
-            row = [col[t] for col in cols]
-            if not vec_is_zero(ring, row):
-                rows.append(row)
+        # rows_u[t][w] is the e_t coordinate of b_w*b_u - b_u*b_w
+        rows_u = [[ring.zero()] * r for _ in range(r)]
+        for w in range(r):
+            for t, c in tbl.get((w, u), ()):
+                rows_u[t][w] = c
+            for t, c in tbl.get((u, w), ()):
+                rows_u[t][w] = ring.sub(rows_u[t][w], c)
+        rows += [row for row in rows_u if not vec_is_zero(ring, row)]
     return nullspace(ring, rows, r)
 
 

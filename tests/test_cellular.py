@@ -340,6 +340,21 @@ def test_alpha_bimodule_fail_does_not_depend_on_generator_order():
                                   "reason": "delta is not a left ideal"}
 
 
+def test_last_partial_sum_is_checked_when_direct_sum_fails():
+    # layer 2 of the n = 5 chain cut to the span of f1_1: the layers no
+    # longer fill A, layer 1 is still an ideal, and layer 1 + f1_1 is not
+    # (its image in the 2-by-2 matrix quotient is one matrix unit)
+    chain = cell_chain_odd(Q, 5)
+    a, layer2 = chain.algebra, chain.layers[1]
+    chain.layers[1] = CellLayer([a.basis_vector(positions(5)[(1, 1)])],
+                                layer2.stage, layer2.witness)
+    rep = verify_cell_chain(chain)
+    assert rep.clauses["direct-sum"] == "fail"
+    assert rep.clauses["partial-sums-ideals"] == "fail"
+    assert rep.counterexample == {"clause": "direct-sum", "vectors": 10,
+                                  "span_rank": 10, "rank": 13}
+
+
 def test_chain_with_exchanged_spans_fails_partial_sums():
     # the first partial sum becomes the span of f1_1 alone, not an ideal
     chain = cell_chain_odd(Q, 3)
