@@ -11,6 +11,8 @@ are machine-checked exhaustively on basis pairs by :func:`check_witness`.
 Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
 centre) hold on the whole basis once they hold on :meth:`StructureAlgebra.generators`,
 an irredundant generating set read off the product table alone.
+The centre is one exact unit-pivot nullspace over every ring, and a misused
+witness (unknown claim, wrong endpoints) raises ValueError, never ``fail``.
 Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
 (the centrosymmetric algebra and the odd quotient) build once per argument
 tuple and hand every caller the same object, so the shared algebra is the
@@ -488,14 +490,17 @@ def _labels_of(side):
 
 def check_witness(w: LinearMapWitness, params: dict | None = None) -> Report:
     """Verify every claimed property of the witness exhaustively; the
-    (module) homomorphism clauses act by the algebra's generators only."""
+    (module) homomorphism clauses act by the algebra's generators only.
+    Raises ValueError for a claim it does not know and for endpoints the
+    claim cannot apply to: those are misuse, not a contradicted claim."""
     params = dict(params or {})
     params.setdefault("map", w.name)
     clauses = {}
     counterexample = None
     for prop in w.claimed:
-        check = _CHECKS.get(prop)
-        ce = check(w) if check else {"reason": f"unsupported claim {prop!r}"}
+        if prop not in _CHECKS:
+            raise ValueError(f"unsupported claim {prop!r}")
+        ce = _CHECKS[prop](w)
         clauses[prop] = PASS if ce is None else FAIL
         if ce is not None and counterexample is None:
             counterexample = dict(ce, property=prop)
@@ -509,7 +514,7 @@ def _check_algebra_hom(w: LinearMapWitness):
     f(b)f(b'c) = f(b)f(b')f(c) = f(bb')f(c); the unit clause covers f(1)."""
     src, tgt = w.source, w.target
     if not isinstance(src, StructureAlgebra) or not isinstance(tgt, StructureAlgebra):
-        return {"reason": "algebra-homomorphism needs algebra endpoints"}
+        raise ValueError("algebra-homomorphism needs algebra endpoints")
     img_unit = w.apply(src.unit)
     if img_unit != tgt.unit:
         return {
@@ -537,7 +542,7 @@ def _check_bijective(w: LinearMapWitness):
     ring = _ring_of(w.source)
     sr, tr = w.source.rank, w.target.rank
     if len(w.matrix) != sr or len(w.inverse) != tr:
-        return {"reason": "matrix shapes do not match the bases"}
+        raise ValueError("matrix shapes do not match the bases")
     for u in range(sr):
         if w.apply_inverse(w.matrix[u]) != unit_vector(ring, sr, u):
             return {"input": f"{_labels_of(w.source)[u]}",
@@ -554,9 +559,9 @@ def _check_module_hom(w: LinearMapWitness):
     pass are closed under products, as f(b*b'*m) = b*f(b'*m) = b*b'*f(m)."""
     src, tgt = w.source, w.target
     if not isinstance(src, BasedModule) or not isinstance(tgt, BasedModule):
-        return {"reason": "module-homomorphism needs module endpoints"}
+        raise ValueError("module-homomorphism needs module endpoints")
     if src.algebra is not tgt.algebra and src.algebra.labels != tgt.algebra.labels:
-        return {"reason": "modules live over different algebras"}
+        raise ValueError("modules live over different algebras")
     A = src.algebra
 
     def scan(over):
@@ -581,9 +586,9 @@ def _check_module_hom(w: LinearMapWitness):
 def _check_invol_equivariant(w: LinearMapWitness):
     src, tgt = w.source, w.target
     if not isinstance(src, StructureAlgebra) or not isinstance(tgt, StructureAlgebra):
-        return {"reason": "involution check needs algebra endpoints"}
+        raise ValueError("involution check needs algebra endpoints")
     if src.invol is None or tgt.invol is None:
-        return {"reason": "both sides need involutions"}
+        raise ValueError("both sides need involutions")
     for u in range(src.rank):
         lhs = tgt.apply_invol(w.matrix[u])
         rhs = w.apply(src.invol[u])
@@ -712,12 +717,12 @@ def quotient_by_ideal(a: StructureAlgebra, j: IdealBasis):
 
 
 def centre_basis(a: StructureAlgebra) -> list:
-    """Basis of the centre over a field: the exact nullspace of the
-    commutation system z*b_u - b_u*z = 0 for b_u in the generators (what
-    commutes with them commutes with every word).  Its rows are read off
-    the table entries T[w, u] and T[u, w], one row per e_t coordinate.  The
-    nullspace, and so the unique fully reduced form it is read from, is the
-    whole basis's."""
+    """Basis of the centre over any commutative ring: the exact nullspace
+    of the commutation system z*b_u - b_u*z = 0 for b_u in the generators
+    (what commutes with them commutes with every word).  Its rows are read
+    off the table entries T[w, u] and T[u, w], one row per e_t coordinate.
+    The nullspace, and so the unique fully reduced form it is read from, is
+    the whole basis's.  Raises FreenessUndetermined when a pivot is stuck."""
     ring, tbl = a.ring, a.table
     r = a.rank
     rows = []
@@ -734,82 +739,38 @@ def centre_basis(a: StructureAlgebra) -> list:
 
 
 def centre(a: StructureAlgebra, candidates=None) -> Report:
-    """Centre of the algebra.
-
-    Over a field: the exact nullspace of the commutation system, returned
-    as a basis; when candidate central elements are supplied the report
-    also states whether they span the centre.  Over other rings: a
-    containment certificate for the candidates (commutation plus linear
-    independence); full saturation is out of scope there.
+    """Centre of the algebra as the exact nullspace of
+    :func:`centre_basis`, over every ring.  With candidate central elements
+    the report also states whether they span the centre: every candidate
+    lies in the nullspace's span and every nullspace vector in the
+    candidates'.  A stuck pivot in either elimination is ``undetermined``.
     """
     ring = a.ring
     params = {"ring": ring.literal(), "rank": a.rank}
-    candidates = None if candidates is None else [list(c) for c in candidates]
-    if ring.is_field:
+    try:
         basis_vectors = centre_basis(a)
         witness = {
             "dimension": len(basis_vectors),
             "basis": [a.format_element(v) for v in basis_vectors],
         }
-        if candidates is not None:
-            cand_rb = span_basis(ring, candidates, a.rank)
-            null_rb = span_basis(ring, basis_vectors, a.rank)
-            reduces = cand_rb.rank == len(basis_vectors) and all(
-                null_rb.contains(c) for c in candidates
-            )
-            witness["reduces_to_candidates"] = reduces
-            if not reduces:
-                outside = [c for c in candidates if not null_rb.contains(c)]
-                return Report("centre", params, FAIL, witness, counterexample=(
-                    {"candidate": a.format_element(outside[0]),
-                     "reason": "not in the centre"} if outside else
-                    {"reason": f"candidates span rank {cand_rb.rank}; "
-                               f"the centre has dimension {len(basis_vectors)}"}
-                ))
+        if candidates is None:
+            return Report("centre", params, PASS, witness)
+        candidates = [list(c) for c in candidates]
+        cand_rb = span_basis(ring, candidates, a.rank)
+        null_rb = span_basis(ring, basis_vectors, a.rank)
+    except FreenessUndetermined as exc:
+        return Report("centre", params, UNDETERMINED,
+                      witness={"note": f"centre not certified over this ring: {exc}"})
+    outside = [c for c in candidates if not null_rb.contains(c)]
+    reduces = not outside and all(cand_rb.contains(z) for z in basis_vectors)
+    witness["reduces_to_candidates"] = reduces
+    if reduces:
         return Report("centre", params, PASS, witness)
-
-    if not candidates:
-        return Report(
-            "centre", params, UNDETERMINED,
-            witness={"note": "full centre computation needs a field; supply candidates"},
-        )
-    # duplicated candidates name the same element (e.g. the exchange matrix
-    # is the unit at size 1); keep one copy
-    deduped = []
-    for c in candidates:
-        if c not in deduped:
-            deduped.append(c)
-    candidates = deduped
-
-    def scan(over):
-        for c in candidates:
-            for u in over:
-                bu = a.basis_vector(u)
-                if a.mul(c, bu) != a.mul(bu, c):
-                    return {"candidate": a.format_element(c), "against": a.labels[u]}
-        return None
-
-    ce = a.first_failure(scan)
-    if ce is not None:
-        return Report("centre", params, FAIL, counterexample=ce)
-    try:
-        rb = span_basis(ring, candidates, a.rank)
-        independent = rb.rank == len(candidates)
-    except FreenessUndetermined:
-        return Report(
-            "centre", params, UNDETERMINED,
-            witness={"note": "candidate independence not certified over this ring"},
-        )
-    if not independent:
-        return Report(
-            "centre", params, FAIL,
-            counterexample={"reason": "candidates are linearly dependent"},
-        )
-    return Report(
-        "centre", params, PASS,
-        witness={
-            "certificate": "containment",
-            "candidates": [a.format_element(c) for c in candidates],
-            "note": "candidates commute with the whole basis and are independent",
-        },
-    )
+    # every candidate is inside, and a free summand inside another of equal
+    # rank is all of it, so the spans differ in rank
+    return Report("centre", params, FAIL, witness, counterexample=(
+        {"candidate": a.format_element(outside[0]), "reason": "not in the centre"}
+        if outside else
+        {"reason": f"candidates span rank {cand_rb.rank}; "
+                   f"the centre has dimension {len(basis_vectors)}"}
+    ))

@@ -241,18 +241,15 @@ def invert_matrix(ring: Ring, rows):
 
 
 def nullspace(ring: Ring, rows, width: int) -> list:
-    """Basis of the right nullspace over a field."""
-    if not ring.is_field:
-        raise ValueError(f"nullspace needs a field, got {ring.literal()}")
-    rb = RowBasis(ring, width)
-    for r in rows:
-        rb.insert(r)
-    pivot_set = set(rb.pivots)
-    free_cols = [c for c in range(width) if c not in pivot_set]
+    """Basis of the right nullspace, exact over any commutative ring.
+    Unit-pivot elimination keeps the row module, and once every pivot is
+    a unit the fully reduced rows read x at each pivot off x at the other
+    columns, so the kernel is free on the non-pivot columns.  Raises
+    FreenessUndetermined when a pivot is stuck."""
+    rb = span_basis(ring, rows, width)
     out = []
-    for f in free_cols:
-        v = [ring.zero()] * width
-        v[f] = ring.one()
+    for f in sorted(set(range(width)) - set(rb.pivots)):
+        v = unit_vector(ring, width, f)
         for row, p in zip(rb.rows, rb.pivots):
             v[p] = ring.neg(row[f])
         out.append(v)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from censym.algebra import (
+    BasedModule,
     IdealBasis,
     LinearMapWitness,
     StructureAlgebra,
@@ -260,6 +261,60 @@ def test_bijective_needs_inverse():
     assert check_witness(w).verdict == "fail"
 
 
+def _quaternions(ring):
+    # 1, i, j, k with i*i = j*j = k*k = -1, i*j = k, j*k = i, k*i = j
+    table = {(0, v): ((v, 1),) for v in range(4)}
+    table.update({(v, 0): ((v, 1),) for v in range(1, 4)})
+    for u, v, w in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        table[(u, u)] = ((0, -1),)
+        table[(u, v)] = ((w, 1),)
+        table[(v, u)] = ((w, -1),)
+    return StructureAlgebra(ring, ["1", "i", "j", "k"], table, [1, 0, 0, 0])
+
+
+def _eye(a):
+    return [a.basis_vector(u) for u in range(a.rank)]
+
+
+def _misused_witness(reason):
+    """A witness whose claim cannot apply to it, for each misuse reason."""
+    a = algebra_of_censym(Z, 2)
+    m = BasedModule(a, [a.unit], name="M")
+    if reason == "unsupported claim":
+        return LinearMapWitness(a, a, _eye(a), claimed=("surjective",))
+    if reason == "algebra-homomorphism needs algebra endpoints":
+        return LinearMapWitness(m, m, [[1]], claimed=("algebra-homomorphism",))
+    if reason == "module-homomorphism needs module endpoints":
+        return LinearMapWitness(a, a, _eye(a), claimed=("left-module-homomorphism",))
+    if reason == "modules live over different algebras":
+        b = algebra_of_censym(Z, 3)
+        return LinearMapWitness(m, BasedModule(b, [b.unit]), [[1]],
+                                claimed=("left-module-homomorphism",))
+    if reason == "involution check needs algebra endpoints":
+        return LinearMapWitness(m, m, [[1]], claimed=("involution-equivariant",))
+    if reason == "both sides need involutions":
+        q = _quaternions(Z)
+        return LinearMapWitness(q, q, _eye(q), claimed=("involution-equivariant",))
+    assert reason == "matrix shapes do not match the bases"
+    return LinearMapWitness(a, a, _eye(a), _eye(a)[1:], claimed=("bijective",))
+
+
+@pytest.mark.parametrize("reason", [
+    "unsupported claim",
+    "algebra-homomorphism needs algebra endpoints",
+    "module-homomorphism needs module endpoints",
+    "modules live over different algebras",
+    "involution check needs algebra endpoints",
+    "both sides need involutions",
+    "matrix shapes do not match the bases",
+])
+def test_misused_witness_raises_instead_of_failing(reason):
+    # a claim that cannot apply to its endpoints contradicts nothing, so it
+    # is bad input (exit 2 at the command line), never a fail
+    with pytest.raises(ValueError, match=reason):
+        check_witness(_misused_witness(reason))
+
+
 def test_centre_field_cases(field):
     for n in range(2, 6):
         a = algebra_of_censym(field, n)
@@ -293,24 +348,66 @@ def test_centre_nullspace_is_closed_under_multiplication():
     assert cc == a.unit
 
 
-def test_centre_containment_certificate_over_int():
+def test_centre_nullspace_over_int():
+    # over int the centre is the same exact nullspace as over a field
     a = algebra_of_censym(Z, 4)
     rep = centre(a, candidates=[a.unit, exchange_coords(Z, 4)])
     assert rep.verdict == "pass"
-    assert rep.witness["certificate"] == "containment"
+    assert rep.witness == {"dimension": 2,
+                           "basis": ["f1_1 + f2_2", "f1_4 + f2_3"],
+                           "reduces_to_candidates": True}
     rep_bad = centre(a, candidates=[a.basis_vector(1)])
     assert rep_bad.verdict == "fail"
+    assert rep_bad.counterexample == {"candidate": a.labels[1],
+                                      "reason": "not in the centre"}
 
 
-def test_centre_containment_fail_pins_candidate_and_basis_element():
-    # over int the containment path names the first non-central candidate
-    # and the first basis element, in basis order, it fails to commute with
+def test_centre_fail_over_int_names_the_non_central_candidate():
     a = algebra_of_censym(Z, 5)
     lab = label_map(a)
     rep = centre(a, candidates=[a.unit, exchange_coords(Z, 5),
                                 a.basis_vector(lab["f3_2"])])
     assert rep.verdict == "fail"
-    assert rep.counterexample == {"candidate": "f3_2", "against": "f1_3"}
+    assert rep.witness["reduces_to_candidates"] is False
+    assert rep.counterexample == {"candidate": "f3_2", "reason": "not in the centre"}
+
+
+def test_centre_over_int_fails_on_a_missing_central_element():
+    # 1 alone commutes with everything but misses c: a rank fail, not a pass
+    a = algebra_of_censym(Z, 4)
+    rep = centre(a, candidates=[a.unit])
+    assert rep.verdict == "fail"
+    assert rep.witness["reduces_to_candidates"] is False
+    assert rep.counterexample == {
+        "reason": "candidates span rank 1; the centre has dimension 2"}
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_centre_over_int_is_undetermined_on_a_stuck_candidate_pivot(which):
+    # 1 and 2*c (or 2*1 and c) lie in the centre and have rank 2, but the
+    # doubled one has no unit entry left to pivot on once the other is in
+    a = algebra_of_censym(Z, 4)
+    pair = [a.unit, exchange_coords(Z, 4)]
+    pair[which] = [2 * x for x in pair[which]]
+    rep = centre(a, candidates=pair)
+    assert rep.verdict == "undetermined"
+    assert rep.counterexample is None
+    assert rep.witness["note"].startswith("centre not certified over this ring")
+
+
+def test_centre_is_undetermined_on_a_stuck_nullspace_pivot():
+    # every commutator of the integral quaternions is twice a basis element,
+    # so the commutation system has no unit pivot over int; over rat the
+    # centre is the scalars
+    a = _quaternions(Z)
+    assert a.validate() == []
+    for candidates in (None, [a.unit]):
+        rep = centre(a, candidates=candidates)
+        assert rep.verdict == "undetermined"
+        assert rep.witness["note"].startswith("centre not certified over this ring")
+    rep = centre(_quaternions(Q), candidates=[[1, 0, 0, 0]])
+    assert rep.verdict == "pass"
+    assert rep.witness == {"dimension": 1, "basis": ["1"], "reduces_to_candidates": True}
 
 
 def test_centre_field_fail_names_a_non_central_candidate():
@@ -370,8 +467,8 @@ def test_quotient_complement_inclusion_round_trip():
 
 
 def test_centre_containment_at_size_one_dedupes_candidates():
-    # the exchange matrix IS the unit at size 1; the certificate must not
-    # report the duplicated candidate list as dependent
+    # the exchange matrix IS the unit at size 1; the duplicated candidate
+    # list spans the rank-one centre, so it must not fail
     a = algebra_of_censym(Z, 1)
     rep = centre(a, candidates=[a.unit, exchange_coords(Z, 1)])
     assert rep.verdict == "pass"
@@ -560,7 +657,7 @@ def test_fail_names_the_basis_order_counterexample_whatever_the_generator_order(
     b = algebra_of_censym(Z, 5)
     b._generators = tuple(reversed(b.generators()))
     rep = centre(b, candidates=[b.unit, b.basis_vector(label_map(b)["f3_2"])])
-    assert rep.counterexample == {"candidate": "f3_2", "against": "f1_3"}
+    assert rep.counterexample == {"candidate": "f3_2", "reason": "not in the centre"}
     rep = check_witness(LinearMapWitness(b, b, [list(r) for r in b.invol],
                                          claimed=("algebra-homomorphism",)))
     assert rep.counterexample == {"input": "(f1_1, f1_2)", "lhs": "f2_1", "rhs": "0",

@@ -164,6 +164,21 @@ def test_isos_report_a_wedderburn_construction_error_as_its_fail(capsys, monkeyp
     assert reports[-1]["params"] == {"n": 3, "ring": "rat"}
 
 
+def test_a_misused_witness_is_a_usage_error_not_a_fail(capsys, monkeypatch):
+    real = cli.iso_s2
+
+    def unsupported(ring):
+        w = real(ring)
+        w.claimed = w.claimed + ("surjective",)
+        return w
+
+    monkeypatch.setattr(cli, "iso_s2", unsupported)
+    code, out, err = run(capsys, "verify", "--n", "2", "--ring", "int", "--check", "isos")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unsupported claim 'surjective'\n"
+
+
 @pytest.mark.parametrize("ring", ["int", "rat", "c2:int"])
 def test_closure_and_rank_do_not_depend_on_the_seed(capsys, ring):
     """Both checks are exhaustive on the basis, so --seed cannot reach them."""

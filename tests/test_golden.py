@@ -9,7 +9,8 @@ them the command runs every check at n = 1..8.
 the sha256 of its standard output.  It covers what ``verify`` never
 prints: the ``dump-algebra`` tensors of the censym and full matrix
 algebras, the ``table`` dump and the ``iso`` witness reports, the
-``frobenius``, ``cellchain`` and ``centre`` subcommands at one size,
+``frobenius``, ``cellchain`` and ``centre`` subcommands at one size (the
+centre over ``rat`` and over the non-field ``c2:int``),
 ``verify`` of the witness checks at n = 11 and 12, above the sweep's grid,
 and outputs that print non-integral rationals or run the nested ``c2:rat``
 path (``iso`` wedderburn, ``frobenius`` and ``verify`` over ``rat`` and

@@ -319,14 +319,22 @@ def test_centre_basis_matches_sympy_nullspace(kind, n):
     assert ours.rank() == theirs.rank() == sympy.Matrix.vstack(ours, theirs).rank()
 
 
+CENTRE_RINGS = [GF2, GF3, GF5, Z, Z4, ring_from_literal("zmod:6"), C2Z,
+                ring_from_literal("c2:gf:2")]
+
+
 @pytest.mark.parametrize("n", range(1, 8))
-@pytest.mark.parametrize("ring", [GF2, GF3, GF5], ids=lambda r: r.literal())
+@pytest.mark.parametrize("ring", CENTRE_RINGS, ids=lambda r: r.literal())
 def test_centre_basis_matches_dense_commutator_nullspace(ring, n):
-    """Over a finite field, ``centre_basis`` (rows read off the table, one
-    block per generator) equals the nullspace of the commutators
-    b_w*b_u - b_u*b_w built with ``StructureAlgebra.mul`` for every basis
-    pair.  Both systems have the centre as nullspace, so over a field they
-    have the same row space and the same fully reduced form."""
+    """``centre_basis`` (rows read off the table, one block per generator)
+    equals the nullspace of the commutators b_w*b_u - b_u*b_w built with
+    ``StructureAlgebra.mul`` for every basis pair, over finite fields and
+    over int, zmod:4, zmod:6, c2:int and c2:gf:2.  Both systems have the
+    centre as nullspace.  Each reduces with unit pivots, and a unit-pivot
+    row module is a direct summand, the annihilator of the kernel it cuts
+    out; so the kernel determines the row module and both systems have the
+    same one.  Here they also reach the same pivots, so they have the same
+    fully reduced form and the same nullspace basis."""
     a = algebra_of_censym(ring, n)
     r = a.rank
     basis = [a.basis_vector(u) for u in range(r)]

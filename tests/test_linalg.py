@@ -142,8 +142,16 @@ def test_nullspace():
     assert len(ns) == 2
     for v in ns:
         assert (v[0] + 2 * v[1] + 3 * v[2]) % 5 == 0
-    with pytest.raises(ValueError):
-        nullspace(Z, [[1, 0]], 2)
+    # over a non-field the kernel is free on the non-pivot columns once
+    # every pivot is a unit; the rows may come in any order
+    assert nullspace(Z, [[1, 2, 3], [0, 1, 5]], 3) == [[7, -5, 1]]
+    assert nullspace(Z, [[2, 0], [1, 0]], 2) == [[0, 1]]
+    ns = nullspace(Z4, [[2, 1, 0], [0, 0, 3]], 3)
+    assert ns == [[1, 2, 0]]
+    assert all((2 * v[0] + v[1]) % 4 == 0 and 3 * v[2] % 4 == 0 for v in ns)
+    # 2*x = 0 has only x = 0 over int, but no unit pivot certifies it
+    with pytest.raises(FreenessUndetermined):
+        nullspace(Z, [[2, 0]], 2)
 
 
 def test_mat_vec():
