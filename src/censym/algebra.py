@@ -9,8 +9,10 @@ corner subalgebras, and quotients.  Linear maps between algebras or based
 modules travel as :class:`LinearMapWitness` values whose claimed properties
 are machine-checked exhaustively on basis pairs by :func:`check_witness`.
 Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
-centre) hold on the whole basis once they hold on :meth:`StructureAlgebra.generators`,
-an irredundant generating set read off the product table alone.
+centre, and the associativity and anti-homomorphism clauses of
+:meth:`StructureAlgebra.validate`) hold on the whole basis once they hold on
+:meth:`StructureAlgebra.generators`, an irredundant generating set read off
+the product table alone.
 The centre is one exact unit-pivot nullspace over every ring, and a misused
 witness (unknown claim, wrong endpoints) raises ValueError, never ``fail``.
 Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
@@ -172,51 +174,54 @@ class StructureAlgebra:
         return format_vector(self.ring, self.labels, x)
 
     def validate(self) -> list:
-        """Exhaustive associativity, unit, and involution audit on the basis.
+        """Associativity, unit, and involution audit, certified on the basis.
 
         Returns a list of defect descriptions; empty means the presentation
-        is a genuine algebra (with involution, if one is attached).
+        is a genuine algebra (with involution, if one is attached).  The
+        associativity and anti-homomorphism clauses take their first factor
+        from :meth:`generators` through :meth:`first_failure`: the left
+        nucleus {x : (xy)z = x(yz) for all y, z} is closed under products
+        with no associativity assumed, and in an associative table so is
+        {x : (xy)* = y*x* for all y}.  Any defect re-runs the audit on the
+        whole basis, so the list is the exhaustive one, in basis order.
         """
-        defects = []
-        r = self.rank
-        for u in range(r):
-            e = self.basis_vector(u)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                defects.append(f"unit law fails at {self.labels[u]}")
-        tbl = self.table
-        for u in range(r):
-            for v in range(r):
-                uv = tbl.get((u, v), ())
-                for w in range(r):
-                    vw = tbl.get((v, w), ())
-                    if not uv and not vw:
-                        continue
-                    # (e_u e_v) e_w = sum c*T[t, w] over (t, c) in T[u, v], and
-                    # e_u (e_v e_w) = sum c*T[u, t] over (t, c) in T[v, w]
-                    left = self._combine((c, tbl.get((t, w), ())) for t, c in uv)
-                    right = self._combine((c, tbl.get((u, t), ())) for t, c in vw)
-                    if left != right:
-                        defects.append(
-                            "associativity fails at "
-                            f"({self.labels[u]}, {self.labels[v]}, {self.labels[w]})"
-                        )
-        if self.invol is not None:
+        r, tbl, labels = self.rank, self.table, self.labels
+
+        def audit(over):
+            defects = []
             for u in range(r):
-                twice = self.apply_invol(self.invol[u])
-                if twice != self.basis_vector(u):
-                    defects.append(f"involution is not an involution at {self.labels[u]}")
-            if self.apply_invol(self.unit) != self.unit:
-                defects.append("involution moves the unit")
-            for u in range(r):
+                e = self.basis_vector(u)
+                if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+                    defects.append(f"unit law fails at {labels[u]}")
+            for u in over:
                 for v in range(r):
-                    left = self.apply_invol(self.mul_basis(u, v))
-                    right = self.mul(self.invol[v], self.invol[u])
-                    if left != right:
-                        defects.append(
-                            "involution is not an anti-homomorphism at "
-                            f"({self.labels[u]}, {self.labels[v]})"
-                        )
-        return defects
+                    uv = tbl.get((u, v), ())
+                    for w in range(r):
+                        vw = tbl.get((v, w), ())
+                        if not uv and not vw:
+                            continue
+                        # (e_u e_v) e_w = sum c*T[t, w] over (t, c) in T[u, v], and
+                        # e_u (e_v e_w) = sum c*T[u, t] over (t, c) in T[v, w]
+                        left = self._combine((c, tbl.get((t, w), ())) for t, c in uv)
+                        right = self._combine((c, tbl.get((u, t), ())) for t, c in vw)
+                        if left != right:
+                            defects.append("associativity fails at "
+                                           f"({labels[u]}, {labels[v]}, {labels[w]})")
+            if self.invol is not None:
+                for u in range(r):
+                    if self.apply_invol(self.invol[u]) != self.basis_vector(u):
+                        defects.append(f"involution is not an involution at {labels[u]}")
+                if self.apply_invol(self.unit) != self.unit:
+                    defects.append("involution moves the unit")
+                for u in over:
+                    for v in range(r):
+                        if (self.apply_invol(self.mul_basis(u, v))
+                                != self.mul(self.invol[v], self.invol[u])):
+                            defects.append("involution is not an anti-homomorphism at "
+                                           f"({labels[u]}, {labels[v]})")
+            return defects or None
+
+        return self.first_failure(audit) or []
 
     def _combine(self, weighted) -> dict:
         """sum c*terms over (c, terms) as {w: coefficient}, zeros dropped."""

@@ -316,11 +316,13 @@ def cmd_iso(args) -> int:
 
 
 def checks_command(*names):
-    """A subcommand that runs the named ``verify`` checks at its one size."""
+    """A subcommand that runs the named ``verify`` checks at its one size,
+    sharing that size's builds as ``verify`` does."""
     def cmd(args) -> int:
         ring = ring_from_literal(args.ring)
-        return emit([rep for name in names for rep in run_check(name, ring, args.n, args.seed)],
-                    args.json)
+        with shared_builds():
+            reports = [rep for name in names for rep in run_check(name, ring, args.n, args.seed)]
+        return emit(reports, args.json)
     return cmd
 
 

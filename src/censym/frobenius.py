@@ -19,6 +19,9 @@ matrix unit and reads every clause off T.  Each identity is R-linear in
 its probe a, and the n^2 matrix units are a basis of the full matrix
 algebra, so a random probe cannot fail where the units pass: the seeded
 batch re-checks, through the same table, what the units already prove.
+The bimodule clause and the centralizer test range over the generators of
+:func:`censym.algebra.algebra_of_censym`, whose table is the true product
+of the basis matrices; the s that pass each one form a subalgebra.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .basis import CentroMatrix, canonical_basis, canonical_indices, unit_cells
+from .algebra import algebra_of_censym
+from .basis import CentroMatrix, canonical_indices, from_coords, unit_cells
 from .matrices import Matrix, matrix_unit
 from .reports import FAIL, PASS, UNKNOWN, Report, combine_clauses
 from .rings import Ring
@@ -89,7 +93,9 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
     E(a) = sum_u a[u] * T[u] on the units first, then on the random batch,
     so no clause depends on the batch size for its coverage of the units.
     The bimodule clause compares the cell sums of E(s*u) with s*E(u) and
-    of E(u*s) with E(u)*s."""
+    of E(u*s) with E(u)*s for s in the certified generators, then, on a
+    fail, for every canonical basis element in order: the s that pass are
+    closed under products, as E(s*s'*u) = s*E(s'*u) = s*s'*E(u)."""
     ring, n = sys.ring, sys.n
     add, mul, is_zero, zero, one = ring.add, ring.mul, ring.is_zero, ring.zero(), ring.one()
     rng = random.Random(seed)
@@ -142,26 +148,26 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
     clauses["left-unit-identity"] = PASS if left_ok else FAIL
     clauses["right-unit-identity"] = PASS if right_ok else FAIL
 
-    bimod = PASS
-    for idx in canonical_indices(n):
-        s = unit_cells(n, idx.i, idx.j)
-        for eu, (p, q) in zip(table, cells):
-            # s*e[p, q] sums e[i, q] over the cells (i, p) of s, and
-            # e[i, j]*E(u) moves row j of E(u) into row i; mirrored on the right
-            if (cell_sum(x for i, j in s if j == p for x in table[(i - 1) * n + q - 1])
-                    != cell_sum(((i - 1) * n + c % n, x)
-                                for i, j in s for c, x in eu if c // n == j - 1)
-                    or cell_sum(x for i, j in s if i == q for x in table[(p - 1) * n + j - 1])
-                    != cell_sum((c - c % n + j - 1, x)
-                                for i, j in s for c, x in eu if c % n == i - 1)):
-                bimod = FAIL
-                counterexample = counterexample or {
-                    "identity": "bimodule",
-                    "input": f"({idx.label}, unit)",
-                }
-                break
-        if bimod == FAIL:
-            break
+    indices = canonical_indices(n)
+
+    def bimodule_scan(over):
+        for idx in (indices[k] for k in over):
+            s = unit_cells(n, idx.i, idx.j)
+            for eu, (p, q) in zip(table, cells):
+                # s*e[p, q] sums e[i, q] over the cells (i, p) of s, and
+                # e[i, j]*E(u) moves row j of E(u) into row i; mirrored on the right
+                if (cell_sum(x for i, j in s if j == p for x in table[(i - 1) * n + q - 1])
+                        != cell_sum(((i - 1) * n + c % n, x)
+                                    for i, j in s for c, x in eu if c // n == j - 1)
+                        or cell_sum(x for i, j in s if i == q for x in table[(p - 1) * n + j - 1])
+                        != cell_sum((c - c % n + j - 1, x)
+                                    for i, j in s for c, x in eu if c % n == i - 1)):
+                    return f"({idx.label}, unit)"
+        return None
+
+    bad_s = algebra_of_censym(ring, n).first_failure(bimodule_scan)
+    if bad_s is not None:
+        counterexample = counterexample or {"identity": "bimodule", "input": bad_s}
     image_ok = PASS
     for name, a in probes:
         ea = combine(a, table, n * n)
@@ -169,7 +175,7 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
             image_ok = FAIL
             counterexample = counterexample or {"identity": "image", "input": name}
             break
-    clauses["bimodule-property"] = bimod
+    clauses["bimodule-property"] = PASS if bad_s is None else FAIL
     clauses["image-centrosymmetric"] = image_ok
 
     params = dict(sys.params(), seed=seed, batch=batch)
@@ -180,11 +186,13 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
 
 
 def centralizer_membership(sys: FrobeniusSystem, d: Matrix) -> bool:
-    """Whether d commutes with every canonical basis element of the
-    centrosymmetric subalgebra."""
+    """Whether d commutes with the centrosymmetric subalgebra, checked on the
+    certified generators: the matrices that commute with d form a subalgebra."""
     if d.ring != sys.ring or d.n != sys.n:
         raise ValueError("matrix does not match the extension's ring and size")
-    return all(d * f.inner == f.inner * d for _, f in canonical_basis(sys.ring, sys.n))
+    a = algebra_of_censym(sys.ring, sys.n)
+    return all(d * f == f * d for f in (
+        from_coords(sys.ring, sys.n, a.basis_vector(g)).inner for g in a.generators()))
 
 
 def separability_check(sys: FrobeniusSystem) -> Report:

@@ -595,6 +595,141 @@ def test_validate_multiplicative_involution():
     ]
 
 
+def _validate_exhaustive(a):
+    """Reference audit: every clause over the whole basis, the associativity
+    clause over every triple and the anti-homomorphism clause over every
+    pair, in basis order.  ``validate()`` must return this list exactly."""
+    defects = []
+    r, tbl = a.rank, a.table
+    for u in range(r):
+        e = a.basis_vector(u)
+        if a.mul(a.unit, e) != e or a.mul(e, a.unit) != e:
+            defects.append(f"unit law fails at {a.labels[u]}")
+    for u in range(r):
+        for v in range(r):
+            uv = tbl.get((u, v), ())
+            for w in range(r):
+                vw = tbl.get((v, w), ())
+                if not uv and not vw:
+                    continue
+                left = a._combine((c, tbl.get((t, w), ())) for t, c in uv)
+                right = a._combine((c, tbl.get((u, t), ())) for t, c in vw)
+                if left != right:
+                    defects.append("associativity fails at "
+                                   f"({a.labels[u]}, {a.labels[v]}, {a.labels[w]})")
+    if a.invol is not None:
+        for u in range(r):
+            if a.apply_invol(a.invol[u]) != a.basis_vector(u):
+                defects.append(f"involution is not an involution at {a.labels[u]}")
+        if a.apply_invol(a.unit) != a.unit:
+            defects.append("involution moves the unit")
+        for u in range(r):
+            for v in range(r):
+                if a.apply_invol(a.mul_basis(u, v)) != a.mul(a.invol[v], a.invol[u]):
+                    defects.append("involution is not an anti-homomorphism at "
+                                   f"({a.labels[u]}, {a.labels[v]})")
+    return defects
+
+
+def _with_table_entry(a, uv, terms):
+    table = dict(a.table)
+    table[uv] = terms
+    return StructureAlgebra(a.ring, a.labels, table, a.unit, a.invol)
+
+
+def _names_first_factor_outside_generators(a, defects):
+    """Whether some associativity or anti-homomorphism defect has a first
+    factor outside G, which a scan of G alone would never report."""
+    outside = {a.labels[u] for u in range(a.rank) if u not in a.generators()}
+    return any(d.partition("(")[2].split(",")[0] in outside
+               for d in defects if "(" in d)
+
+
+def _assert_validate_is_exhaustive(a):
+    """validate() agrees with the exhaustive reference on a, and on a with
+    the first table entry of its last non-generator u dropped.  The list
+    for the broken table names a first factor outside G, a defect that the
+    certified scan finds only by its full re-scan."""
+    assert a.validate() == _validate_exhaustive(a) == []
+    outside = [u for u in range(a.rank) if u not in a.generators()]
+    if not outside:
+        return
+    u = outside[-1]
+    v = min(v for w, v in a.table if w == u)
+    broken = _with_table_entry(a, (u, v), ())
+    want = _validate_exhaustive(broken)
+    assert want and _names_first_factor_outside_generators(broken, want)
+    assert broken.validate() == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_validate_matches_exhaustive_reference_censym(n, any_ring):
+    _assert_validate_is_exhaustive(algebra_of_censym(any_ring, n))
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("ring,flatten", [(Z, True), (GF5, True), (C2Z, True),
+                                          (C2Z, False)])
+def test_validate_matches_exhaustive_reference_full_matrix(m, ring, flatten):
+    _assert_validate_is_exhaustive(full_matrix_algebra(ring, m, flatten_group_ring=flatten))
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+def test_validate_matches_exhaustive_reference_odd_quotient(m, any_ring):
+    _assert_validate_is_exhaustive(odd_quotient(any_ring, m)[2])
+
+
+CORRUPTED = {
+    "M_2(int)": lambda: full_matrix_algebra(Z, 2),
+    "M_3(gf:2)": lambda: full_matrix_algebra(GF2, 3),
+    "S_3(int)": lambda: algebra_of_censym(Z, 3),
+    "S_4(c2:int)": lambda: algebra_of_censym(C2Z, 4),
+}
+
+
+def _corrupt(a, part, seed):
+    """a with one seeded entry replaced: a table entry (u, v) becomes the
+    single term c*e_w, or one coordinate of an involution image becomes c,
+    with c a seeded non-zero payload."""
+    rng = random.Random(seed)
+    r, ring = a.rank, a.ring
+    u, w = rng.randrange(r), rng.randrange(r)
+    c = ring.sample(rng)
+    while c == ring.zero():
+        c = ring.sample(rng)
+    if part == "table":
+        return _with_table_entry(a, (u, rng.randrange(r)), ((w, c),))
+    invol = [list(row) for row in a.invol]
+    invol[u][w] = c
+    return StructureAlgebra(ring, a.labels, a.table, a.unit, invol)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("part", ["table", "involution"])
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_validate_matches_exhaustive_reference_on_seeded_corruptions(name, part, seed):
+    a = _corrupt(CORRUPTED[name](), part, seed)
+    assert a.validate() == _validate_exhaustive(a)
+
+
+@pytest.mark.parametrize("name", CORRUPTED)
+def test_validate_seeded_corruptions_reach_past_the_generators(name):
+    # the seeds above give each algebra a corrupted table whose defect list
+    # names a first factor outside G, so they exercise the full re-scan
+    broken = [_corrupt(CORRUPTED[name](), "table", s) for s in range(10)]
+    assert any(_names_first_factor_outside_generators(a, a.validate()) for a in broken)
+
+
+def test_validate_first_defect_outside_the_generators():
+    # one seeded table entry of S_4(c2:int) broken: G = {f1_3, f2_1}, and the
+    # first defect in basis order has first factor f1_1
+    a = _corrupt(CORRUPTED["S_4(c2:int)"](), "table", 4)
+    assert [a.labels[g] for g in a.generators()] == ["f1_3", "f2_1"]
+    defects = a.validate()
+    assert defects == _validate_exhaustive(a)
+    assert defects[0] == "associativity fails at (f1_1, f1_4, f2_4)"
+
+
 def test_table_entry_naming_a_basis_index_twice_is_rejected():
     # mul would add the two coefficients where mul_basis kept the last one;
     # such a table has no single meaning
@@ -662,6 +797,10 @@ def test_fail_names_the_basis_order_counterexample_whatever_the_generator_order(
                                          claimed=("algebra-homomorphism",)))
     assert rep.counterexample == {"input": "(f1_1, f1_2)", "lhs": "f2_1", "rhs": "0",
                                   "property": "algebra-homomorphism"}
+    c = broken_m2({(1, 2): ((3, 1),)})
+    c._generators = tuple(reversed(c.generators()))
+    assert c.validate() == _validate_exhaustive(c)
+    assert c.validate()[0] == "associativity fails at (E1_1, E1_2, E2_1)"
 
 
 def test_generators_fall_back_to_whole_basis_on_square_zero_radical():

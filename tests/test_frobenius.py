@@ -3,6 +3,7 @@ import random
 import pytest
 
 from censym import frobenius
+from censym.algebra import algebra_of_censym, shared_builds
 from censym.basis import CentroMatrix, canonical_basis, is_centrosymmetric
 from censym.frobenius import (
     FrobeniusSystem,
@@ -158,6 +159,17 @@ class SkewedSystem(FrobeniusSystem):
         return a + a.conj_by_c() + matrix_unit(self.ring, self.n, 2, 2).scale(a[1, 1])
 
 
+class MiddleSkewedSystem(FrobeniusSystem):
+    """Wrong E: a + c*a*c + a[2,2]*(e[2,2] + e[n-1,n-1]).  The extra term is
+    centrosymmetric with zero first row and column, so only the bimodule
+    clause can catch it; at n = 4 it first fails there at f1_2, which is not
+    one of the certified generators f1_3, f2_1."""
+
+    def system_e(self, a):
+        t = matrix_unit(self.ring, self.n, 2, 2)
+        return a + a.conj_by_c() + (t + t.conj_by_c()).scale(a[2, 2])
+
+
 class RowTwoSystem(FrobeniusSystem):
     """Wrong E: a + c*a*c + a[2,1]*e[2,1].  Every y_i*a has a zero second
     row, so the left unit identity holds; a*x_i carries a[2,i] into cell
@@ -191,6 +203,29 @@ def test_wrong_e_fails_bimodule_only(ring, n):
     assert rep.verdict == "fail"
     assert rep.clauses["left-unit-identity"] == "pass"
     assert rep.clauses["right-unit-identity"] == "pass"
+    assert rep.clauses["bimodule-property"] == "fail"
+    assert rep.counterexample == {"identity": "bimodule", "input": "(f1_1, unit)"}
+
+
+@pytest.mark.parametrize("ring", [Z, Q, C2Z], ids=lambda r: r.literal())
+def test_bimodule_failure_at_a_non_generator(ring):
+    """The generators f1_3 and f2_1 fail too, so a scan of G alone would
+    name f1_3; the re-scan of the whole basis names f1_2 (and agrees with
+    the dense reference, see DENSE_CASES)."""
+    a = algebra_of_censym(ring, 4)
+    assert [a.labels[g] for g in a.generators()] == ["f1_3", "f2_1"]
+    rep = verify_frobenius_system(MiddleSkewedSystem(ring, 4), batch=5)
+    assert rep.clauses == {"left-unit-identity": "pass", "right-unit-identity": "pass",
+                           "bimodule-property": "fail", "image-centrosymmetric": "pass"}
+    assert rep.counterexample == {"identity": "bimodule", "input": "(f1_2, unit)"}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bimodule_counterexample_whatever_the_generator_order(n):
+    with shared_builds():
+        a = algebra_of_censym(Z, n)
+        a._generators = tuple(reversed(a.generators()))
+        rep = verify_frobenius_system(SkewedSystem(Z, n), batch=5)
     assert rep.clauses["bimodule-property"] == "fail"
     assert rep.counterexample == {"identity": "bimodule", "input": "(f1_1, unit)"}
 
@@ -287,12 +322,13 @@ def dense_frobenius_report(sys, seed=0, batch=100) -> dict:
     return {"clauses": clauses, "counterexample": ce}
 
 
-# the skewed and row-two maps name cells of row 2, so they start at n = 2
+# the skewed, middle-skewed and row-two maps name cells of row 2, so they
+# start at n = 2
 DENSE_CASES = [(system, n)
                for system in (FrobeniusSystem, MirrorOnlySystem, SkewedSystem,
-                              IdentitySystem, RowTwoSystem)
+                              MiddleSkewedSystem, IdentitySystem, RowTwoSystem)
                for n in range(1, 5)
-               if n >= 2 or system not in (SkewedSystem, RowTwoSystem)]
+               if n >= 2 or system not in (SkewedSystem, MiddleSkewedSystem, RowTwoSystem)]
 
 
 @pytest.mark.parametrize("system,n", DENSE_CASES,
