@@ -1,19 +1,20 @@
 """Cell ideals, cell chains, and heredity ideals, as checkable certificates.
 
-A cell-ideal witness consists of an involution-stable ideal J, a left
-ideal basis Delta inside it, and the coefficients of a bimodule
-isomorphism alpha from J onto Delta (x) i(Delta).  The i(Delta) basis is
-always the involution image of the Delta basis, which turns the
-compatibility square (x (x) y -> i(y) (x) i(x)) into a plain coefficient
-transpose.  :func:`verify_cell_ideal` checks five clauses exhaustively:
+A cell-ideal witness consists of an involution-stable ideal J and a left
+ideal basis Delta = (x_0, ..., x_{d-1}) inside it.  The ideal basis is
+listed on the Delta (x) i(Delta) grid, q fastest: J[p*d + q] is the
+element matched with x_p (x) i(x_q), so the bimodule isomorphism J ->
+Delta (x) i(Delta) is the identity on coordinates, and J[p*d + q] is the
+Graham-Lehrer cellular basis element C_{p,q} of the layer.  The i(Delta)
+basis is always the involution image of the Delta basis, which turns the
+compatibility square (x (x) y -> i(y) (x) i(x)) into i(J[p*d + q]) ==
+J[q*d + p].  :func:`verify_cell_ideal` checks five clauses exhaustively:
 
   involution-stability, delta-freeness-rank, alpha-bimodule,
   alpha-bijective, commuting-square.
 
-Alpha is applied to ideal coordinates with :func:`censym.linalg.mat_vec`;
-the algebra acts on one tensor leg of alpha's image through the action
-tables of Delta and i(Delta) (:func:`_act_on_leg`), and the commuting
-square compares with the legs exchanged (:func:`_swap_legs`).
+The algebra acts on one tensor leg of a grid element through the action
+tables of Delta and i(Delta) (:func:`_act_on_leg`).
 
 Chains stack such witnesses in successive quotients: the odd chain peels
 the middle-column ideal and leaves a full matrix algebra; the even chain
@@ -36,15 +37,7 @@ from .algebra import (
     ideal_is_two_sided,
     quotient_by_ideal,
 )
-from .linalg import (
-    FreenessUndetermined,
-    RowBasis,
-    invert_matrix,
-    mat_vec,
-    span_basis,
-    unit_vector,
-    vec_is_zero,
-)
+from .linalg import FreenessUndetermined, RowBasis, span_basis, vec_is_zero
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
 from .rings import Ring
 from .structure import odd_quotient
@@ -54,15 +47,15 @@ from .structure import odd_quotient
 class CellIdealWitness:
     """Certificate data for one cell ideal inside ``algebra``.
 
-    ``alpha[t]`` holds the tensor coefficients of the t-th ideal basis
-    vector over the (p, q) grid, row-major with q fastest; the right tensor
-    leg basis is the involution image of ``delta_basis``.
+    ``j_basis`` is listed on the (p, q) grid of Delta (x) i(Delta), q
+    fastest: ``j_basis[p*d + q]`` is matched with x_p (x) i(x_q), where
+    x_p is ``delta_basis[p]`` and the right tensor leg basis is the
+    involution image of ``delta_basis``.
     """
 
     algebra: StructureAlgebra
     j_basis: list
     delta_basis: list
-    alpha: list
     name: str = "cell-ideal"
 
     @property
@@ -75,48 +68,38 @@ class CellIdealWitness:
 
 def canonical_cell_witness(a: StructureAlgebra, delta_basis,
                            name: str = "cell-ideal") -> CellIdealWitness:
-    """The witness whose ideal basis is the product grid x_p * i(x_q) and
-    whose alpha is the identity on that grid.  Valid whenever those
-    products are independent (the multiplication map is then bijective)."""
+    """The witness whose ideal basis is the product grid, J[p*d + q] =
+    x_p * i(x_q).  Valid whenever those products are independent (the
+    multiplication map is then bijective)."""
     delta_basis = [list(v) for v in delta_basis]
     ys = [a.apply_invol(x) for x in delta_basis]
     j_basis = [a.mul(x, y) for x in delta_basis for y in ys]
-    d = len(delta_basis)
-    alpha = [unit_vector(a.ring, d * d, t) for t in range(d * d)]
-    return CellIdealWitness(a, j_basis, delta_basis, alpha, name)
+    return CellIdealWitness(a, j_basis, delta_basis, name)
 
 
-def _swap_legs(v, d: int) -> list:
-    """Tensor coefficients with the two legs exchanged: (p, q) -> (q, p)."""
-    return [v[q * d + p] for p in range(d) for q in range(d)]
-
-
-def _act_on_leg(ring: Ring, coeffs, act, d: int, leg: str) -> list:
-    """Tensor coefficients with one leg acted on: ``act[k]`` holds the
-    coordinates of the image of the k-th basis vector of that leg.  The
-    ``"left"`` leg is p of the (p, q) grid, the ``"right"`` leg q."""
-    zero = ring.zero()
-    out = [zero] * (d * d)
-    for k, c in enumerate(coeffs):
-        if c != zero:
-            p, q = divmod(k, d)
-            k1, start, stride = (p, q, d) if leg == "left" else (q, p * d, 1)
-            for k2, m in enumerate(act[k1]):
-                if m != zero:
-                    at = start + k2 * stride
-                    out[at] = ring.add(out[at], ring.mul(c, m))
+def _act_on_leg(ring: Ring, t: int, act, d: int, leg: str) -> list:
+    """Grid coordinates of grid element t = p*d + q with one leg acted on:
+    ``act[k]`` holds the coordinates of the image of the k-th basis vector
+    of that leg.  The ``"left"`` leg is p, the ``"right"`` leg q."""
+    p, q = divmod(t, d)
+    out = [ring.zero()] * (d * d)
+    if leg == "left":
+        out[q::d] = act[p]
+    else:
+        out[p * d:(p + 1) * d] = act[q]
     return out
 
 
 def _alpha_bimodule_failure(w: CellIdealWitness, jrb: RowBasis, drb: RowBasis,
                             yrb: RowBasis, over) -> dict | None:
-    """The first counterexample to alpha being a bimodule map, for b_s with s
-    in ``over``, or None.
+    """The first counterexample to the grid map being a bimodule map, for
+    b_s with s in ``over``, or None.
 
     Delta must be a left ideal and i(Delta) a right ideal (checked in basis
-    order, left before right); then alpha(b_s * v) and alpha(v * b_s) must
-    equal alpha(v) with b_s acting on its left and right leg.  The b that
-    pass are closed under products, as alpha(b*b'*v) = b*b'*alpha(v)."""
+    order, left before right); then the J coordinates of b_s * J[t] and
+    J[t] * b_s must equal grid element t with b_s acting on its left and
+    right leg.  The b that pass are closed under products, as the map
+    commutes with b and b' in turn."""
     a = w.algebra
     ring = a.ring
     d = w.delta_rank
@@ -142,15 +125,17 @@ def _alpha_bimodule_failure(w: CellIdealWitness, jrb: RowBasis, drb: RowBasis,
                 return {"input": f"({a.labels[s]}, J[{t}])",
                         "reason": "ideal is not two-sided over the basis"}
             for leg, cs, act in (("left", lv, left_act[s]), ("right", rv, right_act[s])):
-                if mat_vec(ring, w.alpha, cs) != _act_on_leg(ring, w.alpha[t], act, d, leg):
+                if cs != _act_on_leg(ring, t, act, d, leg):
                     return {"input": f"{leg} ({a.labels[s]}, J[{t}])"}
     return None
 
 
 def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report:
-    """All five clauses, exhaustively on (algebra basis) x (ideal basis);
+    """All five clauses, exhaustively on (algebra basis) x (ideal basis),
+    for the ideal basis read on the Delta (x) i(Delta) grid, q fastest;
     alpha-bimodule ranges the algebra over its generators, which proves it
-    on the whole basis."""
+    on the whole basis.  Once the ideal basis is certified free, the grid
+    map is bijective exactly when it has d*d vectors."""
     a = w.algebra
     ring = a.ring
     params = dict(params or {})
@@ -205,11 +190,12 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
         fail("delta-freeness-rank", {"reason": "delta basis is dependent"})
         drb = yrb = None
 
-    # (3) alpha is a bimodule homomorphism, both sides
+    # (3) the grid map is a bimodule homomorphism, both sides
     clauses["alpha-bimodule"] = PASS
-    if drb is None or len(w.alpha) != jn:
+    if drb is None or jn != d * d:
         if clauses["delta-freeness-rank"] != UNDETERMINED:
-            fail("alpha-bimodule", {"reason": "alpha shape or delta basis unusable"})
+            fail("alpha-bimodule",
+                 {"reason": "ideal basis off the delta grid or delta basis unusable"})
         else:
             clauses["alpha-bimodule"] = UNDETERMINED
     else:
@@ -217,23 +203,17 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
         if info is not None:
             fail("alpha-bimodule", info)
 
-    # (4) alpha bijective via an explicit inverse
+    # (4) the grid map is bijective: J is free, so it needs d*d vectors
     clauses["alpha-bijective"] = PASS
-    if jn != d * d or len(w.alpha) != jn:
-        fail("alpha-bijective", {"reason": "alpha matrix is not square"})
-    else:
-        try:
-            if invert_matrix(ring, [list(r) for r in w.alpha]) is None:
-                fail("alpha-bijective", {"reason": "alpha matrix is singular"})
-        except FreenessUndetermined:
-            clauses["alpha-bijective"] = UNDETERMINED
+    if jn != d * d:
+        fail("alpha-bijective", {"reason": f"ideal rank {jn} != delta rank squared {d * d}"})
 
-    # (5) commuting square: alpha(i(v)) is the coefficient transpose
+    # (5) commuting square: i(J[p*d + q]) == J[q*d + p]
     clauses["commuting-square"] = PASS
     if clauses["involution-stability"] == PASS and clauses["alpha-bimodule"] == PASS:
         for t, v in enumerate(w.j_basis):
-            lhs = mat_vec(ring, w.alpha, jrb.express(a.apply_invol(v)))
-            if lhs != _swap_legs(w.alpha[t], d):
+            p, q = divmod(t, d)
+            if a.apply_invol(v) != w.j_basis[q * d + p]:
                 fail("commuting-square", {"input": f"J[{t}]"})
                 break
     elif clauses["involution-stability"] != PASS:
@@ -306,8 +286,7 @@ def cell_chain_even(ring: Ring, n: int) -> CellChainWitness:
 
     j1 = [skew(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     delta1 = [skew(i, 1) for i in range(1, m + 1)]
-    alpha = [unit_vector(ring, m * m, t) for t in range(m * m)]
-    w1 = CellIdealWitness(a, j1, delta1, alpha, name="skew-part")
+    w1 = CellIdealWitness(a, j1, delta1, name="skew-part")
     quot, proj = quotient_by_ideal(a, IdealBasis(a, span_basis(ring, j1, a.rank)))
     layers = [CellLayer(j1, a, w1), _matrix_quotient_layer(a, pos, m, quot, proj)]
     return CellChainWitness(a, layers, {"n": n, "ring": ring.literal(), "parity": "even"})

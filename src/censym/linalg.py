@@ -203,43 +203,6 @@ def span_basis(ring: Ring, vectors, width: int) -> RowBasis:
     return rb
 
 
-def invert_matrix(ring: Ring, rows):
-    """Two-sided inverse of a square matrix given as a list of rows, or None
-    if singular.  Each step pivots on a unit anywhere in the remaining block
-    (columns swapped as needed); raises FreenessUndetermined over a
-    non-field when that block has no unit and no zero row or column."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    R = ring
-    zero = R.zero()
-    aug = [list(r) + unit_vector(R, n, i) for i, r in enumerate(rows)]
-    perm = list(range(n))  # perm[k]: the original column now at position k
-    for col in range(n):
-        block = range(col, n)
-        piv = next(((r, c) for r in block for c in block
-                    if aug[r][c] != zero and R.inv(aug[r][c]) is not None), None)
-        if piv is None:
-            rest = [aug[r][col:n] for r in block]
-            if any(vec_is_zero(R, v) for v in rest + [list(c) for c in zip(*rest)]):
-                return None  # a zero row or column is left
-            raise FreenessUndetermined(col, "no unit entry")
-        pr, pc = piv
-        for row in aug:
-            row[col], row[pc] = row[pc], row[col]
-        perm[col], perm[pc] = perm[pc], perm[col]
-        aug[col], aug[pr] = aug[pr], aug[col]
-        inv = R.inv(aug[col][col])
-        aug[col] = [R.mul(inv, x) for x in aug[col]]
-        for r in range(n):
-            if r != col:
-                c = aug[r][col]
-                if c != zero:
-                    aug[r] = [R.sub(x, R.mul(c, y)) for x, y in zip(aug[r], aug[col])]
-    # aug inverts the column-permuted matrix: its row k is row perm[k] here
-    return [aug[perm.index(k)][n:] for k in range(n)]
-
-
 def nullspace(ring: Ring, rows, width: int) -> list:
     """Basis of the right nullspace, exact over any commutative ring.
     Unit-pivot elimination keeps the row module, and once every pivot is

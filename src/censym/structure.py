@@ -244,8 +244,9 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
 
     Requires 2 invertible.  Matrix units inside each piece are built from
     the symmetrized and antisymmetrized combinations f[i,j] * (1 +- c)/2
-    (with a half rescaling of the odd middle column), then verified against
-    the full-matrix structure constants rather than trusted.
+    (with a half rescaling of the odd middle column).  The witness's
+    exhaustive algebra-homomorphism and bijective claims certify that they
+    multiply as the matrix units of the two pieces.
     """
     t = ring.invert_two()
     if t is None:
@@ -270,21 +271,9 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
     minus_vectors = [a.mul(a.basis_vector(pos[(i, j)]), p_minus)
                      for i in range(1, low + 1) for j in range(1, low + 1)]
 
-    # the pieces take the labels E{i}_{j} of the full matrix algebras
-    plus_full = full_matrix_algebra(ring, k, flatten_group_ring=False)
-    plus_piece = subalgebra_from_vectors(a, plus_vectors, plus_full.labels, p_plus)
-    if plus_piece.table != plus_full.table:
-        raise ValueError("plus piece does not match full matrix structure constants")
-    if low:
-        minus_full = full_matrix_algebra(ring, low, flatten_group_ring=False)
-        minus_piece = subalgebra_from_vectors(a, minus_vectors, minus_full.labels, p_minus)
-        if minus_piece.table != minus_full.table:
-            raise ValueError("minus piece does not match full matrix structure constants")
-    else:
-        minus_piece = zero_algebra(ring)
-        minus_full = minus_piece
-
-    target = direct_product(minus_full, plus_full, prefixes=("m", "p"))
+    plus = full_matrix_algebra(ring, k, flatten_group_ring=False)
+    minus = full_matrix_algebra(ring, low, flatten_group_ring=False) if low else zero_algebra(ring)
+    target = direct_product(minus, plus, prefixes=("m", "p"))
     units = minus_vectors + plus_vectors
     rb = RowBasis(ring, a.rank, track=True)
     rb.insert_all(units)
@@ -300,4 +289,4 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
         claimed=("algebra-homomorphism", "bijective"),
         name=f"wedderburn-size-{n}",
     )
-    return WedderburnSplit(plus_piece, minus_piece, witness, p_plus, p_minus)
+    return WedderburnSplit(plus, minus, witness, p_plus, p_minus)

@@ -31,10 +31,10 @@ def positions(n):
 
 
 def test_group_ring_skew_cell_ideal():
-    # the span of 1 - x with alpha((1-x)) = (1-x) (x) (1-x), identity involution
+    # the span of 1 - x matched with (1-x) (x) (1-x), identity involution
     rc2 = full_matrix_algebra(GroupRingC2(Z), 1)
     gen = [1, -1]
-    w = CellIdealWitness(rc2, [gen], [gen], [[Z.one()]], name="skew-line")
+    w = CellIdealWitness(rc2, [gen], [gen], name="skew-line")
     rep = verify_cell_ideal(w)
     assert rep.verdict == "pass", rep.clauses
 
@@ -52,10 +52,9 @@ def test_corrupted_witness_fails_bimodule_clause():
     lab = {l: u for u, l in enumerate(m2.labels)}
     delta = [m2.basis_vector(lab["E1_1"]), m2.basis_vector(lab["E2_1"])]
     w = canonical_cell_witness(m2, delta)
-    alpha_bad = [list(r) for r in w.alpha]
-    alpha_bad[0], alpha_bad[1] = alpha_bad[1], alpha_bad[0]
-    rep = verify_cell_ideal(
-        CellIdealWitness(m2, w.j_basis, w.delta_basis, alpha_bad, "corrupted"))
+    j_bad = list(w.j_basis)
+    j_bad[0], j_bad[1] = j_bad[1], j_bad[0]
+    rep = verify_cell_ideal(CellIdealWitness(m2, j_bad, w.delta_basis, "corrupted"))
     assert rep.verdict == "fail"
     assert rep.clauses["alpha-bimodule"] == "fail"
     assert rep.counterexample is not None
@@ -279,21 +278,24 @@ def test_chain_with_wrong_cell_ranks_fails_rank_sum_with_counterexample():
     assert rep.counterexample == {"clause": "rank-sum", "sum_of_squares": 8, "rank": 5}
 
 
+def _listed_witness(a, delta_labels, j_labels):
+    lab = {l: u for u, l in enumerate(a.labels)}
+    return CellIdealWitness(a, [a.basis_vector(lab[name]) for name in j_labels],
+                            [a.basis_vector(lab[name]) for name in delta_labels], "listed")
+
+
 def _m2_witness(delta_labels, whole_algebra=False):
     m2 = full_matrix_algebra(Z, 2)
+    if whole_algebra:
+        return _listed_witness(m2, delta_labels, m2.labels)
     lab = {l: u for u, l in enumerate(m2.labels)}
-    delta = [m2.basis_vector(lab[name]) for name in delta_labels]
-    if not whole_algebra:
-        return canonical_cell_witness(m2, delta)
-    j_basis = [m2.basis_vector(u) for u in range(m2.rank)]
-    alpha = [m2.basis_vector(u) for u in range(m2.rank)]
-    return CellIdealWitness(m2, j_basis, delta, alpha, "whole-algebra")
+    return canonical_cell_witness(m2, [m2.basis_vector(lab[name]) for name in delta_labels])
 
 
 @pytest.mark.parametrize("leg", ["left", "right"])
 def test_permuted_alpha_leg_fails_bimodule_on_that_leg(leg):
-    # alpha[t] is the (p, q) grid, q fastest; exchanging the two values of
-    # one leg breaks the action on exactly that leg
+    # J is listed on the (p, q) grid, q fastest; exchanging the two values
+    # of one leg breaks the action on exactly that leg
     w = _m2_witness(["E1_1", "E2_1"])
     d = w.delta_rank
 
@@ -301,9 +303,8 @@ def test_permuted_alpha_leg_fails_bimodule_on_that_leg(leg):
         p, q = divmod(k, d)
         return (d - 1 - p) * d + q if leg == "left" else p * d + (d - 1 - q)
 
-    alpha_bad = [[row[moved(k)] for k in range(d * d)] for row in w.alpha]
-    rep = verify_cell_ideal(
-        CellIdealWitness(w.algebra, w.j_basis, w.delta_basis, alpha_bad, "permuted"))
+    j_bad = [w.j_basis[moved(k)] for k in range(d * d)]
+    rep = verify_cell_ideal(CellIdealWitness(w.algebra, j_bad, w.delta_basis, "permuted"))
     assert rep.verdict == "fail"
     assert rep.clauses["alpha-bimodule"] == "fail"
     assert rep.counterexample == {"clause": "alpha-bimodule",
@@ -366,3 +367,39 @@ def test_chain_with_exchanged_spans_fails_partial_sums():
     assert rep.clauses["direct-sum"] == "pass"
     assert rep.clauses["partial-sums-ideals"] == "fail"
     assert rep.counterexample == {"clause": "partial-sums-ideals", "layer": 1}
+
+
+CELL_IDEAL_CONTROLS = {
+    # i(E1_2) = E2_1 leaves the span of J
+    "involution-stability": (
+        full_matrix_algebra(Z, 2), ["E1_1"], ["E1_2"],
+        dict.fromkeys(["involution-stability", "delta-freeness-rank", "alpha-bimodule",
+                       "commuting-square"], "fail") | {"alpha-bijective": "pass"},
+        {"input": "J[0]", "clause": "involution-stability"}),
+    # an involution-stable J one vector short of the 2-by-2 grid
+    "short-grid": (
+        full_matrix_algebra(Z, 2), ["E1_1", "E2_1"], ["E1_1", "E1_2", "E2_1"],
+        dict.fromkeys(["delta-freeness-rank", "alpha-bimodule", "alpha-bijective",
+                       "commuting-square"], "fail") | {"involution-stability": "pass"},
+        {"reason": "ideal rank 3 != delta rank squared 4", "clause": "delta-freeness-rank"}),
+    "dependent-j": (
+        full_matrix_algebra(Z, 2), ["E1_1", "E2_1"], ["E1_1", "E1_1", "E2_1", "E2_2"],
+        {"delta-freeness-rank": "fail"},
+        {"reason": "listed ideal basis is dependent", "clause": "delta-freeness-rank"}),
+    # d*d + 1 free vectors: the grid is overrun, which must not index past it
+    "overfull-grid": (
+        direct_product(full_matrix_algebra(Z, 2), full_matrix_algebra(Z, 1)),
+        ["a:E1_1", "a:E2_1"], ["a:E1_1", "a:E1_2", "a:E2_1", "a:E2_2", "b:E1_1"],
+        dict.fromkeys(["delta-freeness-rank", "alpha-bimodule", "alpha-bijective",
+                       "commuting-square"], "fail") | {"involution-stability": "pass"},
+        {"reason": "ideal rank 5 != delta rank squared 4", "clause": "delta-freeness-rank"}),
+}
+
+
+@pytest.mark.parametrize("case", CELL_IDEAL_CONTROLS)
+def test_cell_ideal_negative_controls(case):
+    a, delta_labels, j_labels, clauses, counterexample = CELL_IDEAL_CONTROLS[case]
+    rep = verify_cell_ideal(_listed_witness(a, delta_labels, j_labels))
+    assert rep.verdict == "fail"
+    assert rep.clauses == clauses
+    assert rep.counterexample == counterexample

@@ -1,11 +1,8 @@
-import random
-
 import pytest
 
 from censym.linalg import (
     FreenessUndetermined,
     RowBasis,
-    invert_matrix,
     mat_vec,
     nullspace,
     span_basis,
@@ -79,62 +76,6 @@ def test_span_basis_deferred_retry():
     # {[1, 1], [1, -1]} spans the even-coordinate-sum subgroup
     with pytest.raises(FreenessUndetermined):
         span_basis(Z, [[1, 1], [1, -1]], 2)
-
-
-def test_invert_matrix():
-    inv = invert_matrix(Z, [[1, 1], [0, 1]])
-    assert inv == [[1, -1], [0, 1]]
-    assert invert_matrix(Q, [[Q.from_int(0), Q.from_int(0)],
-                             [Q.from_int(0), Q.from_int(0)]]) is None
-    with pytest.raises(FreenessUndetermined):
-        invert_matrix(Z, [[2, 0], [0, 1]])
-    assert invert_matrix(GF5, [[2, 0], [0, 1]]) == [[3, 0], [0, 1]]
-
-
-def test_invert_matrix_pivots_across_rows_and_columns():
-    # column 0 holds no unit, so the pivot comes from column 1
-    assert invert_matrix(Z, [[2, 1], [3, 2]]) == [[2, -1], [-3, 2]]
-    assert invert_matrix(Z, [[2, 1], [4, 2]]) is None
-    assert invert_matrix(Z, [[0, 2], [0, 4]]) is None
-
-
-def _matmul(ring, x, y):
-    out = []
-    for row in x:
-        out.append([])
-        for j in range(len(y[0])):
-            acc = ring.zero()
-            for k, c in enumerate(row):
-                acc = ring.add(acc, ring.mul(c, y[k][j]))
-            out[-1].append(acc)
-    return out
-
-
-@pytest.mark.parametrize("ring", [Z, Z4], ids=lambda r: r.literal())
-def test_invert_matrix_agrees_with_span_basis(ring):
-    """Where both decide, invert_matrix finds an inverse exactly when the
-    rows span the whole free module under span_basis, and it is two-sided."""
-    rng = random.Random(1)
-    both = 0
-    for _ in range(2000):
-        n = rng.choice((2, 3))
-        rows = [[ring.from_int(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        try:
-            inv = invert_matrix(ring, rows)
-        except FreenessUndetermined:
-            continue
-        if inv is not None:
-            eye = [[ring.one() if i == j else ring.zero() for j in range(n)]
-                   for i in range(n)]
-            assert _matmul(ring, rows, inv) == eye
-            assert _matmul(ring, inv, rows) == eye
-        try:
-            full = span_basis(ring, rows, n).rank == n
-        except FreenessUndetermined:
-            continue
-        both += 1
-        assert (inv is not None) == full, rows
-    assert both > 100
 
 
 def test_nullspace():

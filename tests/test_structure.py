@@ -241,6 +241,21 @@ class TestWedderburn:
         ws = wedderburn_split(GF5, 2)
         assert ws.plus_algebra.rank == 1 and ws.minus_algebra.rank == 1
 
+    def test_rescaled_unit_fails_the_homomorphism_claim(self):
+        # p:E1_2 scaled by 2 and its coordinate by 1/2: still a two-sided
+        # inverse, but the units no longer multiply as matrix units
+        w = wedderburn_split(Q, 3).witness
+        k = w.target.labels.index("p:E1_2")
+        w.inverse[k] = [Q.mul(Q.from_int(2), x) for x in w.inverse[k]]
+        half = Q.inv(Q.from_int(2))
+        for row in w.matrix:
+            row[k] = Q.mul(half, row[k])
+        rep = check_witness(w)
+        assert rep.verdict == "fail"
+        assert rep.clauses == {"algebra-homomorphism": "fail", "bijective": "pass"}
+        assert rep.counterexample == {"input": "(f1_2, f2_1)", "lhs": "2*p:E1_1",
+                                      "rhs": "p:E1_1", "property": "algebra-homomorphism"}
+
     def test_two_must_be_invertible(self):
         with pytest.raises(ValueError, match="2 invertible"):
             wedderburn_split(Z, 3)
