@@ -31,12 +31,14 @@ from . import basis as fb
 from .linalg import (
     FreenessUndetermined,
     RowBasis,
-    _support,
+    add_multiple,
     mat_vec,
+    mat_vec_sparse,
     nullspace,
     span_basis,
+    to_dense,
+    to_sparse,
     unit_vector,
-    vec_is_zero,
 )
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
 from .rings import GroupRingC2, Ring
@@ -48,8 +50,10 @@ class StructureAlgebra:
 
     Each table entry names a basis index w at most once and keeps only
     non-zero coefficients.  The same entries are also indexed by left
-    factor, ``u -> {v: terms}``, so :meth:`mul` walks only the non-zero
-    coordinates of its left operand and the non-zero products of each.
+    factor as sparse vectors, ``u -> {v: {w: coeff}}``, so
+    :meth:`mul_sparse` walks only the keys of its left operand and, for
+    each, the shorter of the right operand's keys and that index's row.
+    ``unit`` and ``invol`` are dense; the checks read their sparse twins.
     """
 
     def __init__(self, ring: Ring, labels, table: dict, unit, invol=None):
@@ -65,13 +69,16 @@ class StructureAlgebra:
         for (u, v), terms in self.table.items():
             if len({w for w, _ in terms}) != len(terms):
                 raise ValueError(f"table entry {(u, v)} names a basis index twice")
-            self._by_left.setdefault(u, {})[v] = terms
+            self._by_left.setdefault(u, {})[v] = dict(terms)
         self.unit = list(unit)
         if len(self.unit) != len(self.labels):
             raise ValueError("unit coordinate length does not match the basis")
         self.invol = None if invol is None else [list(row) for row in invol]
         if self.invol is not None and len(self.invol) != len(self.labels):
             raise ValueError("involution matrix does not match the basis")
+        self.unit_sparse = to_sparse(ring, self.unit)
+        self.invol_sparse = (None if invol is None
+                             else [to_sparse(ring, row) for row in self.invol])
         self._generators = None
 
     @property
@@ -94,10 +101,16 @@ class StructureAlgebra:
         then drops each index of G, last to first, whose removal still
         leaves every index reached."""
         if self._generators is None:
-            inv, partners = self.ring.inv, {}
+            partners, units = {}, {}
             for (u, v), terms in self.table.items():
                 partners.setdefault(u, []).append((v, terms))
                 partners.setdefault(v, []).append((u, terms))
+
+            def is_unit(c):
+                # decided once per coefficient, not again in every closure
+                if c not in units:
+                    units[c] = self.ring.inv(c) is not None
+                return units[c]
 
             def grow(candidates, skip_reached):
                 # join each candidate to G (unless skip_reached and it is
@@ -114,7 +127,7 @@ class StructureAlgebra:
                     while todo:
                         terms = todo.pop()
                         new = [(w, c) for w, c in terms if w not in reached]
-                        if len(new) == 1 and inv(new[0][1]) is not None:
+                        if len(new) == 1 and is_unit(new[0][1]):
                             x = new[0][0]
                             reached.add(x)
                             todo += [t for g, t in partners.get(x, ()) if g in gens]
@@ -140,35 +153,41 @@ class StructureAlgebra:
         A fail re-scans the whole basis in order for the first counterexample."""
         return None if scan(self.generators()) is None else scan(range(self.rank))
 
+    def mul_sparse(self, x: dict, y: dict) -> dict:
+        R = self.ring
+        mul, one = R.mul, R.one()
+        out = {}
+        for u, cu in x.items():
+            products = self._by_left.get(u)
+            if not products:
+                continue
+            if len(y) <= len(products):
+                pairs = [(y[v], products[v]) for v in y if v in products]
+            else:
+                pairs = [(y[v], terms) for v, terms in products.items() if v in y]
+            for cv, terms in pairs:
+                add_multiple(R, out, cv if cu == one else cu if cv == one else mul(cu, cv),
+                             terms)
+        return out
+
     def mul(self, x, y):
         R = self.ring
-        add, mul = R.add, R.mul
-        zero = R.zero()
-        out = [zero] * self.rank
-        by_left = self._by_left
-        for u in _support(R, x):
-            products = by_left.get(u)
-            if products is None:
-                continue
-            cu = x[u]
-            for v, terms in products.items():
-                cv = y[v]
-                if cv != zero:
-                    cuv = mul(cu, cv)
-                    for w, c in terms:
-                        out[w] = add(out[w], mul(cuv, c))
-        return out
+        return to_dense(R, self.mul_sparse(to_sparse(R, x), to_sparse(R, y)), self.rank)
+
+    def mul_basis_sparse(self, u: int, v: int) -> dict:
+        """e_u * e_v, shared with the table index: read it, never change it."""
+        return self._by_left.get(u, {}).get(v, {})
 
     def mul_basis(self, u: int, v: int):
-        out = self.zero_vector()
-        for w, c in self.table.get((u, v), ()):
-            out[w] = c
-        return out
+        return to_dense(self.ring, self.mul_basis_sparse(u, v), self.rank)
 
-    def apply_invol(self, x):
+    def apply_invol_sparse(self, x: dict) -> dict:
         if self.invol is None:
             raise ValueError("algebra has no involution")
-        return mat_vec(self.ring, self.invol, x)
+        return mat_vec_sparse(self.ring, self.invol_sparse, x)
+
+    def apply_invol(self, x):
+        return to_dense(self.ring, self.apply_invol_sparse(to_sparse(self.ring, x)), self.rank)
 
     def format_element(self, x) -> str:
         return format_vector(self.ring, self.labels, x)
@@ -185,13 +204,15 @@ class StructureAlgebra:
         {x : (xy)* = y*x* for all y}.  Any defect re-runs the audit on the
         whole basis, so the list is the exhaustive one, in basis order.
         """
-        r, tbl, labels = self.rank, self.table, self.labels
+        R, r, tbl, labels = self.ring, self.rank, self.table, self.labels
+        one, unit, invol = R.one(), self.unit_sparse, self.invol_sparse
+        table_of = self.mul_basis_sparse
 
         def audit(over):
             defects = []
             for u in range(r):
-                e = self.basis_vector(u)
-                if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+                e = {u: one}
+                if self.mul_sparse(unit, e) != e or self.mul_sparse(e, unit) != e:
                     defects.append(f"unit law fails at {labels[u]}")
             for u in over:
                 for v in range(r):
@@ -202,37 +223,29 @@ class StructureAlgebra:
                             continue
                         # (e_u e_v) e_w = sum c*T[t, w] over (t, c) in T[u, v], and
                         # e_u (e_v e_w) = sum c*T[u, t] over (t, c) in T[v, w]
-                        left = self._combine((c, tbl.get((t, w), ())) for t, c in uv)
-                        right = self._combine((c, tbl.get((u, t), ())) for t, c in vw)
+                        left, right = {}, {}
+                        for t, c in uv:
+                            add_multiple(R, left, c, table_of(t, w))
+                        for t, c in vw:
+                            add_multiple(R, right, c, table_of(u, t))
                         if left != right:
                             defects.append("associativity fails at "
                                            f"({labels[u]}, {labels[v]}, {labels[w]})")
-            if self.invol is not None:
+            if invol is not None:
                 for u in range(r):
-                    if self.apply_invol(self.invol[u]) != self.basis_vector(u):
+                    if self.apply_invol_sparse(invol[u]) != {u: one}:
                         defects.append(f"involution is not an involution at {labels[u]}")
-                if self.apply_invol(self.unit) != self.unit:
+                if self.apply_invol_sparse(unit) != unit:
                     defects.append("involution moves the unit")
                 for u in over:
                     for v in range(r):
-                        if (self.apply_invol(self.mul_basis(u, v))
-                                != self.mul(self.invol[v], self.invol[u])):
+                        if (self.apply_invol_sparse(table_of(u, v))
+                                != self.mul_sparse(invol[v], invol[u])):
                             defects.append("involution is not an anti-homomorphism at "
                                            f"({labels[u]}, {labels[v]})")
             return defects or None
 
         return self.first_failure(audit) or []
-
-    def _combine(self, weighted) -> dict:
-        """sum c*terms over (c, terms) as {w: coefficient}, zeros dropped."""
-        R = self.ring
-        acc = {}
-        for c, terms in weighted:
-            for w, d in terms:
-                p = R.mul(c, d)
-                acc[w] = R.add(acc[w], p) if w in acc else p
-        zero = R.zero()
-        return {w: x for w, x in acc.items() if x != zero}
 
     def to_json_dict(self) -> dict:
         R = self.ring
@@ -258,12 +271,11 @@ class StructureAlgebra:
 
 def format_vector(ring: Ring, labels, v) -> str:
     """Human-readable combination like ``f1_1 + 2*f1_3`` or ``-f2_1``."""
-    zero, one = ring.zero(), ring.one()
+    one = ring.one()
     minus = ring.neg(one)
     parts = []
-    for c, lab in zip(v, labels):
-        if c == zero:
-            continue
+    v = to_sparse(ring, v)
+    for c, lab in ((v[k], labels[k]) for k in sorted(v)):
         if c == one:
             parts.append(lab)
         elif c == minus:
@@ -397,22 +409,20 @@ def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec,
     """The algebra spanned by the given independent vectors, which must be
     closed under multiplication and contain the given unit."""
     ring = a.ring
+    vectors = [to_sparse(ring, v) for v in vectors]
     rb = RowBasis(ring, a.rank, track=True)
     rb.insert_all(vectors)
     table = {}
-    zero = ring.zero()
     for u, xu in enumerate(vectors):
         for v, xv in enumerate(vectors):
-            prod = a.mul(xu, xv)
-            cs = rb.express(prod)
+            cs = rb.express_sparse(a.mul_sparse(xu, xv))
             if cs is None:
                 raise ValueError(
                     f"span is not closed under multiplication at ({labels[u]}, {labels[v]})"
                 )
-            terms = tuple((w, c) for w, c in enumerate(cs) if c != zero)
-            if terms:
-                table[(u, v)] = terms
-    unit = rb.express(list(unit_vec))
+            if cs:
+                table[(u, v)] = tuple(sorted(cs.items()))
+    unit = rb.express(unit_vec)
     if unit is None:
         raise ValueError("unit is not inside the span")
     invol = None
@@ -421,7 +431,7 @@ def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec,
             raise ValueError("ambient algebra has no involution to induce")
         invol = []
         for xu in vectors:
-            img = rb.express(a.apply_invol(xu))
+            img = rb.express(a.apply_invol_sparse(xu))
             if img is None:
                 raise ValueError("span is not involution-stable")
             invol.append(img)
@@ -487,6 +497,14 @@ def _ring_of(side) -> Ring:
     return side.algebra.ring if isinstance(side, BasedModule) else side.ring
 
 
+def _sparse_rows(side, rows, width: int) -> list:
+    """Witness rows over ``side``'s ring in sparse form; a row of the wrong
+    width is misuse, as the matrix then names no map between the bases."""
+    if any(len(row) != width for row in rows):
+        raise ValueError("matrix shapes do not match the bases")
+    return [to_sparse(_ring_of(side), row) for row in rows]
+
+
 def _labels_of(side):
     if isinstance(side, BasedModule):
         return [f"{side.name}[{k}]" for k in range(side.rank)]
@@ -496,8 +514,9 @@ def _labels_of(side):
 def check_witness(w: LinearMapWitness, params: dict | None = None) -> Report:
     """Verify every claimed property of the witness exhaustively; the
     (module) homomorphism clauses act by the algebra's generators only.
-    Raises ValueError for a claim it does not know and for endpoints the
-    claim cannot apply to: those are misuse, not a contradicted claim."""
+    Raises ValueError for a claim it does not know, for endpoints the claim
+    cannot apply to and for a matrix whose shape does not match them: those
+    are misuse, not a contradicted claim."""
     params = dict(params or {})
     params.setdefault("map", w.name)
     clauses = {}
@@ -520,8 +539,9 @@ def _check_algebra_hom(w: LinearMapWitness):
     src, tgt = w.source, w.target
     if not isinstance(src, StructureAlgebra) or not isinstance(tgt, StructureAlgebra):
         raise ValueError("algebra-homomorphism needs algebra endpoints")
-    img_unit = w.apply(src.unit)
-    if img_unit != tgt.unit:
+    f = _sparse_rows(tgt, w.matrix, tgt.rank)
+    img_unit = mat_vec_sparse(tgt.ring, f, src.unit_sparse)
+    if img_unit != tgt.unit_sparse:
         return {
             "input": "unit",
             "lhs": tgt.format_element(img_unit),
@@ -531,8 +551,8 @@ def _check_algebra_hom(w: LinearMapWitness):
     def scan(over):
         for u in over:
             for v in range(src.rank):
-                lhs = w.apply(src.mul_basis(u, v))
-                rhs = tgt.mul(w.matrix[u], w.matrix[v])
+                lhs = mat_vec_sparse(tgt.ring, f, src.mul_basis_sparse(u, v))
+                rhs = tgt.mul_sparse(f[u], f[v])
                 if lhs != rhs:
                     return {"input": f"({src.labels[u]}, {src.labels[v]})",
                             "lhs": tgt.format_element(lhs), "rhs": tgt.format_element(rhs)}
@@ -544,17 +564,20 @@ def _check_algebra_hom(w: LinearMapWitness):
 def _check_bijective(w: LinearMapWitness):
     if w.inverse is None:
         return {"reason": "bijective claim without an explicit inverse"}
-    ring = _ring_of(w.source)
-    sr, tr = w.source.rank, w.target.rank
-    if len(w.matrix) != sr or len(w.inverse) != tr:
+    src, tgt = w.source, w.target
+    if len(w.matrix) != src.rank or len(w.inverse) != tgt.rank:
         raise ValueError("matrix shapes do not match the bases")
-    for u in range(sr):
-        if w.apply_inverse(w.matrix[u]) != unit_vector(ring, sr, u):
-            return {"input": f"{_labels_of(w.source)[u]}",
+    f = _sparse_rows(tgt, w.matrix, tgt.rank)
+    g = _sparse_rows(src, w.inverse, src.rank)
+    one = _ring_of(src).one()
+    for u in range(src.rank):
+        if mat_vec_sparse(_ring_of(src), g, f[u]) != {u: one}:
+            return {"input": f"{_labels_of(src)[u]}",
                     "reason": "inverse(map(u)) != u"}
-    for t in range(tr):
-        if w.apply(w.inverse[t]) != unit_vector(_ring_of(w.target), tr, t):
-            return {"input": f"{_labels_of(w.target)[t]}",
+    one = _ring_of(tgt).one()
+    for t in range(tgt.rank):
+        if mat_vec_sparse(_ring_of(tgt), f, g[t]) != {t: one}:
+            return {"input": f"{_labels_of(tgt)[t]}",
                     "reason": "map(inverse(t)) != t"}
     return None
 
@@ -568,18 +591,24 @@ def _check_module_hom(w: LinearMapWitness):
     if src.algebra is not tgt.algebra and src.algebra.labels != tgt.algebra.labels:
         raise ValueError("modules live over different algebras")
     A = src.algebra
+    R, one = A.ring, A.ring.one()
+    src_vectors, tgt_vectors = ([to_sparse(R, v) for v in m.vectors] for m in (src, tgt))
+    # f(m_k) in the ambient algebra, so f(b*m) = sum_k cs[k] * images[k]
+    images = [mat_vec_sparse(R, tgt_vectors, row)
+              for row in _sparse_rows(tgt, w.matrix, tgt.rank)]
+    srb = src.rowbasis()
 
     def scan(over):
         for s in over:
-            bs = A.basis_vector(s)
-            for k, mk in enumerate(src.vectors):
+            bs = {s: one}
+            for k, mk in enumerate(src_vectors):
                 where = f"({A.labels[s]}, {src.name}[{k}])"
-                cs = src.express(A.mul(bs, mk))
+                cs = srb.express_sparse(A.mul_sparse(bs, mk))
                 if cs is None:
                     return {"input": where,
                             "reason": "source basis is not stable under the action"}
-                lhs = tgt.to_ambient(mat_vec(A.ring, w.matrix, cs))
-                rhs = A.mul(bs, tgt.to_ambient(w.matrix[k]))
+                lhs = mat_vec_sparse(R, images, cs)
+                rhs = A.mul_sparse(bs, images[k])
                 if lhs != rhs:
                     return {"input": where, "lhs": A.format_element(lhs),
                             "rhs": A.format_element(rhs)}
@@ -594,9 +623,10 @@ def _check_invol_equivariant(w: LinearMapWitness):
         raise ValueError("involution check needs algebra endpoints")
     if src.invol is None or tgt.invol is None:
         raise ValueError("both sides need involutions")
+    f = _sparse_rows(tgt, w.matrix, tgt.rank)
     for u in range(src.rank):
-        lhs = tgt.apply_invol(w.matrix[u])
-        rhs = w.apply(src.invol[u])
+        lhs = tgt.apply_invol_sparse(f[u])
+        rhs = mat_vec_sparse(tgt.ring, f, src.invol_sparse[u])
         if lhs != rhs:
             return {
                 "input": src.labels[u],
@@ -628,7 +658,7 @@ class IdealBasis:
 
     @property
     def vectors(self) -> list:
-        return [list(r) for r in self.rowbasis.rows]
+        return self.rowbasis.rows
 
     def contains(self, v) -> bool:
         return self.rowbasis.contains(v)
@@ -643,10 +673,10 @@ def ideal_generated(a: StructureAlgebra, gens) -> IdealBasis:
     words in G span A, so J is a two-sided ideal.  Raises
     FreenessUndetermined when elimination cannot certify a free basis over
     the ring."""
-    ring = a.ring
+    ring, one = a.ring, a.ring.one()
     rb = RowBasis(ring, a.rank)
     stuck: list = []
-    queue = [list(g) for g in gens]
+    queue = [to_sparse(ring, g) for g in gens]
     while queue:
         v = queue.pop()
         try:
@@ -656,9 +686,9 @@ def ideal_generated(a: StructureAlgebra, gens) -> IdealBasis:
             continue
         if added:
             for u in a.generators():
-                bu = a.basis_vector(u)
-                queue.append(a.mul(bu, v))
-                queue.append(a.mul(v, bu))
+                bu = {u: one}
+                queue.append(a.mul_sparse(bu, v))
+                queue.append(a.mul_sparse(v, bu))
             if stuck:
                 queue.extend(stuck)
                 stuck = []
@@ -672,11 +702,9 @@ def ideal_is_two_sided(j: IdealBasis) -> bool:
     are closed under products (b*b'*J lies in b*J), so all of A passes."""
     a = j.algebra
     for u in a.generators():
-        bu = a.basis_vector(u)
-        for row in j.rowbasis.rows:
-            if not j.contains(a.mul(bu, list(row))):
-                return False
-            if not j.contains(a.mul(list(row), bu)):
+        bu = {u: a.ring.one()}
+        for row in j.rowbasis.sparse_rows:
+            if not j.contains(a.mul_sparse(bu, row)) or not j.contains(a.mul_sparse(row, bu)):
                 return False
     return True
 
@@ -691,29 +719,28 @@ def quotient_by_ideal(a: StructureAlgebra, j: IdealBasis):
     pivot_set = set(j.rowbasis.pivots)
     comp = [u for u in range(a.rank) if u not in pivot_set]
     labels = tuple(a.labels[u] for u in comp)
+    at = {u: uq for uq, u in enumerate(comp)}
 
     def project(v):
-        res = j.rowbasis.residual(v)
-        return [res[u] for u in comp]
+        # a residual is zero at every pivot, so its keys all lie in comp
+        return {at[u]: c for u, c in j.rowbasis.residual_sparse(v).items()}
 
-    zero = ring.zero()
+    def project_dense(v):
+        return to_dense(ring, project(v), len(comp))
+
     table = {}
     for uq, u in enumerate(comp):
         for vq, v in enumerate(comp):
-            cs = project(a.mul_basis(u, v))
-            terms = tuple((w, c) for w, c in enumerate(cs) if c != zero)
-            if terms:
-                table[(uq, vq)] = terms
-    unit = project(a.unit)
+            cs = project(a.mul_basis_sparse(u, v))
+            if cs:
+                table[(uq, vq)] = tuple(sorted(cs.items()))
+    unit = project_dense(a.unit_sparse)
     invol = None
     if a.invol is not None:
-        stable = all(
-            j.contains(a.apply_invol(list(row))) for row in j.rowbasis.rows
-        )
-        if stable:
-            invol = [project(a.invol[u]) for u in comp]
+        if all(j.contains(a.apply_invol_sparse(row)) for row in j.rowbasis.sparse_rows):
+            invol = [project_dense(a.invol_sparse[u]) for u in comp]
     q = StructureAlgebra(ring, labels, table, unit, invol)
-    proj_matrix = [project(a.basis_vector(u)) for u in range(a.rank)]
+    proj_matrix = [project_dense({u: ring.one()}) for u in range(a.rank)]
     witness = LinearMapWitness(
         source=a, target=q, matrix=proj_matrix,
         claimed=("algebra-homomorphism",), name="quotient-projection",
@@ -729,18 +756,18 @@ def centre_basis(a: StructureAlgebra) -> list:
     The nullspace, and so the unique fully reduced form it is read from, is
     the whole basis's.  Raises FreenessUndetermined when a pivot is stuck."""
     ring, tbl = a.ring, a.table
-    r = a.rank
+    minus_one = ring.neg(ring.one())
     rows = []
     for u in a.generators():
         # rows_u[t][w] is the e_t coordinate of b_w*b_u - b_u*b_w
-        rows_u = [[ring.zero()] * r for _ in range(r)]
-        for w in range(r):
+        rows_u = {}
+        for w in range(a.rank):
             for t, c in tbl.get((w, u), ()):
-                rows_u[t][w] = c
+                rows_u.setdefault(t, {})[w] = c
             for t, c in tbl.get((u, w), ()):
-                rows_u[t][w] = ring.sub(rows_u[t][w], c)
-        rows += [row for row in rows_u if not vec_is_zero(ring, row)]
-    return nullspace(ring, rows, r)
+                add_multiple(ring, rows_u.setdefault(t, {}), minus_one, {w: c})
+        rows += [rows_u[t] for t in sorted(rows_u) if rows_u[t]]
+    return nullspace(ring, rows, a.rank)
 
 
 def centre(a: StructureAlgebra, candidates=None) -> Report:
@@ -760,14 +787,14 @@ def centre(a: StructureAlgebra, candidates=None) -> Report:
         }
         if candidates is None:
             return Report("centre", params, PASS, witness)
-        candidates = [list(c) for c in candidates]
+        candidates, null = ([to_sparse(ring, v) for v in vs] for vs in (candidates, basis_vectors))
         cand_rb = span_basis(ring, candidates, a.rank)
-        null_rb = span_basis(ring, basis_vectors, a.rank)
+        null_rb = span_basis(ring, null, a.rank)
     except FreenessUndetermined as exc:
         return Report("centre", params, UNDETERMINED,
                       witness={"note": f"centre not certified over this ring: {exc}"})
     outside = [c for c in candidates if not null_rb.contains(c)]
-    reduces = not outside and all(cand_rb.contains(z) for z in basis_vectors)
+    reduces = not outside and all(cand_rb.contains(z) for z in null)
     witness["reduces_to_candidates"] = reduces
     if reduces:
         return Report("centre", params, PASS, witness)

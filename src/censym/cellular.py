@@ -37,7 +37,7 @@ from .algebra import (
     ideal_is_two_sided,
     quotient_by_ideal,
 )
-from .linalg import FreenessUndetermined, RowBasis, span_basis, vec_is_zero
+from .linalg import FreenessUndetermined, RowBasis, span_basis, to_dense, to_sparse
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
 from .rings import Ring
 from .structure import odd_quotient
@@ -62,52 +62,45 @@ class CellIdealWitness:
     def delta_rank(self) -> int:
         return len(self.delta_basis)
 
-    def y_basis(self) -> list:
-        return [self.algebra.apply_invol(x) for x in self.delta_basis]
-
 
 def canonical_cell_witness(a: StructureAlgebra, delta_basis,
                            name: str = "cell-ideal") -> CellIdealWitness:
     """The witness whose ideal basis is the product grid, J[p*d + q] =
     x_p * i(x_q).  Valid whenever those products are independent (the
     multiplication map is then bijective)."""
-    delta_basis = [list(v) for v in delta_basis]
-    ys = [a.apply_invol(x) for x in delta_basis]
-    j_basis = [a.mul(x, y) for x in delta_basis for y in ys]
-    return CellIdealWitness(a, j_basis, delta_basis, name)
+    xs = [to_sparse(a.ring, v) for v in delta_basis]
+    ys = [a.apply_invol_sparse(x) for x in xs]
+    j_basis = [to_dense(a.ring, a.mul_sparse(x, y), a.rank) for x in xs for y in ys]
+    return CellIdealWitness(a, j_basis, [to_dense(a.ring, x, a.rank) for x in xs], name)
 
 
-def _act_on_leg(ring: Ring, t: int, act, d: int, leg: str) -> list:
+def _act_on_leg(t: int, act, d: int, leg: str) -> dict:
     """Grid coordinates of grid element t = p*d + q with one leg acted on:
     ``act[k]`` holds the coordinates of the image of the k-th basis vector
     of that leg.  The ``"left"`` leg is p, the ``"right"`` leg q."""
     p, q = divmod(t, d)
-    out = [ring.zero()] * (d * d)
     if leg == "left":
-        out[q::d] = act[p]
-    else:
-        out[p * d:(p + 1) * d] = act[q]
-    return out
+        return {k * d + q: c for k, c in act[p].items()}
+    return {p * d + k: c for k, c in act[q].items()}
 
 
-def _alpha_bimodule_failure(w: CellIdealWitness, jrb: RowBasis, drb: RowBasis,
+def _alpha_bimodule_failure(a: StructureAlgebra, js, xs, ys, jrb: RowBasis, drb: RowBasis,
                             yrb: RowBasis, over) -> dict | None:
     """The first counterexample to the grid map being a bimodule map, for
-    b_s with s in ``over``, or None.
+    b_s with s in ``over``, or None.  ``js``, ``xs`` and ``ys`` are the
+    sparse bases of J, Delta and i(Delta), held by the three row bases.
 
     Delta must be a left ideal and i(Delta) a right ideal (checked in basis
     order, left before right); then the J coordinates of b_s * J[t] and
     J[t] * b_s must equal grid element t with b_s acting on its left and
     right leg.  The b that pass are closed under products, as the map
     commutes with b and b' in turn."""
-    a = w.algebra
-    ring = a.ring
-    d = w.delta_rank
-    basis = {s: a.basis_vector(s) for s in over}
-    ys = w.y_basis()
-    left_act = {s: [drb.express(a.mul(bs, x)) for x in w.delta_basis]
+    d = len(xs)
+    basis = {s: {s: a.ring.one()} for s in over}
+    left_act = {s: [drb.express_sparse(a.mul_sparse(bs, x)) for x in xs]
                 for s, bs in basis.items()}
-    right_act = {s: [yrb.express(a.mul(y, bs)) for y in ys] for s, bs in basis.items()}
+    right_act = {s: [yrb.express_sparse(a.mul_sparse(y, bs)) for y in ys]
+                 for s, bs in basis.items()}
     for s, label in ((s, a.labels[s]) for s in basis):
         for p, cs in enumerate(left_act[s]):
             if cs is None:
@@ -118,14 +111,14 @@ def _alpha_bimodule_failure(w: CellIdealWitness, jrb: RowBasis, drb: RowBasis,
                 return {"input": f"(i(delta)[{q}], {label})",
                         "reason": "i(delta) is not a right ideal"}
     for s, bs in basis.items():
-        for t, v in enumerate(w.j_basis):
-            lv = jrb.express(a.mul(bs, v))
-            rv = jrb.express(a.mul(v, bs))
+        for t, v in enumerate(js):
+            lv = jrb.express_sparse(a.mul_sparse(bs, v))
+            rv = jrb.express_sparse(a.mul_sparse(v, bs))
             if lv is None or rv is None:
                 return {"input": f"({a.labels[s]}, J[{t}])",
                         "reason": "ideal is not two-sided over the basis"}
             for leg, cs, act in (("left", lv, left_act[s]), ("right", rv, right_act[s])):
-                if cs != _act_on_leg(ring, t, act, d, leg):
+                if cs != _act_on_leg(t, act, d, leg):
                     return {"input": f"{leg} ({a.labels[s]}, J[{t}])"}
     return None
 
@@ -151,9 +144,10 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
         if ce is None:
             ce = dict(info, clause=clause)
 
+    js, xs = ([to_sparse(ring, v) for v in vs] for vs in (w.j_basis, w.delta_basis))
     try:
         jrb = RowBasis(ring, a.rank, track=True)
-        jrb.insert_all(w.j_basis)
+        jrb.insert_all(js)
     except FreenessUndetermined:
         for cl in ("involution-stability", "delta-freeness-rank", "alpha-bimodule",
                    "alpha-bijective", "commuting-square"):
@@ -166,8 +160,8 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
 
     # (1) involution stability of the ideal
     clauses["involution-stability"] = PASS
-    for t, v in enumerate(w.j_basis):
-        if not jrb.contains(a.apply_invol(v)):
+    for t, v in enumerate(js):
+        if not jrb.contains(a.apply_invol_sparse(v)):
             fail("involution-stability", {"input": f"J[{t}]"})
             break
 
@@ -175,13 +169,14 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
     clauses["delta-freeness-rank"] = PASS
     try:
         drb = RowBasis(ring, a.rank, track=True)
-        drb.insert_all(w.delta_basis)
+        drb.insert_all(xs)
+        ys = [a.apply_invol_sparse(x) for x in xs]
         yrb = RowBasis(ring, a.rank, track=True)
-        yrb.insert_all(w.y_basis())
+        yrb.insert_all(ys)
         if jn != d * d:
             fail("delta-freeness-rank",
                  {"reason": f"ideal rank {jn} != delta rank squared {d * d}"})
-        elif not all(jrb.contains(x) for x in w.delta_basis):
+        elif not all(jrb.contains(x) for x in xs):
             fail("delta-freeness-rank", {"reason": "delta is not inside the ideal"})
     except FreenessUndetermined:
         clauses["delta-freeness-rank"] = UNDETERMINED
@@ -199,7 +194,8 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
         else:
             clauses["alpha-bimodule"] = UNDETERMINED
     else:
-        info = a.first_failure(lambda over: _alpha_bimodule_failure(w, jrb, drb, yrb, over))
+        info = a.first_failure(
+            lambda over: _alpha_bimodule_failure(a, js, xs, ys, jrb, drb, yrb, over))
         if info is not None:
             fail("alpha-bimodule", info)
 
@@ -211,9 +207,9 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
     # (5) commuting square: i(J[p*d + q]) == J[q*d + p]
     clauses["commuting-square"] = PASS
     if clauses["involution-stability"] == PASS and clauses["alpha-bimodule"] == PASS:
-        for t, v in enumerate(w.j_basis):
+        for t, v in enumerate(js):
             p, q = divmod(t, d)
-            if a.apply_invol(v) != w.j_basis[q * d + p]:
+            if a.apply_invol_sparse(v) != js[q * d + p]:
                 fail("commuting-square", {"input": f"J[{t}]"})
                 break
     elif clauses["involution-stability"] != PASS:
@@ -310,7 +306,8 @@ def verify_cell_chain(chain: CellChainWitness) -> Report:
     clauses = {}
     ce = None
 
-    spans = [v for layer in chain.layers for v in layer.span]
+    layer_spans = [[to_sparse(ring, v) for v in layer.span] for layer in chain.layers]
+    spans = [v for span in layer_spans for v in span]
     try:
         stacked = span_basis(ring, spans, a.rank)
         if len(spans) == a.rank and stacked.rank == a.rank:
@@ -323,22 +320,22 @@ def verify_cell_chain(chain: CellChainWitness) -> Report:
         clauses["direct-sum"] = UNDETERMINED
 
     clauses["involution-stable-layers"] = PASS
-    for p, layer in enumerate(chain.layers, start=1):
+    for p, span in enumerate(layer_spans, start=1):
         try:
-            rb = span_basis(ring, layer.span, a.rank)
+            rb = span_basis(ring, span, a.rank)
         except FreenessUndetermined:
             clauses["involution-stable-layers"] = UNDETERMINED
             continue
-        if not all(rb.contains(a.apply_invol(list(v))) for v in layer.span):
+        if not all(rb.contains(a.apply_invol_sparse(v)) for v in span):
             clauses["involution-stable-layers"] = FAIL
             ce = ce or {"clause": "involution-stable-layers", "layer": p}
 
     clauses["partial-sums-ideals"] = PASS
     partial = []
-    for p, layer in enumerate(chain.layers, start=1):
+    for p, span in enumerate(layer_spans, start=1):
         if p == len(chain.layers) and clauses["direct-sum"] == PASS:
             break  # the last partial sum is then A, an ideal of itself
-        partial.extend(layer.span)
+        partial.extend(span)
         try:
             rb = span_basis(ring, partial, a.rank)
         except FreenessUndetermined:
@@ -394,14 +391,15 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
     independent, so ``cell`` holds the canonical cell-ideal witness on Ae,
     which :func:`verify_cell_ideal` checks.  Raises ``ValueError`` when
     e*e != e."""
-    ring = a.ring
-    e = list(e)
-    if a.mul(e, e) != e:
+    ring, one = a.ring, a.ring.one()
+    e_dense = list(e)
+    e = to_sparse(ring, e_dense)
+    if a.mul_sparse(e, e) != e:
         raise ValueError("element is not idempotent")
     params = dict(params or {})
     clauses = {}
     ce = None
-    ae_rows = ea_rows = prod_rows = None
+    ae = ea = ideal_rank = None
     cell = None
 
     def fail(clause, info):
@@ -410,7 +408,7 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
         if ce is None:
             ce = dict(info, clause=clause)
 
-    if vec_is_zero(ring, e):
+    if not e:
         fail("corner-rank-one", {"reason": "e is zero"})
     else:
         try:
@@ -418,7 +416,7 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
             corner.insert(e)
             clauses["corner-rank-one"] = PASS
             for u in range(a.rank):
-                w = a.mul(a.mul(e, a.basis_vector(u)), e)
+                w = a.mul_sparse(a.mul_sparse(e, {u: one}), e)
                 if not corner.contains(w):
                     fail("corner-rank-one",
                          {"input": a.labels[u],
@@ -428,22 +426,19 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
             clauses["corner-rank-one"] = UNDETERMINED
 
     try:
-        ae = span_basis(ring, [a.mul(a.basis_vector(u), e) for u in range(a.rank)],
-                        a.rank)
-        ea = span_basis(ring, [a.mul(e, a.basis_vector(u)) for u in range(a.rank)],
-                        a.rank)
-        ae_rows = [list(r) for r in ae.rows]
-        ea_rows = [list(r) for r in ea.rows]
+        ae = span_basis(ring, [a.mul_sparse({u: one}, e) for u in range(a.rank)], a.rank)
+        ea = span_basis(ring, [a.mul_sparse(e, {u: one}) for u in range(a.rank)], a.rank)
         clauses["multiplicity-free"] = PASS
     except FreenessUndetermined:
+        ae = ea = None
         clauses["multiplicity-free"] = UNDETERMINED
 
-    if ae_rows is not None:
+    if ae is not None:
         try:
             prod = RowBasis(ring, a.rank)
-            prod.insert_all(a.mul(x, y) for x in ae_rows for y in ea_rows)
+            prod.insert_all(a.mul_sparse(x, y) for x in ae.sparse_rows for y in ea.sparse_rows)
             clauses["multiplication-injective"] = PASS
-            prod_rows = [list(r) for r in prod.rows]
+            ideal_rank = prod.rank
         except ValueError:
             fail("multiplication-injective",
                  {"reason": "product grid is linearly dependent"})
@@ -454,22 +449,22 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
 
     if (
         a.invol is not None
-        and a.apply_invol(e) == e
-        and ae_rows is not None
+        and a.apply_invol_sparse(e) == e
+        and ae is not None
         and clauses.get("multiplication-injective") == PASS
     ):
-        cell = canonical_cell_witness(a, ae_rows, name="heredity-cell")
+        cell = canonical_cell_witness(a, ae.sparse_rows, name="heredity-cell")
 
     witness = {
         "e": a.format_element(e),
-        "ae_rank": None if ae_rows is None else len(ae_rows),
-        "ea_rank": None if ea_rows is None else len(ea_rows),
-        "ideal_rank": None if prod_rows is None else len(prod_rows),
+        "ae_rank": None if ae is None else ae.rank,
+        "ea_rank": None if ea is None else ea.rank,
+        "ideal_rank": ideal_rank,
         "cell_witness": cell is not None,
     }
     report = combine_clauses("heredity", params, clauses, witness=witness,
                              counterexample=ce)
-    return HeredityWitness(a, e, cell, report)
+    return HeredityWitness(a, e_dense, cell, report)
 
 
 def quasi_hereditary_chain_odd(ring: Ring, n: int):
@@ -513,8 +508,6 @@ def quasi_hereditary_chain_odd(ring: Ring, n: int):
 def ideal_square_is_zero(a: StructureAlgebra, j: IdealBasis) -> bool:
     """Whether the ideal multiplies to zero (so it contains no nonzero
     idempotent, and in particular cannot be a heredity ideal)."""
-    vecs = j.vectors
-    return all(
-        vec_is_zero(a.ring, a.mul(x, y)) for x in vecs for y in vecs
-    )
+    vecs = j.rowbasis.sparse_rows
+    return not any(a.mul_sparse(x, y) for x in vecs for y in vecs)
 

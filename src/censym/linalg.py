@@ -7,26 +7,23 @@ a column whose entries are all non-units; that outcome is surfaced as
 coefficient systems this package produces reduce with unit pivots, so the
 exception marks genuinely out-of-scope inputs.
 
-Vectors are plain lists of ring payloads.  :func:`mat_vec` is the one
-helper that applies a coefficient matrix (rows are images of basis
-vectors) to a coordinate vector; every such sum elsewhere calls it.
-
-Hot loops never visit a zero entry in Python.  :func:`_support` lists the
-positions of the non-zero entries of a vector.  Where the ring's zero test
-is Python falsiness (``Ring.is_zero is operator.not_``: integers,
-rationals, residues) the entries select themselves in C through
-``itertools.compress``.  Group-ring payloads are tuples, which are always
-truthy; there ``list.count`` first recognises a zero vector in one C pass,
-and otherwise each entry is compared with the zero payload.
-:func:`mat_vec` walks the support of the vector and of each row it uses.
+The kernels work on sparse vectors: dicts ``{basis index: payload}`` that
+store only non-zero canonical payloads.  Every kernel deletes a key whose
+sum cancels, so a zero is never stored, dict ``==`` is vector equality and
+``not v`` is the zero test.  :func:`add_multiple` is the one accumulation
+step (``acc += c*v``); it skips a multiply by one and an add into an
+absent key.  :func:`mat_vec_sparse` is the one helper that applies a
+coefficient matrix (rows are images of basis vectors) to a coordinate
+vector.  The public dense API (plain lists of payloads) is a boundary:
+:func:`to_sparse` and :func:`to_dense` convert there, and ``to_sparse``
+passes a sparse vector through, so every input may come in either form.
 
 :class:`RowBasis` keeps its rows *fully* reduced: each row is 1 at its own
 pivot column and 0 at every other row's pivot column.  Subtracting a
 multiple of one row therefore never changes ``v`` at another pivot, so the
 multiplier of each row is ``v``'s own entry at that row's pivot, and
-:meth:`RowBasis._reduce` needs only the pivots in the support of ``v``
-(looked up in a pivot-column -> row map) and, for each, the support of
-its row.
+:meth:`RowBasis._reduce` needs only the keys of ``v`` that are pivots
+(looked up in a pivot-column -> row map) and the keys of their rows.
 """
 
 from __future__ import annotations
@@ -47,19 +44,39 @@ class FreenessUndetermined(Exception):
         self.column = column
 
 
-def _support(ring: Ring, v) -> list:
-    """Positions of the non-zero entries of v, in increasing order."""
-    if ring.is_zero is not_:
-        # truthiness is this ring's zero test: the entries select themselves
-        return list(compress(range(len(v)), v)) if any(v) else []
+def to_sparse(ring: Ring, v) -> dict:
+    """The sparse form of a dense vector; a sparse vector is returned as is."""
+    if isinstance(v, dict):
+        return v
+    if ring.is_zero is not_:  # truthiness is the zero test: select in C
+        return dict(compress(enumerate(v), v))
     zero = ring.zero()
-    if v.count(zero) == len(v):  # one pass in C for the many zero vectors
-        return []
-    return [idx for idx, x in enumerate(v) if x != zero]
+    return {k: x for k, x in enumerate(v) if x != zero}
+
+
+def to_dense(ring: Ring, v: dict, width: int) -> list:
+    out = [ring.zero()] * width
+    for k, x in v.items():
+        out[k] = x
+    return out
+
+
+def add_multiple(ring: Ring, acc: dict, c, v: dict) -> None:
+    """acc += c*v in place, deleting every key whose sum is zero."""
+    add, mul, is_zero, one = ring.add, ring.mul, ring.is_zero, ring.one()
+    unit = c == one
+    for k, x in v.items():
+        t = x if unit else c if x == one else mul(c, x)
+        if k in acc:
+            t = add(acc[k], t)
+        if is_zero(t):
+            acc.pop(k, None)
+        else:
+            acc[k] = t
 
 
 def vec_is_zero(ring: Ring, v) -> bool:
-    return not _support(ring, v)
+    return not to_sparse(ring, v)
 
 
 def unit_vector(ring: Ring, width: int, pos: int):
@@ -70,7 +87,7 @@ def unit_vector(ring: Ring, width: int, pos: int):
 
 class RowBasis:
     """A growing fully reduced row-echelon basis with unit pivots normalized
-    to 1.
+    to 1, stored sparse in ``sparse_rows`` (``rows`` is the dense view).
 
     With ``track=True`` each stored row also carries its expression over
     the vectors successfully inserted so far, which makes
@@ -81,89 +98,76 @@ class RowBasis:
         self.ring = ring
         self.width = width
         self.track = track
-        self.rows: list = []
+        self.sparse_rows: list = []
         self.pivots: list = []
-        self.combos: list = []
-        self.n_inserted = 0
+        self._combos: list = []
         self._row_of: dict = {}  # pivot column -> index of its row
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.sparse_rows)
+
+    @property
+    def rows(self) -> list:
+        return [to_dense(self.ring, row, self.width) for row in self.sparse_rows]
 
     def _reduce(self, v):
-        """Residual of v against the stored rows, plus the row multipliers."""
-        R = self.ring
-        sub, mul = R.sub, R.mul
-        v = list(v)
-        mults = [R.zero()] * len(self.rows)
-        row_of = self._row_of
-        for p in _support(R, v):
-            r = row_of.get(p)
-            if r is not None:
-                c = v[p]
-                mults[r] = c
-                row = self.rows[r]
-                for idx in _support(R, row):
-                    v[idx] = sub(v[idx], mul(c, row[idx]))
-        return v, mults
+        """Residual of v against the stored rows, plus the row multipliers
+        as ``{row index: multiplier}``."""
+        R, row_of = self.ring, self._row_of
+        v = to_sparse(R, v)
+        mults = {row_of[p]: c for p, c in v.items() if p in row_of}
+        res = dict(v)
+        for r, c in mults.items():
+            add_multiple(R, res, R.neg(c), self.sparse_rows[r])
+        return res, mults
 
-    def residual(self, v):
+    def residual_sparse(self, v) -> dict:
         return self._reduce(v)[0]
 
+    def residual(self, v):
+        return to_dense(self.ring, self.residual_sparse(v), self.width)
+
     def contains(self, v) -> bool:
-        return vec_is_zero(self.ring, self.residual(v))
+        return not self.residual_sparse(v)
 
     def insert(self, v) -> bool:
         """Add v to the span.  True if the rank grew, False if v was already
-        in the span.  The pivot is the first unit entry of the residual;
-        raises FreenessUndetermined when no residual entry is a unit."""
+        in the span.  The pivot is the lowest column whose residual entry is
+        a unit; raises FreenessUndetermined when no residual entry is."""
         R = self.ring
-        zero = R.zero()
         res, mults = self._reduce(v)
-        support = _support(R, res)
-        if not support:
+        if not res:
             return False
+        support = sorted(res)
         for lead in support:
             inv = R.inv(res[lead])
             if inv is not None:
                 break
         else:
             raise FreenessUndetermined(support[0], R.format(res[support[0]]))
-        row = [zero] * len(res)
-        for idx in support:
-            row[idx] = R.mul(inv, res[idx])
-        combo = None
+        row = {}
+        add_multiple(R, row, inv, res)
         if self.track:
             # new row = inv * (v - sum mults[r] * old basis combinations)
-            combo = [zero] * (self.n_inserted + 1)
-            combo[self.n_inserted] = inv
-            for r in _support(R, mults):
-                cm = R.mul(inv, mults[r])
-                old = self.combos[r]
-                for k in _support(R, old):
-                    combo[k] = R.sub(combo[k], R.mul(cm, old[k]))
-            for other in self.combos:
-                other.extend([zero] * (self.n_inserted + 1 - len(other)))
-            combo_support = _support(R, combo)
+            combo = {self.rank: inv}
+            for r, m in mults.items():
+                add_multiple(R, combo, R.neg(R.mul(inv, m)), self._combos[r])
         # keep full reduced form: clear the new pivot column in the other
         # rows (the new row is zero at their pivots, as a unit times a
         # non-zero entry is non-zero and the residual is zero there)
-        for r, other in enumerate(self.rows):
-            c = other[lead]
-            if c != zero:
-                for idx in support:
-                    other[idx] = R.sub(other[idx], R.mul(c, row[idx]))
+        for r, other in enumerate(self.sparse_rows):
+            c = other.get(lead)
+            if c is not None:
+                c = R.neg(c)
+                add_multiple(R, other, c, row)
                 if self.track:
-                    mine = self.combos[r]
-                    for k in combo_support:
-                        mine[k] = R.sub(mine[k], R.mul(c, combo[k]))
-        self._row_of[lead] = len(self.rows)
-        self.rows.append(row)
+                    add_multiple(R, self._combos[r], c, combo)
+        self._row_of[lead] = self.rank
+        self.sparse_rows.append(row)
         self.pivots.append(lead)
         if self.track:
-            self.combos.append(combo)
-            self.n_inserted += 1
+            self._combos.append(combo)
         return True
 
     def insert_all(self, vectors) -> None:
@@ -172,14 +176,16 @@ class RowBasis:
             if not self.insert(v):
                 raise ValueError("prescribed basis vectors are not independent")
 
-    def express(self, v):
+    def express_sparse(self, v) -> dict | None:
         """Coordinates of v over the inserted vectors, or None if outside."""
         if not self.track:
             raise ValueError("RowBasis was built without tracking")
         res, mults = self._reduce(v)
-        if not vec_is_zero(self.ring, res):
-            return None
-        return mat_vec(self.ring, self.combos, mults)
+        return None if res else mat_vec_sparse(self.ring, self._combos, mults)
+
+    def express(self, v):
+        cs = self.express_sparse(v)
+        return None if cs is None else to_dense(self.ring, cs, self.rank)
 
 
 def span_basis(ring: Ring, vectors, width: int) -> RowBasis:
@@ -213,21 +219,26 @@ def nullspace(ring: Ring, rows, width: int) -> list:
     out = []
     for f in sorted(set(range(width)) - set(rb.pivots)):
         v = unit_vector(ring, width, f)
-        for row, p in zip(rb.rows, rb.pivots):
-            v[p] = ring.neg(row[f])
+        for row, p in zip(rb.sparse_rows, rb.pivots):
+            if f in row:
+                v[p] = ring.neg(row[f])
         out.append(v)
     return out
 
 
-def mat_vec(ring: Ring, rows, v):
-    """Apply a matrix given as rows of coefficients to a coordinate vector:
-    out = sum_k v[k] * rows[k] (rows are images of basis vectors)."""
-    add, mul = ring.add, ring.mul
-    width = len(rows[0]) if rows else 0
-    out = [ring.zero()] * width
-    for k in _support(ring, v):
-        c = v[k]
-        row = rows[k]
-        for idx in _support(ring, row):
-            out[idx] = add(out[idx], mul(c, row[idx]))
+def mat_vec_sparse(ring: Ring, rows, v: dict) -> dict:
+    """Apply a matrix given as sparse rows of coefficients to a sparse
+    coordinate vector: sum_k v[k] * rows[k] (rows are images of basis
+    vectors)."""
+    out = {}
+    for k, c in v.items():
+        add_multiple(ring, out, c, rows[k])
     return out
+
+
+def mat_vec(ring: Ring, rows, v):
+    """The dense form of :func:`mat_vec_sparse`, converting only the rows
+    that v uses."""
+    v = to_sparse(ring, v)
+    out = mat_vec_sparse(ring, {k: to_sparse(ring, rows[k]) for k in v}, v)
+    return to_dense(ring, out, len(rows[0]) if rows else 0)

@@ -69,8 +69,7 @@ class Ring:
     such a test where the zero payload is the only falsy one (ints,
     fractions, residues), never for tuple payloads, which are always truthy.
     A ring whose ``is_zero`` is ``operator.not_`` declares exactly that, and
-    the vector kernels in :mod:`censym.linalg` then let the entries select
-    themselves.
+    :func:`censym.linalg.to_sparse` then lets the entries select themselves.
 
     Two rings are equal exactly when their literals are equal, and a ring
     hashes as its literal: the literal is the ring's name in every report
@@ -299,19 +298,18 @@ class GroupRingC2(Ring):
         if not isinstance(base, Ring):
             raise RingError(f"group-ring base must be a ring, got {base!r}")
         self.base = base
-        # one shared zero pair: vectors filled with it are recognised as
-        # zero by identity (list.count), and zero() allocates nothing
-        z = base.zero()
-        self._zero = (z, z)
+        # shared zero and one pairs, so zero() and one() allocate nothing;
         # payloads are canonical tuples, so tuple equality with the zero
         # pair is the zero test
+        z = base.zero()
+        self._zero, self._one = (z, z), (base.one(), z)
         self.is_zero = self._zero.__eq__
 
     def zero(self):
         return self._zero
 
     def one(self):
-        return (self.base.one(), self.base.zero())
+        return self._one
 
     def x(self):
         """The order-two generator."""

@@ -37,7 +37,7 @@ from .algebra import (
     subalgebra_from_vectors,
     zero_algebra,
 )
-from .linalg import RowBasis, unit_vector
+from .linalg import RowBasis, to_dense, to_sparse, unit_vector
 from .rings import GroupRingC2, Ring
 
 
@@ -193,16 +193,16 @@ def morita_column_iso(ring: Ring, n: int, j: int) -> LinearMapWitness:
     def push(module_from, module_to, f):
         rows = []
         for v in module_from.vectors:
-            cs = module_to.express(a.mul(v, f))
+            cs = module_to.rowbasis().express_sparse(a.mul_sparse(to_sparse(ring, v), f))
             if cs is None:
                 raise ValueError("right multiplication left the column module")
-            rows.append(cs)
+            rows.append(to_dense(ring, cs, module_to.rank))
         return rows
 
     return LinearMapWitness(
         src, tgt,
-        matrix=push(src, tgt, a.basis_vector(pos[(1, j)])),
-        inverse=push(tgt, src, a.basis_vector(pos[(j, 1)])),
+        matrix=push(src, tgt, {pos[(1, j)]: ring.one()}),
+        inverse=push(tgt, src, {pos[(j, 1)]: ring.one()}),
         claimed=("left-module-homomorphism", "bijective"),
         name=f"column-1-to-{j}-size-{n}",
     )
@@ -260,15 +260,16 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
     p_minus = [ring.mul(t, ring.sub(x, y)) for x, y in zip(a.unit, c)]
     k = fb.half_ceil(n)
     low = n // 2
+    one, sp_plus, sp_minus = ring.one(), to_sparse(ring, p_plus), to_sparse(ring, p_minus)
 
     plus_vectors = []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            v = a.mul(a.basis_vector(pos[fb.canon_index(n, i, j)]), p_plus)
+            v = a.mul_sparse({pos[fb.canon_index(n, i, j)]: one}, sp_plus)
             if n % 2 and j == k and i < k:
-                v = [ring.mul(t, x) for x in v]
+                v = {w: ring.mul(t, x) for w, x in v.items()}  # t is a unit
             plus_vectors.append(v)
-    minus_vectors = [a.mul(a.basis_vector(pos[(i, j)]), p_minus)
+    minus_vectors = [a.mul_sparse({pos[(i, j)]: one}, sp_minus)
                      for i in range(1, low + 1) for j in range(1, low + 1)]
 
     plus = full_matrix_algebra(ring, k, flatten_group_ring=False)
@@ -279,11 +280,11 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
     rb.insert_all(units)
     matrix = []
     for u in range(a.rank):
-        cs = rb.express(a.basis_vector(u))
+        cs = rb.express({u: one})
         if cs is None:
             raise ValueError("piece units do not span the algebra")
         matrix.append(cs)
-    inverse = [list(v) for v in units]
+    inverse = [to_dense(ring, v, a.rank) for v in units]
     witness = LinearMapWitness(
         a, target, matrix, inverse,
         claimed=("algebra-homomorphism", "bijective"),

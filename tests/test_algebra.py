@@ -315,6 +315,20 @@ def test_misused_witness_raises_instead_of_failing(reason):
         check_witness(_misused_witness(reason))
 
 
+@pytest.mark.parametrize("claim", ["algebra-homomorphism", "bijective",
+                                   "involution-equivariant", "left-module-homomorphism"])
+def test_witness_rows_of_the_wrong_width_are_misuse(claim):
+    # a row longer or shorter than the target basis names no linear map
+    a = algebra_of_censym(Z, 2)
+    if claim == "left-module-homomorphism":
+        m = BasedModule(a, [a.unit], name="M")
+        w = LinearMapWitness(m, m, [[1, 0]], claimed=(claim,))
+    else:
+        w = LinearMapWitness(a, a, [row[:-1] for row in _eye(a)], _eye(a), claimed=(claim,))
+    with pytest.raises(ValueError, match="matrix shapes do not match the bases"):
+        check_witness(w)
+
+
 def test_centre_field_cases(field):
     for n in range(2, 6):
         a = algebra_of_censym(field, n)
@@ -595,6 +609,16 @@ def test_validate_multiplicative_involution():
     ]
 
 
+def _combine(ring, weighted) -> dict:
+    """sum c*terms over (c, terms) as {w: coefficient}, zeros dropped."""
+    acc = {}
+    for c, terms in weighted:
+        for w, d in terms:
+            p = ring.mul(c, d)
+            acc[w] = ring.add(acc[w], p) if w in acc else p
+    return {w: x for w, x in acc.items() if x != ring.zero()}
+
+
 def _validate_exhaustive(a):
     """Reference audit: every clause over the whole basis, the associativity
     clause over every triple and the anti-homomorphism clause over every
@@ -612,8 +636,8 @@ def _validate_exhaustive(a):
                 vw = tbl.get((v, w), ())
                 if not uv and not vw:
                     continue
-                left = a._combine((c, tbl.get((t, w), ())) for t, c in uv)
-                right = a._combine((c, tbl.get((u, t), ())) for t, c in vw)
+                left = _combine(a.ring, ((c, tbl.get((t, w), ())) for t, c in uv))
+                right = _combine(a.ring, ((c, tbl.get((u, t), ())) for t, c in vw))
                 if left != right:
                     defects.append("associativity fails at "
                                    f"({a.labels[u]}, {a.labels[v]}, {a.labels[w]})")

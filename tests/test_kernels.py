@@ -2,23 +2,36 @@
 
 The program has one matrix product (the zero-skipping ``Matrix.__mul__``),
 one zero test per ring (``is_zero``) and one structure-constant oracle
-(the sparse matrix-unit expansion).  The witness layer has one
-structure-algebra product (``StructureAlgebra.mul``), one
-coefficient-matrix helper (``linalg.mat_vec``) and one row reduction
-(``RowBasis``).  The dense loops survive only here, as independent
+(the sparse matrix-unit expansion).  The witness layer works on sparse
+vectors, dicts that store no zero, and has one structure-algebra product
+(``StructureAlgebra.mul_sparse``), one coefficient-matrix helper
+(``linalg.mat_vec_sparse``) and one row reduction (``RowBasis``), all
+accumulating through ``linalg.add_multiple``; the dense methods convert
+around them.  The dense loops survive only here, as independent
 references that visit every entry, zero or not.  The Frobenius check,
 which reads E off its table on the matrix units, has its dense reference
 in ``test_frobenius.py``.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from censym import basis as fb
-from censym.algebra import algebra_of_censym, centre_basis, full_matrix_algebra
+from censym.algebra import StructureAlgebra, algebra_of_censym, centre_basis, full_matrix_algebra
 from censym.basis import canonical_basis, coords, structure_constants
-from censym.linalg import FreenessUndetermined, RowBasis, mat_vec, nullspace
+from censym.linalg import (
+    FreenessUndetermined,
+    RowBasis,
+    add_multiple,
+    mat_vec,
+    mat_vec_sparse,
+    nullspace,
+    to_dense,
+    to_sparse,
+)
 from censym.matrices import Matrix, matrix_unit
 from censym.rings import ring_from_literal
 
@@ -253,9 +266,10 @@ def test_rowbasis_reduction_matches_row_order_reference(literal, data):
         assert [row[p] for row in rb.rows] == [
             ring.one() if k == r else ring.zero() for k in range(rb.rank)]
     for v in family + [data.draw(sparse_vectors(ring, width))]:
-        res, mults = rb._reduce(v)
-        assert (res, mults) == row_order_reduce(rb, v)
-        assert rb.residual(v) == res
+        res, mults = rb._reduce(to_sparse(ring, v))
+        assert (to_dense(ring, res, width), to_dense(ring, mults, rb.rank)) == \
+            row_order_reduce(rb, v)
+        assert rb.residual(v) == to_dense(ring, res, width)
 
 
 def small_entries(ring):
@@ -346,3 +360,128 @@ def test_centre_basis_matches_dense_commutator_nullspace(ring, n):
     want = nullspace(ring, rows, r)
     assert centre_basis(a) == want
     assert all(a.mul(z, b) == a.mul(b, z) for z in want for b in basis)
+
+
+# each case adds its terms in turn into {0: start}; the sums are canonical,
+# so a cancelled key is gone and 1/2 + 1/2 is stored as the int 1
+CANCELLATIONS = {
+    "c2:int": ((0, 1), [((0, -1), {})]),
+    "zmod:4": (2, [(2, {})]),
+    "rat": (Fraction(1, 2), [(Fraction(1, 2), {0: 1}), (-1, {})]),
+}
+
+
+@pytest.mark.parametrize("literal", sorted(CANCELLATIONS))
+def test_add_multiple_stores_no_zero(literal):
+    ring = ring_from_literal(literal)
+    start, steps = CANCELLATIONS[literal]
+    acc = {0: start}
+    for term, want in steps:
+        add_multiple(ring, acc, ring.one(), {0: term})
+        assert acc == want
+        assert [type(x) for x in acc.values()] == [type(x) for x in want.values()]
+
+
+# x * y in a rank-one algebra with e*e = e: zero divisors over c2:int and
+# zmod:4, and over rat a product stored as the int 1
+PRODUCTS = {
+    "c2:int": ((1, 1), (1, -1), {}),
+    "zmod:4": (2, 2, {}),
+    "rat": (Fraction(1, 2), 2, {0: 1}),
+}
+
+
+@pytest.mark.parametrize("literal", sorted(PRODUCTS))
+def test_sparse_kernels_drop_cancelled_entries(literal):
+    ring = ring_from_literal(literal)
+    x = CANCELLATIONS[literal][0]
+    one = ring.one()
+    assert mat_vec_sparse(ring, [{0: x}, {0: ring.neg(x)}], {0: one, 1: one}) == {}
+    x, y, want = PRODUCTS[literal]
+    line = StructureAlgebra(ring, ["e"], {(0, 0): ((0, one),)}, [one])
+    product = line.mul_sparse({0: x}, {0: y})
+    assert product == want
+    assert [type(c) for c in product.values()] == [type(c) for c in want.values()]
+
+
+class DenseRowBasis:
+    """The dense reference elimination: rows in insertion order, every entry
+    visited, zero or not.  ``insert`` returns the stuck column instead of
+    raising."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.rows, self.pivots, self.combos = [], [], []
+
+    def reduce(self, v):
+        return row_order_reduce(self, v)
+
+    def insert(self, v):
+        R, zero = self.ring, self.ring.zero()
+        res, mults = self.reduce(v)
+        nonzero = [k for k, x in enumerate(res) if x != zero]
+        if not nonzero:
+            return False
+        units = [k for k in nonzero if R.inv(res[k]) is not None]
+        if not units:
+            return ("stuck", nonzero[0])
+        lead = units[0]
+        inv = R.inv(res[lead])
+        row = [R.mul(inv, x) for x in res]
+        n = len(self.rows)
+        # the new row is inv * (v - sum mults[r] * row r), over the inserted vectors
+        combo = [zero] * n + [inv]
+        for m, old in zip(mults, self.combos):
+            cm = R.mul(inv, m)
+            combo = [R.sub(c, R.mul(cm, o)) for c, o in zip(combo, old + [zero])]
+        for k in range(n):
+            c = self.rows[k][lead]
+            self.rows[k] = [R.sub(x, R.mul(c, y)) for x, y in zip(self.rows[k], row)]
+            self.combos[k] = [R.sub(x, R.mul(c, y))
+                              for x, y in zip(self.combos[k] + [zero], combo)]
+        self.rows.append(row)
+        self.pivots.append(lead)
+        self.combos.append(combo)
+        return True
+
+    def express(self, v):
+        R, zero = self.ring, self.ring.zero()
+        res, mults = self.reduce(v)
+        if any(x != zero for x in res):
+            return None
+        out = [zero] * len(self.rows)
+        for m, combo in zip(mults, self.combos):
+            out = [R.add(o, R.mul(m, c)) for o, c in zip(out, combo)]
+        return out
+
+
+@pytest.mark.parametrize("literal", ["int", "rat", "zmod:4", "gf:2", "gf:5", "c2:int",
+                                     "c2:c2:int"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rowbasis_matches_dense_reference(literal, data):
+    """Rows, pivots, the stuck column, residuals and coordinates agree with
+    the dense reference, and the sparse forms store no zero."""
+    ring = ring_from_literal(literal)
+    width = data.draw(st.integers(1, 6))
+    entries = st.one_of(small_entries(ring), elements(ring))
+    vector = st.lists(entries, min_size=width, max_size=width)
+    family = data.draw(st.lists(vector, min_size=1, max_size=6))
+    rb, ref = RowBasis(ring, width, track=True), DenseRowBasis(ring)
+    for v in family:
+        want = ref.insert(v)
+        if isinstance(want, tuple):
+            with pytest.raises(FreenessUndetermined) as stuck:
+                rb.insert(v)
+            assert stuck.value.column == want[1]
+        else:
+            assert rb.insert(v) is want
+        assert (rb.rows, rb.pivots) == (ref.rows, ref.pivots)
+        assert rb.sparse_rows == [to_sparse(ring, row) for row in ref.rows]
+    for v in family + data.draw(st.lists(vector, max_size=3)):
+        res = ref.reduce(v)[0]
+        assert rb.residual(v) == res
+        assert rb.residual_sparse(to_sparse(ring, v)) == to_sparse(ring, res)
+        cs = ref.express(v)
+        assert rb.express(v) == cs
+        assert rb.express_sparse(v) == (None if cs is None else to_sparse(ring, cs))
