@@ -52,34 +52,40 @@ class StructureAlgebra:
     non-zero coefficients.  The same entries are also indexed by left
     factor as sparse vectors, ``u -> {v: {w: coeff}}``, so
     :meth:`mul_sparse` walks only the keys of its left operand and, for
-    each, the shorter of the right operand's keys and that index's row.
-    ``unit`` and ``invol`` are dense; the checks read their sparse twins.
+    each, the shorter of the right operand's keys and that index's row;
+    one pass over the input table fills both.  ``invol`` rows, the images
+    of the basis vectors, may come dense or sparse and are stored sparse
+    as ``invol_sparse``; ``unit`` is dense and ``unit_sparse`` its twin.
     """
 
     def __init__(self, ring: Ring, labels, table: dict, unit, invol=None):
         self.ring = ring
         self.labels = tuple(labels)
         zero = ring.zero()
-        self.table = {
-            uv: tuple((w, c) for w, c in terms if c != zero)
-            for uv, terms in table.items()
-            if any(c != zero for _, c in terms)
-        }
-        self._by_left: dict = {}
-        for (u, v), terms in self.table.items():
-            if len({w for w, _ in terms}) != len(terms):
+        self.table, self._by_left = {}, {}
+        for (u, v), terms in table.items():
+            kept = tuple((w, c) for w, c in terms if c != zero)
+            if not kept:
+                continue
+            row = dict(kept)
+            if len(row) != len(kept):
                 raise ValueError(f"table entry {(u, v)} names a basis index twice")
-            self._by_left.setdefault(u, {})[v] = dict(terms)
+            self.table[u, v] = kept
+            self._by_left.setdefault(u, {})[v] = row
         self.unit = list(unit)
         if len(self.unit) != len(self.labels):
             raise ValueError("unit coordinate length does not match the basis")
-        self.invol = None if invol is None else [list(row) for row in invol]
-        if self.invol is not None and len(self.invol) != len(self.labels):
+        self.invol_sparse = None if invol is None else [to_sparse(ring, row) for row in invol]
+        if self.invol_sparse is not None and len(self.invol_sparse) != len(self.labels):
             raise ValueError("involution matrix does not match the basis")
         self.unit_sparse = to_sparse(ring, self.unit)
-        self.invol_sparse = (None if invol is None
-                             else [to_sparse(ring, row) for row in self.invol])
         self._generators = None
+
+    @property
+    def invol(self):
+        """The involution as dense rows, or None: a view of ``invol_sparse``."""
+        return None if self.invol_sparse is None else [
+            to_dense(self.ring, row, self.rank) for row in self.invol_sparse]
 
     @property
     def rank(self) -> int:
@@ -182,12 +188,9 @@ class StructureAlgebra:
         return to_dense(self.ring, self.mul_basis_sparse(u, v), self.rank)
 
     def apply_invol_sparse(self, x: dict) -> dict:
-        if self.invol is None:
+        if self.invol_sparse is None:
             raise ValueError("algebra has no involution")
         return mat_vec_sparse(self.ring, self.invol_sparse, x)
-
-    def apply_invol(self, x):
-        return to_dense(self.ring, self.apply_invol_sparse(to_sparse(self.ring, x)), self.rank)
 
     def format_element(self, x) -> str:
         return format_vector(self.ring, self.labels, x)
@@ -264,7 +267,7 @@ class StructureAlgebra:
             "unit": [R.format(c) for c in self.unit],
             "tensor": tensor,
         }
-        if self.invol is not None:
+        if self.invol_sparse is not None:
             out["involution"] = [[R.format(c) for c in row] for row in self.invol]
         return out
 
@@ -335,10 +338,7 @@ def algebra_of_censym(ring: Ring, n: int) -> StructureAlgebra:
     labels = [ix.label for ix in idxs]
     table = fb.structure_constants(ring, n)
     unit = [ring.one() if ix.i == ix.j else ring.zero() for ix in idxs]
-    invol = []
-    for ix in idxs:
-        ti, tj = fb.canon_index(n, ix.j, ix.i)
-        invol.append(unit_vector(ring, len(idxs), pos[(ti, tj)]))
+    invol = [{pos[fb.canon_index(n, ix.j, ix.i)]: ring.one()} for ix in idxs]
     return StructureAlgebra(ring, labels, table, unit, invol)
 
 
@@ -373,7 +373,7 @@ def full_matrix_algebra(ring: Ring, m: int,
     unit = [base.zero()] * len(labels)
     for i in range(1, m + 1):
         unit[idx[(i, i, 0)]] = one
-    invol = [unit_vector(base, len(labels), idx[(j, i, g)]) for (i, j, g) in idx]
+    invol = [{idx[(j, i, g)]: one} for (i, j, g) in idx]
     return StructureAlgebra(base, labels, table, unit, invol)
 
 
@@ -396,11 +396,9 @@ def direct_product(a: StructureAlgebra, b: StructureAlgebra,
         table[(u + off, v + off)] = tuple((w + off, c) for w, c in terms)
     unit = list(a.unit) + list(b.unit)
     invol = None
-    if a.invol is not None and b.invol is not None:
-        zero = ring.zero()
-        invol = [row + [zero] * b.rank for row in a.invol] + [
-            [zero] * off + row for row in b.invol
-        ]
+    if a.invol_sparse is not None and b.invol_sparse is not None:
+        invol = a.invol_sparse + [{k + off: c for k, c in row.items()}
+                                  for row in b.invol_sparse]
     return StructureAlgebra(ring, labels, table, unit, invol)
 
 
@@ -427,11 +425,11 @@ def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec,
         raise ValueError("unit is not inside the span")
     invol = None
     if induce_invol:
-        if a.invol is None:
+        if a.invol_sparse is None:
             raise ValueError("ambient algebra has no involution to induce")
         invol = []
         for xu in vectors:
-            img = rb.express(a.apply_invol_sparse(xu))
+            img = rb.express_sparse(a.apply_invol_sparse(xu))
             if img is None:
                 raise ValueError("span is not involution-stable")
             invol.append(img)
@@ -462,9 +460,6 @@ class BasedModule:
     def express(self, ambient_vec):
         return self.rowbasis().express(ambient_vec)
 
-    def to_ambient(self, coords):
-        return mat_vec(self.algebra.ring, self.vectors, coords)
-
 
 @dataclass
 class LinearMapWitness:
@@ -487,10 +482,6 @@ class LinearMapWitness:
     def apply(self, v):
         ring = _ring_of(self.target)
         return mat_vec(ring, self.matrix, v)
-
-    def apply_inverse(self, v):
-        ring = _ring_of(self.source)
-        return mat_vec(ring, self.inverse, v)
 
 
 def _ring_of(side) -> Ring:
@@ -621,7 +612,7 @@ def _check_invol_equivariant(w: LinearMapWitness):
     src, tgt = w.source, w.target
     if not isinstance(src, StructureAlgebra) or not isinstance(tgt, StructureAlgebra):
         raise ValueError("involution check needs algebra endpoints")
-    if src.invol is None or tgt.invol is None:
+    if src.invol_sparse is None or tgt.invol_sparse is None:
         raise ValueError("both sides need involutions")
     f = _sparse_rows(tgt, w.matrix, tgt.rank)
     for u in range(src.rank):
@@ -736,9 +727,9 @@ def quotient_by_ideal(a: StructureAlgebra, j: IdealBasis):
                 table[(uq, vq)] = tuple(sorted(cs.items()))
     unit = project_dense(a.unit_sparse)
     invol = None
-    if a.invol is not None:
+    if a.invol_sparse is not None:
         if all(j.contains(a.apply_invol_sparse(row)) for row in j.rowbasis.sparse_rows):
-            invol = [project_dense(a.invol_sparse[u]) for u in comp]
+            invol = [project(a.invol_sparse[u]) for u in comp]
     q = StructureAlgebra(ring, labels, table, unit, invol)
     proj_matrix = [project_dense({u: ring.one()}) for u in range(a.rank)]
     witness = LinearMapWitness(

@@ -12,9 +12,9 @@ the odd middle row i == (n+1)/2 the indices j and n+1-j name the same
 element and the canonical representative takes j <= (n+1)/2.  Basis order
 is lexicographic on the canonical (i, j).  Structure constants are always
 computed by the matrix-unit oracle: each basis element expands into its one
-or two unit cells, the units multiply as e[a, b] e[c, d] = kron(b, c) e[a, d],
-and the coefficients are read off the canonical cells of the product.  The
-closed product formula is a verified property, never the implementation.
+or two unit cells, the units multiply as e[a, b] e[c, d] = kron(b, c) e[a, d]
+(only cells that meet, found by row), and the coefficients are read off the
+canonical cells.  The closed formula is a verified property, never the code.
 """
 
 from __future__ import annotations
@@ -182,30 +182,44 @@ class NotClosed(ValueError):
 def structure_constants(ring: Ring, n: int) -> dict:
     """Sparse product table: (u, v) -> tuple of (w, coeff) with f_u f_v = sum.
 
-    Computed by the matrix-unit oracle: expand f_u and f_v into their unit
-    cells, multiply the units (e[a, b] e[c, d] = kron(b, c) e[a, d]) and
-    accumulate the product cells, then read the coefficients off the
-    canonical cells in ascending w.  A product cell that differs from its
-    mirror (c*P*c != P) raises :class:`NotClosed`.  Uncached: the table is
-    built once per ``shared_builds()`` block through ``algebra_of_censym``.
+    Computed by the matrix-unit oracle, bucketed by row: a unit product
+    e[a, b] e[c, d] = kron(b, c) e[a, d] is non-zero only when c == b, so
+    f_u meets only the f_v with a cell in one of u's columns as a row, in
+    ascending v.  Every skipped pair has a zero product, so the keys keep
+    their row-major order.  A product cell counts its unit products as an
+    int multiplicity k, read into the ring as the k-fold sum of ``one``;
+    the coefficients are read off the canonical cells in ascending w.  A
+    product cell whose ring value differs from its mirror's (c*P*c != P)
+    raises :class:`NotClosed`.  Uncached: the table is built once per
+    ``shared_builds()`` block through ``algebra_of_censym``.
     """
     idxs = canonical_indices(n)
     pos = positions(n)
     cells = [unit_cells(n, ix.i, ix.j) for ix in idxs]
-    add, one, zero = ring.add, ring.one(), ring.zero()
+    # value[k] is the k-fold sum of one; no product has more than this many terms
+    value = [ring.zero()]
+    for _ in range(max(map(len, cells)) ** 2):
+        value.append(ring.add(value[-1], ring.one()))
+    live = [x != value[0] for x in value]
+    # under[c][v]: the columns of v's cells in row c, v ascending
+    under = {}
+    for v, cv in enumerate(cells):
+        for c, d in cv:
+            under.setdefault(c, {}).setdefault(v, []).append(d)
     table = {}
     for u, cu in enumerate(cells):
-        for v, cv in enumerate(cells):
+        left = [(a, under.get(b, {})) for a, b in cu]
+        for v in sorted({v for _, bucket in left for v in bucket}):
             prod = {}
-            for a, b in cu:
-                for c, d in cv:
-                    if b == c:
-                        prod[a, d] = add(prod.get((a, d), zero), one)
-            for (a, d), x in prod.items():
-                if prod.get((n + 1 - a, n + 1 - d), zero) != x:
+            for a, bucket in left:
+                for d in bucket.get(v, ()):
+                    prod[a, d] = prod.get((a, d), 0) + 1
+            for (a, d), k in prod.items():
+                m = prod.get((n + 1 - a, n + 1 - d), 0)
+                if k != m and value[k] != value[m]:
                     raise NotClosed(f"({idxs[u].label}, {idxs[v].label})")
-            terms = sorted((pos[cell], x) for cell, x in prod.items()
-                           if cell in pos and x != zero)
+            terms = sorted((pos[cell], value[k]) for cell, k in prod.items()
+                           if live[k] and cell in pos)
             if terms:
                 table[(u, v)] = tuple(terms)
     return table

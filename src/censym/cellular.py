@@ -448,7 +448,7 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
         clauses["multiplication-injective"] = clauses["multiplicity-free"]
 
     if (
-        a.invol is not None
+        a.invol_sparse is not None
         and a.apply_invol_sparse(e) == e
         and ae is not None
         and clauses.get("multiplication-injective") == PASS

@@ -75,10 +75,6 @@ def add_multiple(ring: Ring, acc: dict, c, v: dict) -> None:
             acc[k] = t
 
 
-def vec_is_zero(ring: Ring, v) -> bool:
-    return not to_sparse(ring, v)
-
-
 def unit_vector(ring: Ring, width: int, pos: int):
     v = [ring.zero()] * width
     v[pos] = ring.one()

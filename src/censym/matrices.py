@@ -126,12 +126,6 @@ class Matrix:
         )
         return f"Matrix({self.ring.literal()}, {self.n}: {rows})"
 
-    def to_text(self) -> str:
-        lines = [f"n {self.n} ring {self.ring.literal()}"]
-        for i in range(1, self.n + 1):
-            lines.append(" ".join(self.ring.format(self[i, j]) for j in range(1, self.n + 1)))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "Matrix":
         from .rings import ring_from_literal

@@ -391,7 +391,7 @@ def ring_from_literal(text: str) -> Ring:
             p = int(t[3:])
         except ValueError:
             raise RingError(f"bad prime in ring literal {text!r}") from None
-        if not is_prime(p):
+        if p >= 2 and not is_prime(p):
             raise RingError(f"gf:{p} needs a prime; use zmod:{p} for a non-field modulus")
         return ModularRing(p)
     if t.startswith("c2:"):

@@ -25,6 +25,11 @@ def same_span(ring, vecs_a, vecs_b, width):
     return all(rb.contains(v) for v in vecs_a) and all(ra.contains(v) for v in vecs_b)
 
 
+def vec_is_zero(ring, v) -> bool:
+    """Whether a dense coordinate vector is zero, entry by entry."""
+    return all(c == ring.zero() for c in v)
+
+
 def elements(ring):
     """Hypothesis strategy for canonical payloads of the given ring."""
     if isinstance(ring, IntegerRing):

@@ -20,11 +20,11 @@ from censym.algebra import (
     zero_algebra,
 )
 from censym.basis import coords, exchange_coords, from_coords, positions, rank_of
-from censym.linalg import FreenessUndetermined, RowBasis, span_basis, vec_is_zero
+from censym.linalg import FreenessUndetermined, RowBasis, mat_vec, span_basis
 from censym.rings import GroupRingC2
 from censym.structure import morita_column_iso, odd_quotient
 
-from conftest import C2Z, GF2, GF3, GF5, Q, Z, Z4, same_span
+from conftest import C2Z, GF2, GF3, GF5, Q, Z, Z4, same_span, vec_is_zero
 
 
 def label_map(a):
@@ -641,15 +641,16 @@ def _validate_exhaustive(a):
                 if left != right:
                     defects.append("associativity fails at "
                                    f"({a.labels[u]}, {a.labels[v]}, {a.labels[w]})")
-    if a.invol is not None:
+    invol = a.invol
+    if invol is not None:
         for u in range(r):
-            if a.apply_invol(a.invol[u]) != a.basis_vector(u):
+            if mat_vec(a.ring, invol, invol[u]) != a.basis_vector(u):
                 defects.append(f"involution is not an involution at {a.labels[u]}")
-        if a.apply_invol(a.unit) != a.unit:
+        if mat_vec(a.ring, invol, a.unit) != a.unit:
             defects.append("involution moves the unit")
         for u in range(r):
             for v in range(r):
-                if a.apply_invol(a.mul_basis(u, v)) != a.mul(a.invol[v], a.invol[u]):
+                if mat_vec(a.ring, invol, a.mul_basis(u, v)) != a.mul(invol[v], invol[u]):
                     defects.append("involution is not an anti-homomorphism at "
                                    f"({a.labels[u]}, {a.labels[v]})")
     return defects
@@ -759,6 +760,30 @@ def test_table_entry_naming_a_basis_index_twice_is_rejected():
     # such a table has no single meaning
     with pytest.raises(ValueError, match=r"table entry \(1, 2\) names a basis index twice"):
         broken_m2({(1, 2): ((0, 1), (3, 1), (3, -1))})
+    m = full_matrix_algebra(Z, 2)
+    with pytest.raises(ValueError, match=r"table entry \(1, 2\) names a basis index twice"):
+        broken_m2({(1, 2): ((3, 1), (3, 2))}, invol=m.invol_sparse)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: algebra_of_censym(C2Z, 5),
+    lambda: full_matrix_algebra(C2Z, 2),
+    lambda: direct_product(algebra_of_censym(Z, 3), full_matrix_algebra(Z, 2)),
+    lambda: odd_quotient(Q, 2)[2],
+], ids=["censym", "matrix", "product", "quotient"])
+def test_dense_and_sparse_involution_rows_build_the_same_algebra(build):
+    """The constructor stores the involution sparse whichever form its rows
+    come in, and drops zero coefficients from the table in one pass."""
+    a = build()
+    padded = {uv: terms + ((0, a.ring.zero()),) for uv, terms in a.table.items()}
+    padded[(0, 0)] = padded.get((0, 0), ()) + ((1, a.ring.zero()),)
+    for b in (StructureAlgebra(a.ring, a.labels, a.table, a.unit, a.invol),
+              StructureAlgebra(a.ring, a.labels, padded, a.unit, a.invol_sparse)):
+        assert (b.labels, b.table, b.unit, b.invol_sparse, b.invol) == (
+            a.labels, a.table, a.unit, a.invol_sparse, a.invol)
+        assert list(b.table) == list(a.table)
+        assert all(b.mul_basis_sparse(u, v) == dict(terms) for (u, v), terms in a.table.items())
+        assert b.to_json_dict() == a.to_json_dict()
 
 
 def _word_span_rank(a):

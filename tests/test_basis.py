@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from censym import basis as fb
 from censym.algebra import algebra_of_censym
 from censym.basis import (
     BasisIndex,
@@ -20,6 +21,7 @@ from censym.basis import (
     structure_constants,
 )
 from censym.matrices import Matrix, exchange, is_centrosymmetric, matrix_unit
+from censym.rings import ring_from_literal
 
 from conftest import GF2, GF5, Q, Z
 
@@ -268,3 +270,70 @@ def test_from_coords_pinned_values():
     assert from_coords(Z, 3, [0, 0, 0, 0, 0]).inner == Matrix.zero(Z, 3)
     # unit coordinates sit at the diagonal indices (1,1) and (2,2)
     assert from_coords(Z, 3, [1, 0, 0, 0, 1]).inner == Matrix.identity(Z, 3)
+
+
+GRID_LITERALS = ["int", "rat", "zmod:4", "gf:2", "gf:5", "c2:int"]
+
+
+def all_pairs_structure_constants(ring, n: int) -> dict:
+    """The oracle over every basis pair, accumulating each unit product with
+    ring.add: the independent reference for the row-bucketed table."""
+    idxs = canonical_indices(n)
+    pos = fb.positions(n)
+    cells = [fb.unit_cells(n, ix.i, ix.j) for ix in idxs]
+    add, one, zero = ring.add, ring.one(), ring.zero()
+    table = {}
+    for u, cu in enumerate(cells):
+        for v, cv in enumerate(cells):
+            prod = {}
+            for a, b in cu:
+                for c, d in cv:
+                    if b == c:
+                        prod[a, d] = add(prod.get((a, d), zero), one)
+            for (a, d), x in prod.items():
+                if prod.get((n + 1 - a, n + 1 - d), zero) != x:
+                    raise fb.NotClosed(f"({idxs[u].label}, {idxs[v].label})")
+            terms = sorted((pos[cell], x) for cell, x in prod.items()
+                           if cell in pos and x != zero)
+            if terms:
+                table[(u, v)] = tuple(terms)
+    return table
+
+
+@pytest.mark.parametrize("literal", GRID_LITERALS)
+def test_bucketed_oracle_matches_all_pairs_reference(literal):
+    ring = ring_from_literal(literal)
+    for n in range(1, 13):
+        table, ref = structure_constants(ring, n), all_pairs_structure_constants(ring, n)
+        assert table == ref, n
+        assert list(table) == list(ref), n  # the same row-major key order
+
+
+@pytest.mark.parametrize("literal", ["int", "gf:2", "c2:int"])
+def test_dropped_mirror_cells_fail_at_the_reference_pair(literal, monkeypatch):
+    """Negative control: without their mirror cells the basis products leave
+    the centrosymmetric matrices; the bucketed oracle names the same first
+    pair as the all-pairs reference, in gf:2 as well."""
+    ring = ring_from_literal(literal)
+    real = fb.unit_cells
+    monkeypatch.setattr(fb, "unit_cells", lambda n, i, j: real(n, i, j)[:1])
+    for n in range(2, 8):
+        with pytest.raises(fb.NotClosed) as ref:
+            all_pairs_structure_constants(ring, n)
+        with pytest.raises(fb.NotClosed) as got:
+            structure_constants(ring, n)
+        assert got.value.pair == ref.value.pair, n
+
+
+def test_multiplicities_are_read_into_the_ring_before_comparing(monkeypatch):
+    """With each f listed as its first cell twice, a product cell counts 4
+    unit products and its mirror none.  Over int that is not closed; over
+    gf:2 and zmod:4 the 4 is zero, so every product is zero and closed."""
+    real = fb.unit_cells
+    monkeypatch.setattr(fb, "unit_cells", lambda n, i, j: real(n, i, j)[:1] * 2)
+    with pytest.raises(fb.NotClosed) as got:
+        structure_constants(Z, 3)
+    assert got.value.pair == "(f1_1, f1_1)"
+    for literal in ("gf:2", "zmod:4"):
+        ring = ring_from_literal(literal)
+        assert structure_constants(ring, 3) == all_pairs_structure_constants(ring, 3) == {}

@@ -20,10 +20,9 @@ from censym.cellular import (
     verify_cell_chain,
     verify_cell_ideal,
 )
-from censym.linalg import vec_is_zero
 from censym.rings import GroupRingC2
 
-from conftest import GF2, GF3, GF5, Q, Z, same_span
+from conftest import GF2, GF3, GF5, Q, Z, same_span, vec_is_zero
 
 
 def positions(n):

@@ -144,6 +144,52 @@ def test_structure_constants_fail_when_the_formula_drops_a_term(capsys, monkeypa
                                      "pair": "(f1_2, f2_1)"}
 
 
+@pytest.mark.parametrize("extra,failing", [
+    ((0, 4), "(f1_1, f2_1)"),  # before the dropped term in row-major order
+    ((6, 0), "(f1_2, f2_1)"),  # after it: the formula's mismatch comes first
+], ids=["off-row-first", "mismatch-first"])
+def test_structure_constants_fail_on_an_entry_off_the_formula_rows(
+        capsys, monkeypatch, extra, failing):
+    """Negative control: a table entry where the formula applies but neither
+    kron guard holds (b.i is neither a.j nor n+1-a.j) fails the walk over
+    the table's keys with the formula {}; with a dropped formula term at
+    (f1_2, f2_1) as well, the row-major-first failing pair is named."""
+    real_table, real_formula = fb.structure_constants, fb.formula_product
+
+    def extended(ring, n):
+        table = real_table(ring, n)
+        table[extra] = ((0, ring.one()),)
+        return table
+
+    def dropped(ring, n, a, b):
+        f = real_formula(ring, n, a, b)
+        if (a.label, b.label) == ("f1_2", "f2_1"):
+            f.pop((1, 1))
+        return f
+
+    monkeypatch.setattr(fb, "structure_constants", extended)
+    monkeypatch.setattr(fb, "formula_product", dropped)
+    code, out, _ = run(capsys, "verify", "--json", "--n", "4", "--ring", "int",
+                       "--check", "structure-constants")
+    assert code == 1
+    (rep,) = json.loads(out)["reports"]
+    assert rep["verdict"] == "fail"
+    assert rep["counterexample"] == {"pair": failing, "oracle": "{(1, 1): 1}",
+                                     "formula": "{}"}
+
+
+def test_formula_pairs_is_the_count_of_applicable_pairs():
+    """The closed count r^2, less 2r-1 and (mid-1)^2 at odd n, is the number
+    of pairs the formula applies to."""
+    for n in range(1, 14):
+        idxs = fb.canonical_indices(n)
+        rep = cli.check_structure_constants(Z, n)
+        assert rep.verdict == "pass"
+        assert rep.witness == {
+            "formula_pairs": sum(fb.formula_applicable(n, a, b) for a in idxs for b in idxs),
+            "total_pairs": len(idxs) ** 2}
+
+
 def test_isos_report_a_wedderburn_construction_error_as_its_fail(capsys, monkeypatch):
     reason = "plus piece does not match full matrix structure constants"
 

@@ -106,12 +106,19 @@ def test_bisymmetric_implies_centrosymmetric():
         assert is_centrosymmetric(bis)
 
 
+def to_text(a: Matrix) -> str:
+    """The matrix-file text of a matrix: the header line, then one row per line."""
+    rows = (" ".join(a.ring.format(a[i, j]) for j in range(1, a.n + 1))
+            for i in range(1, a.n + 1))
+    return "\n".join([f"n {a.n} ring {a.ring.literal()}", *rows]) + "\n"
+
+
 def test_text_round_trip():
     rng = random.Random(9)
     for lit in ("int", "rat", "zmod:6", "c2:int", "c2:zmod:4"):
         ring = ring_from_literal(lit)
         a = rand_matrix(ring, 3, rng)
-        assert Matrix.from_text(a.to_text()) == a
+        assert Matrix.from_text(to_text(a)) == a
 
 
 def test_text_errors():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,22 @@ def test_ring_literals():
         ring_from_literal("zmod:1")
     with pytest.raises(RingError):
         ring_from_literal("float")
+
+
+@pytest.mark.parametrize("literal", ["gf:4", "gf:9", "c2:gf:6", "gf:1", "gf:0", "gf:-3",
+                                     "zmod:1", "zmod:x", "float"])
+def test_every_literal_an_error_suggests_parses(literal):
+    with pytest.raises(RingError) as exc:
+        ring_from_literal(literal)
+    for suggested in re.findall(r"use (\S+)", str(exc.value)):
+        ring_from_literal(suggested)
+
+
+def test_a_modulus_below_two_is_no_field_and_no_ring():
+    assert "use zmod:4" in str(pytest.raises(RingError, ring_from_literal, "gf:4").value)
+    for literal in ("gf:1", "gf:0", "gf:-3"):
+        with pytest.raises(RingError, match="modulus must be an integer >= 2"):
+            ring_from_literal(literal)
 
 
 def test_parse_errors():
