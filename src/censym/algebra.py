@@ -767,9 +767,12 @@ def centre(a: StructureAlgebra, candidates=None) -> Report:
     the report also states whether they span the centre: every candidate
     lies in the nullspace's span and every nullspace vector in the
     candidates'.  A stuck pivot in either elimination is ``undetermined``.
-    """
+    Candidates are dense vectors; one not of length ``a.rank`` raises
+    ``ValueError``."""
     ring = a.ring
     params = {"ring": ring.literal(), "rank": a.rank}
+    if candidates is not None and any(len(v) != a.rank for v in candidates):
+        raise ValueError(f"candidate length does not match the algebra's rank {a.rank}")
     try:
         basis_vectors = centre_basis(a)
         witness = {

@@ -389,10 +389,12 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
     bases are independent, so A*e*A is Ae (x) eA).  The witness flag
     ``cell_witness`` says e is fixed by the involution and the products are
     independent, so ``cell`` holds the canonical cell-ideal witness on Ae,
-    which :func:`verify_cell_ideal` checks.  Raises ``ValueError`` when
-    e*e != e."""
+    which :func:`verify_cell_ideal` checks.  Raises ``ValueError`` when e
+    is not of length ``a.rank`` or e*e != e."""
     ring, one = a.ring, a.ring.one()
     e_dense = list(e)
+    if len(e_dense) != a.rank:
+        raise ValueError(f"element length does not match the algebra's rank {a.rank}")
     e = to_sparse(ring, e_dense)
     if a.mul_sparse(e, e) != e:
         raise ValueError("element is not idempotent")

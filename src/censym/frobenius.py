@@ -13,12 +13,13 @@ exact:
   witness is not evidence of non-splitness.
 
 The certified map is the R-linear map whose table is T, where T[u] is the
-set of non-zero cells of ``FrobeniusSystem.system_e`` on the matrix unit
-e_u: E(a) = sum_u a[u] * T[u].  The check calls ``system_e`` once per
-matrix unit and reads every clause off T.  Each identity is R-linear in
-its probe a, and the n^2 matrix units are a basis of the full matrix
-algebra, so a random probe cannot fail where the units pass: the seeded
-batch re-checks, through the same table, what the units already prove.
+sparse vector of ``FrobeniusSystem.system_e`` on the matrix unit e_u:
+E(a) = sum_u a[u] * T[u].  The check calls ``system_e`` once per matrix
+unit and reads every clause off T.  Each identity is R-linear in its
+probe a, so it is one defect table D, with D[u] its left side minus its
+right side on e_u, built from T; a holds iff sum_u a[u] * D[u] is zero.
+The units pass iff D is zero, and then a random probe cannot fail: the
+seeded batch re-checks what the units already prove, at no ring cost.
 The bimodule clause and the centralizer test range over the generators of
 :func:`censym.algebra.algebra_of_censym`, whose table is the true product
 of the basis matrices; the s that pass each one form a subalgebra.
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 from .algebra import algebra_of_censym
 from .basis import CentroMatrix, canonical_indices, from_coords, unit_cells
+from .linalg import add_multiple, mat_vec_sparse, to_sparse
 from .matrices import Matrix, matrix_unit
 from .reports import FAIL, PASS, UNKNOWN, Report, combine_clauses
 from .rings import Ring
@@ -77,106 +79,99 @@ def e_map(sys: FrobeniusSystem, a: Matrix) -> CentroMatrix:
 
 def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
                             batch: int = 100) -> Report:
-    """Exact check of the two unit identities on every matrix unit and on a
-    seeded batch of random matrices, plus the bimodule property of E on all
-    (canonical basis) x (matrix unit) pairs, all through E's table T.
+    """Exact check of the two unit identities and of the image clause on
+    every matrix unit and on a seeded batch of random matrices, plus the
+    bimodule property of E on all (canonical basis) x (matrix unit) pairs,
+    all through E's table T.
 
-    T[u] lists the non-zero cells (row-major position, entry) of
-    ``system_e`` on the matrix unit e_u; ``system_e`` is called on nothing
-    else.  Since x_i = e[i, 1] and y_i e[i, k] = e[1, k], row i of
-    sum_i x_i E(y_i a) is sum_k a[i, k] * (row 1 of T[1, k]); since
-    y_i = e[1, i] and e[k, i] x_i = e[k, 1], column i of
-    sum_i E(a x_i) y_i is sum_k a[k, i] * (column 1 of T[k, 1]).  Each
-    identity is therefore n row or column comparisons with a.  Both
-    identities are evaluated on every probe, in probe order, and the first
-    failing one names the counterexample.  The image clause tests
-    E(a) = sum_u a[u] * T[u] on the units first, then on the random batch,
-    so no clause depends on the batch size for its coverage of the units.
-    The bimodule clause compares the cell sums of E(s*u) with s*E(u) and
-    of E(u*s) with E(u)*s for s in the certified generators, then, on a
-    fail, for every canonical basis element in order: the s that pass are
-    closed under products, as E(s*s'*u) = s*E(s'*u) = s*s'*E(u)."""
+    T[u] is the sparse vector of ``system_e`` on the matrix unit e_u, in
+    row-major cells; ``system_e`` is called on nothing else.  Each
+    identity is R-linear in its probe a, so it is read as a defect table
+    D whose row D[u] is its left side minus its right side on e_u: a holds
+    iff sum_u a[u] * D[u] is zero.  Since x_i = e[i, 1] and
+    y_i e[i, k] = e[1, k], D_L[e(i, k)] is row 1 of T[1, k] moved into
+    row i, minus e(i, k); since y_i = e[1, i] and e[k, i] x_i = e[k, 1],
+    D_R[e(k, i)] is column 1 of T[k, 1] moved into column i, minus
+    e(k, i); and D_I[u] is T[u] minus its mirror, which sends cell p to
+    n^2 - 1 - p.  Only non-zero rows are kept, so for a right E every
+    table is empty and a probe costs only its draws.  The earliest failing
+    probe names the counterexample, the left identity's before the right
+    one's on a tie, and the image clause's only after the bimodule clause.
+    That clause sums E(s*u) - s*E(u) and E(u*s) - E(u)*s for s in the
+    certified generators, then, on a fail, for every canonical basis
+    element in order: the s that pass are closed under products, as
+    E(s*s'*u) = s*E(s'*u) = s*s'*E(u)."""
     ring, n = sys.ring, sys.n
-    add, mul, is_zero, zero, one = ring.add, ring.mul, ring.is_zero, ring.zero(), ring.one()
+    is_zero, zero, one = ring.is_zero, ring.zero(), ring.one()
+    minus_one = ring.neg(one)
     rng = random.Random(seed)
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    table = []
-    for i, j in cells:
-        image = sys.system_e(matrix_unit(ring, n, i, j)).entries
-        table.append([(p, x) for p, x in enumerate(image) if not is_zero(x)])
-    left_parts = [[(p, x) for p, x in table[k] if p < n] for k in range(n)]
-    right_parts = [[(p // n, x) for p, x in table[k * n] if p % n == 0]
-                   for k in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    table = [to_sparse(ring, sys.system_e(matrix_unit(ring, n, i + 1, j + 1)).entries)
+             for i, j in cells]
 
-    def combine(coefs, parts, width):
-        """sum_k coefs[k] * parts[k] as a dense list, each part a list of
-        (position, entry).  An entry of one skips the ring multiply and,
-        as in ``Matrix.__add__``, a zero accumulator skips the add."""
-        acc = [zero] * width
-        for c, part in zip(coefs, parts):
-            if not is_zero(c):
-                for p, x in part:
-                    t = c if x == one else mul(c, x)
-                    acc[p] = t if is_zero(acc[p]) else add(acc[p], t)
-        return acc
-
-    def cell_sum(terms):
-        """The non-zero cells of a sum of (position, entry) terms."""
+    def defect_table(sides):
+        """The non-zero rows u -> lhs - rhs, for (lhs, rhs) in basis order."""
         out = {}
-        for p, x in terms:
-            out[p] = add(out[p], x) if p in out else x
-        return {p: x for p, x in out.items() if not is_zero(x)}
+        for u, (lhs, rhs) in enumerate(sides):
+            d = dict(lhs)
+            add_multiple(ring, d, minus_one, rhs)
+            if d:
+                out[u] = d
+        return out
 
-    probes = [(f"e{i}_{j}", [one if q == u else zero for q in range(n * n)])
+    left = defect_table(({i * n + c: x for c, x in table[k].items() if c < n}, {u: one})
+                        for u, (i, k) in enumerate(cells))
+    right = defect_table(({c + i: x for c, x in table[k * n].items() if c % n == 0}, {u: one})
+                         for u, (k, i) in enumerate(cells))
+    image = defect_table((t, {n * n - 1 - p: x for p, x in t.items()}) for t in table)
+
+    probes = [(f"e{i + 1}_{j + 1}", [one if q == u else zero for q in range(n * n)])
               for u, (i, j) in enumerate(cells)]
     probes += [(f"random[{t}]", [ring.sample(rng) for _ in range(n * n)])
                for t in range(batch)]
-    clauses = {}
-    counterexample = None
 
-    left_ok = right_ok = True
-    for name, a in probes:
-        lo = all(combine(a[r : r + n], left_parts, n) == a[r : r + n]
-                 for r in range(0, n * n, n))
-        ro = all(combine(a[i :: n], right_parts, n) == a[i :: n] for i in range(n))
-        if not lo and left_ok:
-            left_ok = False
-            counterexample = counterexample or {"identity": "left-unit", "input": name}
-        if not ro and right_ok:
-            right_ok = False
-            counterexample = counterexample or {"identity": "right-unit", "input": name}
-    clauses["left-unit-identity"] = PASS if left_ok else FAIL
-    clauses["right-unit-identity"] = PASS if right_ok else FAIL
+    def first_failing(defect):
+        """The position of the first probe a with sum_u a[u] * defect[u]
+        non-zero, or None."""
+        return next((t for t, (_, a) in enumerate(probes) if mat_vec_sparse(
+            ring, defect, {u: a[u] for u in defect if not is_zero(a[u])})), None)
 
     indices = canonical_indices(n)
 
     def bimodule_scan(over):
         for idx in (indices[k] for k in over):
-            s = unit_cells(n, idx.i, idx.j)
-            for eu, (p, q) in zip(table, cells):
+            s = [(i - 1, j - 1) for i, j in unit_cells(n, idx.i, idx.j)]
+            for u, (p, q) in enumerate(cells):
                 # s*e[p, q] sums e[i, q] over the cells (i, p) of s, and
                 # e[i, j]*E(u) moves row j of E(u) into row i; mirrored on the right
-                if (cell_sum(x for i, j in s if j == p for x in table[(i - 1) * n + q - 1])
-                        != cell_sum(((i - 1) * n + c % n, x)
-                                    for i, j in s for c, x in eu if c // n == j - 1)
-                        or cell_sum(x for i, j in s if i == q for x in table[(p - 1) * n + j - 1])
-                        != cell_sum((c - c % n + j - 1, x)
-                                    for i, j in s for c, x in eu if c % n == i - 1)):
+                lhs, rhs = {}, {}
+                for i, j in s:
+                    if j == p:
+                        add_multiple(ring, lhs, one, table[i * n + q])
+                    if i == q:
+                        add_multiple(ring, rhs, one, table[p * n + j])
+                    add_multiple(ring, lhs, minus_one,
+                                 {i * n + c % n: x for c, x in table[u].items() if c // n == j})
+                    add_multiple(ring, rhs, minus_one,
+                                 {c - c % n + j: x for c, x in table[u].items() if c % n == i})
+                if lhs or rhs:
                     return f"({idx.label}, unit)"
         return None
 
+    left_at, right_at, image_at = map(first_failing, (left, right, image))
     bad_s = algebra_of_censym(ring, n).first_failure(bimodule_scan)
-    if bad_s is not None:
-        counterexample = counterexample or {"identity": "bimodule", "input": bad_s}
-    image_ok = PASS
-    for name, a in probes:
-        ea = combine(a, table, n * n)
-        if ea != ea[::-1]:
-            image_ok = FAIL
-            counterexample = counterexample or {"identity": "image", "input": name}
-            break
-    clauses["bimodule-property"] = PASS if bad_s is None else FAIL
-    clauses["image-centrosymmetric"] = image_ok
+    clauses = {clause: PASS if at is None else FAIL for clause, at in (
+        ("left-unit-identity", left_at), ("right-unit-identity", right_at),
+        ("bimodule-property", bad_s), ("image-centrosymmetric", image_at))}
+    counterexample = None
+    if right_at is not None and (left_at is None or right_at < left_at):
+        counterexample = {"identity": "right-unit", "input": probes[right_at][0]}
+    elif left_at is not None:
+        counterexample = {"identity": "left-unit", "input": probes[left_at][0]}
+    elif bad_s is not None:
+        counterexample = {"identity": "bimodule", "input": bad_s}
+    elif image_at is not None:
+        counterexample = {"identity": "image", "input": probes[image_at][0]}
 
     params = dict(sys.params(), seed=seed, batch=batch)
     witness = {"E": "identity (trivial extension)" if n == 1 else "a -> a + c*a*c",

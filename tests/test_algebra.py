@@ -432,6 +432,14 @@ def test_centre_field_fail_names_a_non_central_candidate():
                                   "reason": "not in the centre"}
 
 
+@pytest.mark.parametrize("width", [1, 6])
+def test_centre_rejects_a_candidate_of_the_wrong_length(width):
+    # the rank-5 algebra at n = 3: a short or long vector is misuse, not a verdict
+    a = algebra_of_censym(Z, 3)
+    with pytest.raises(ValueError, match="length"):
+        centre(a, candidates=[a.unit, [1] + [0] * (width - 1)])
+
+
 def test_centre_field_fail_on_too_few_candidates():
     a = algebra_of_censym(GF3, 4)
     rep = centre(a, candidates=[a.unit])

@@ -152,6 +152,15 @@ def test_heredity_rejects_non_idempotent():
         heredity_check(a, a.basis_vector(pos[(1, 2)]))
 
 
+@pytest.mark.parametrize("width", [4, 7])
+def test_heredity_rejects_an_element_of_the_wrong_length(width):
+    # a 1 at f2_2 of the rank-5 algebra at n = 3, padded or cut to the width
+    a = algebra_of_censym(Q, 3)
+    e = (a.basis_vector(positions(3)[(2, 2)]) + [0, 0])[:width]
+    with pytest.raises(ValueError, match="length"):
+        heredity_check(a, e)
+
+
 def test_char2_group_ring_has_no_heredity_route():
     rc2 = full_matrix_algebra(GroupRingC2(GF2), 1)
     j = ideal_generated(rc2, [[1, 1]])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from censym.frobenius import (
     verify_frobenius_system,
 )
 from censym.matrices import Matrix, exchange, matrix_unit
-from censym.rings import GroupRingC2
+from censym.rings import GroupRingC2, ring_from_literal
 
 from conftest import C2Z, GF2, GF3, Q, Z, Z4, Z9
 
@@ -179,6 +180,17 @@ class RowTwoSystem(FrobeniusSystem):
         return a + a.conj_by_c() + matrix_unit(self.ring, self.n, 2, 1).scale(a[2, 1])
 
 
+class DoubledRowTwoSystem(FrobeniusSystem):
+    """a + c*a*c + 2*a[2,1]*e[2,1]: the true E where 2 = 0, and otherwise a
+    wrong E that fails the right unit identity like RowTwoSystem.  Over
+    zmod:4 its defect 2 is a zero divisor, which a probe entry of 2 kills."""
+
+    def system_e(self, a):
+        two = self.ring.from_int(2)
+        return (a + a.conj_by_c()
+                + matrix_unit(self.ring, self.n, 2, 1).scale(self.ring.mul(two, a[2, 1])))
+
+
 class IdentitySystem(FrobeniusSystem):
     """Wrong E at n >= 2: a -> a, whose image is not centrosymmetric."""
 
@@ -230,7 +242,8 @@ def test_bimodule_counterexample_whatever_the_generator_order(n):
     assert rep.counterexample == {"identity": "bimodule", "input": "(f1_1, unit)"}
 
 
-NEGATIVE_CONTROLS = (MirrorOnlySystem, SkewedSystem, RowTwoSystem, IdentitySystem)
+NEGATIVE_CONTROLS = (MirrorOnlySystem, SkewedSystem, RowTwoSystem, DoubledRowTwoSystem,
+                     IdentitySystem)
 
 
 @pytest.mark.parametrize("system", NEGATIVE_CONTROLS, ids=lambda c: c.__name__)
@@ -322,19 +335,20 @@ def dense_frobenius_report(sys, seed=0, batch=100) -> dict:
     return {"clauses": clauses, "counterexample": ce}
 
 
-# the skewed, middle-skewed and row-two maps name cells of row 2, so they
-# start at n = 2
+# the skewed, middle-skewed and (doubled) row-two maps name cells of row 2,
+# so they start at n = 2
+ROW_TWO_SYSTEMS = (SkewedSystem, MiddleSkewedSystem, RowTwoSystem, DoubledRowTwoSystem)
 DENSE_CASES = [(system, n)
-               for system in (FrobeniusSystem, MirrorOnlySystem, SkewedSystem,
-                              MiddleSkewedSystem, IdentitySystem, RowTwoSystem)
+               for system in (FrobeniusSystem, MirrorOnlySystem, IdentitySystem)
+               + ROW_TWO_SYSTEMS
                for n in range(1, 5)
-               if n >= 2 or system not in (SkewedSystem, MiddleSkewedSystem, RowTwoSystem)]
+               if n >= 2 or system not in ROW_TWO_SYSTEMS]
 
 
 @pytest.mark.parametrize("system,n", DENSE_CASES,
                          ids=[f"{c.__name__}-{n}" for c, n in DENSE_CASES])
 # where 2 = 0 the middle unit's table entry e + c*e*c is empty at odd n >= 3
-@pytest.mark.parametrize("ring", [Z, Q, C2Z, GF2, GroupRingC2(GF2)],
+@pytest.mark.parametrize("ring", [Z, Q, C2Z, GF2, GroupRingC2(GF2), Z4],
                          ids=lambda r: r.literal())
 def test_row_and_column_moves_match_dense_sums(system, n, ring):
     sysn = system(ring, n)
@@ -355,3 +369,34 @@ def test_e_is_called_once_per_matrix_unit(monkeypatch, n):
     assert rep.verdict == "pass"
     assert seen == [matrix_unit(Q, n, i, j)
                     for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("ring,verdict", [(GF2, "pass"), (GroupRingC2(GF2), "pass"),
+                                          (Z4, "fail"), (Z, "fail"), (Q, "fail")],
+                         ids=lambda r: r if isinstance(r, str) else r.literal())
+def test_doubled_row_two_is_wrong_exactly_where_two_is_not_zero(ring, verdict):
+    rep = verify_frobenius_system(DoubledRowTwoSystem(ring, 3), seed=3, batch=6)
+    assert rep.verdict == verdict
+    if verdict == "fail":
+        assert rep.clauses["right-unit-identity"] == "fail"
+        assert rep.counterexample == {"identity": "right-unit", "input": "e2_1"}
+
+
+@pytest.mark.parametrize("literal", ["rat", "c2:int", "zmod:4"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batch_does_no_ring_arithmetic_for_the_certified_e(monkeypatch, literal, n):
+    """For the certified E every defect table is empty, so a random probe
+    costs its draws and no ring operation.  A fresh ring instance carries
+    the counters."""
+    ring = ring_from_literal(literal)
+    counts = Counter()
+    for op in ("add", "mul", "neg", "sub"):
+        monkeypatch.setattr(ring, op, lambda *args, op=op, f=getattr(ring, op):
+                            counts.update([op]) or f(*args))
+
+    def ops(batch):
+        counts.clear()
+        assert verify_frobenius_system(FrobeniusSystem(ring, n), batch=batch).verdict == "pass"
+        return dict(counts)
+
+    assert ops(0) == ops(50)
