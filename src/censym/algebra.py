@@ -32,7 +32,7 @@ from .linalg import (
     FreenessUndetermined,
     RowBasis,
     add_multiple,
-    mat_vec,
+    checked_sparse,
     mat_vec_sparse,
     nullspace,
     span_basis,
@@ -55,7 +55,10 @@ class StructureAlgebra:
     each, the shorter of the right operand's keys and that index's row;
     one pass over the input table fills both.  ``invol`` rows, the images
     of the basis vectors, may come dense or sparse and are stored sparse
-    as ``invol_sparse``; ``unit`` is dense and ``unit_sparse`` its twin.
+    as ``invol_sparse``.  The unit may come dense or sparse through
+    :func:`censym.linalg.checked_sparse` and is stored as ``unit_sparse``;
+    ``unit``, ``mul``, ``basis_vector`` and ``zero_vector`` are the dense
+    faces.
     """
 
     def __init__(self, ring: Ring, labels, table: dict, unit, invol=None):
@@ -72,24 +75,20 @@ class StructureAlgebra:
                 raise ValueError(f"table entry {(u, v)} names a basis index twice")
             self.table[u, v] = kept
             self._by_left.setdefault(u, {})[v] = row
-        self.unit = list(unit)
-        if len(self.unit) != len(self.labels):
-            raise ValueError("unit coordinate length does not match the basis")
+        self.unit_sparse = checked_sparse(ring, unit, len(self.labels),
+                                          "unit coordinate length does not match the basis")
         self.invol_sparse = None if invol is None else [to_sparse(ring, row) for row in invol]
         if self.invol_sparse is not None and len(self.invol_sparse) != len(self.labels):
             raise ValueError("involution matrix does not match the basis")
-        self.unit_sparse = to_sparse(ring, self.unit)
         self._generators = None
-
-    @property
-    def invol(self):
-        """The involution as dense rows, or None: a view of ``invol_sparse``."""
-        return None if self.invol_sparse is None else [
-            to_dense(self.ring, row, self.rank) for row in self.invol_sparse]
 
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @property
+    def unit(self) -> list:
+        return to_dense(self.ring, self.unit_sparse, self.rank)
 
     def zero_vector(self):
         return [self.ring.zero()] * self.rank
@@ -184,9 +183,6 @@ class StructureAlgebra:
         """e_u * e_v, shared with the table index: read it, never change it."""
         return self._by_left.get(u, {}).get(v, {})
 
-    def mul_basis(self, u: int, v: int):
-        return to_dense(self.ring, self.mul_basis_sparse(u, v), self.rank)
-
     def apply_invol_sparse(self, x: dict) -> dict:
         if self.invol_sparse is None:
             raise ValueError("algebra has no involution")
@@ -255,7 +251,7 @@ class StructureAlgebra:
         r = self.rank
         tensor = [
             [
-                [R.format(c) for c in self.mul_basis(u, v)]
+                [R.format(c) for c in to_dense(R, self.mul_basis_sparse(u, v), r)]
                 for v in range(r)
             ]
             for u in range(r)
@@ -268,7 +264,8 @@ class StructureAlgebra:
             "tensor": tensor,
         }
         if self.invol_sparse is not None:
-            out["involution"] = [[R.format(c) for c in row] for row in self.invol]
+            out["involution"] = [[R.format(c) for c in to_dense(R, row, r)]
+                                 for row in self.invol_sparse]
         return out
 
 
@@ -337,7 +334,7 @@ def algebra_of_censym(ring: Ring, n: int) -> StructureAlgebra:
     pos = fb.positions(n)
     labels = [ix.label for ix in idxs]
     table = fb.structure_constants(ring, n)
-    unit = [ring.one() if ix.i == ix.j else ring.zero() for ix in idxs]
+    unit = {u: ring.one() for u, ix in enumerate(idxs) if ix.i == ix.j}
     invol = [{pos[fb.canon_index(n, ix.j, ix.i)]: ring.one()} for ix in idxs]
     return StructureAlgebra(ring, labels, table, unit, invol)
 
@@ -370,9 +367,7 @@ def full_matrix_algebra(ring: Ring, m: int,
         for (p, q, h), v in idx.items():
             if j == p:
                 table[(u, v)] = ((idx[(i, q, (g + h) % 2)], one),)
-    unit = [base.zero()] * len(labels)
-    for i in range(1, m + 1):
-        unit[idx[(i, i, 0)]] = one
+    unit = {idx[(i, i, 0)]: one for i in range(1, m + 1)}
     invol = [{idx[(j, i, g)]: one} for (i, j, g) in idx]
     return StructureAlgebra(base, labels, table, unit, invol)
 
@@ -394,7 +389,8 @@ def direct_product(a: StructureAlgebra, b: StructureAlgebra,
     table = dict(a.table)
     for (u, v), terms in b.table.items():
         table[(u + off, v + off)] = tuple((w + off, c) for w, c in terms)
-    unit = list(a.unit) + list(b.unit)
+    unit = dict(a.unit_sparse)
+    unit.update((k + off, c) for k, c in b.unit_sparse.items())
     invol = None
     if a.invol_sparse is not None and b.invol_sparse is not None:
         invol = a.invol_sparse + [{k + off: c for k, c in row.items()}
@@ -402,10 +398,11 @@ def direct_product(a: StructureAlgebra, b: StructureAlgebra,
     return StructureAlgebra(ring, labels, table, unit, invol)
 
 
-def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec,
-                            induce_invol: bool = False) -> StructureAlgebra:
+def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec) -> StructureAlgebra:
     """The algebra spanned by the given independent vectors, which must be
-    closed under multiplication and contain the given unit."""
+    closed under multiplication and contain the given unit.  The induced
+    involution is attached when the ambient algebra has one and the span is
+    stable under it."""
     ring = a.ring
     vectors = [to_sparse(ring, v) for v in vectors]
     rb = RowBasis(ring, a.rank, track=True)
@@ -420,19 +417,14 @@ def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec,
                 )
             if cs:
                 table[(u, v)] = tuple(sorted(cs.items()))
-    unit = rb.express(unit_vec)
+    unit = rb.express_sparse(unit_vec)
     if unit is None:
         raise ValueError("unit is not inside the span")
     invol = None
-    if induce_invol:
-        if a.invol_sparse is None:
-            raise ValueError("ambient algebra has no involution to induce")
-        invol = []
-        for xu in vectors:
-            img = rb.express_sparse(a.apply_invol_sparse(xu))
-            if img is None:
-                raise ValueError("span is not involution-stable")
-            invol.append(img)
+    if a.invol_sparse is not None:
+        invol = [rb.express_sparse(a.apply_invol_sparse(xu)) for xu in vectors]
+        if None in invol:
+            invol = None
     return StructureAlgebra(ring, labels, table, unit, invol)
 
 
@@ -457,9 +449,6 @@ class BasedModule:
             self._rb = rb
         return self._rb
 
-    def express(self, ambient_vec):
-        return self.rowbasis().express(ambient_vec)
-
 
 @dataclass
 class LinearMapWitness:
@@ -480,8 +469,12 @@ class LinearMapWitness:
     name: str = "map"
 
     def apply(self, v):
+        """The image of v as a dense vector over the target basis, converting
+        only the rows that v uses."""
         ring = _ring_of(self.target)
-        return mat_vec(ring, self.matrix, v)
+        v = to_sparse(ring, v)
+        out = mat_vec_sparse(ring, {k: to_sparse(ring, self.matrix[k]) for k in v}, v)
+        return to_dense(ring, out, self.target.rank)
 
 
 def _ring_of(side) -> Ring:
@@ -491,9 +484,9 @@ def _ring_of(side) -> Ring:
 def _sparse_rows(side, rows, width: int) -> list:
     """Witness rows over ``side``'s ring in sparse form; a row of the wrong
     width is misuse, as the matrix then names no map between the bases."""
-    if any(len(row) != width for row in rows):
-        raise ValueError("matrix shapes do not match the bases")
-    return [to_sparse(_ring_of(side), row) for row in rows]
+    ring = _ring_of(side)
+    return [checked_sparse(ring, row, width, "matrix shapes do not match the bases")
+            for row in rows]
 
 
 def _labels_of(side):
@@ -506,8 +499,9 @@ def check_witness(w: LinearMapWitness, params: dict | None = None) -> Report:
     """Verify every claimed property of the witness exhaustively; the
     (module) homomorphism clauses act by the algebra's generators only.
     Raises ValueError for a claim it does not know, for endpoints the claim
-    cannot apply to and for a matrix whose shape does not match them: those
-    are misuse, not a contradicted claim."""
+    cannot apply to, for a matrix whose shape does not match them and for a
+    bijective claim without an inverse: those are misuse, not a
+    contradicted claim."""
     params = dict(params or {})
     params.setdefault("map", w.name)
     clauses = {}
@@ -536,7 +530,7 @@ def _check_algebra_hom(w: LinearMapWitness):
         return {
             "input": "unit",
             "lhs": tgt.format_element(img_unit),
-            "rhs": tgt.format_element(tgt.unit),
+            "rhs": tgt.format_element(tgt.unit_sparse),
         }
 
     def scan(over):
@@ -554,7 +548,7 @@ def _check_algebra_hom(w: LinearMapWitness):
 
 def _check_bijective(w: LinearMapWitness):
     if w.inverse is None:
-        return {"reason": "bijective claim without an explicit inverse"}
+        raise ValueError("bijective claim without an explicit inverse")
     src, tgt = w.source, w.target
     if len(w.matrix) != src.rank or len(w.inverse) != tgt.rank:
         raise ValueError("matrix shapes do not match the bases")
@@ -647,10 +641,6 @@ class IdealBasis:
     def rank(self) -> int:
         return self.rowbasis.rank
 
-    @property
-    def vectors(self) -> list:
-        return self.rowbasis.rows
-
     def contains(self, v) -> bool:
         return self.rowbasis.contains(v)
 
@@ -716,22 +706,19 @@ def quotient_by_ideal(a: StructureAlgebra, j: IdealBasis):
         # a residual is zero at every pivot, so its keys all lie in comp
         return {at[u]: c for u, c in j.rowbasis.residual_sparse(v).items()}
 
-    def project_dense(v):
-        return to_dense(ring, project(v), len(comp))
-
     table = {}
     for uq, u in enumerate(comp):
         for vq, v in enumerate(comp):
             cs = project(a.mul_basis_sparse(u, v))
             if cs:
                 table[(uq, vq)] = tuple(sorted(cs.items()))
-    unit = project_dense(a.unit_sparse)
+    unit = project(a.unit_sparse)
     invol = None
     if a.invol_sparse is not None:
         if all(j.contains(a.apply_invol_sparse(row)) for row in j.rowbasis.sparse_rows):
             invol = [project(a.invol_sparse[u]) for u in comp]
     q = StructureAlgebra(ring, labels, table, unit, invol)
-    proj_matrix = [project_dense({u: ring.one()}) for u in range(a.rank)]
+    proj_matrix = [project({u: ring.one()}) for u in range(a.rank)]
     witness = LinearMapWitness(
         source=a, target=q, matrix=proj_matrix,
         claimed=("algebra-homomorphism",), name="quotient-projection",
@@ -767,12 +754,13 @@ def centre(a: StructureAlgebra, candidates=None) -> Report:
     the report also states whether they span the centre: every candidate
     lies in the nullspace's span and every nullspace vector in the
     candidates'.  A stuck pivot in either elimination is ``undetermined``.
-    Candidates are dense vectors; one not of length ``a.rank`` raises
-    ``ValueError``."""
+    Candidates are dense or sparse vectors; one that does not fit
+    ``a.rank`` raises ``ValueError``."""
     ring = a.ring
     params = {"ring": ring.literal(), "rank": a.rank}
-    if candidates is not None and any(len(v) != a.rank for v in candidates):
-        raise ValueError(f"candidate length does not match the algebra's rank {a.rank}")
+    if candidates is not None:
+        candidates = [checked_sparse(ring, v, a.rank, "candidate length does not match "
+                                     f"the algebra's rank {a.rank}") for v in candidates]
     try:
         basis_vectors = centre_basis(a)
         witness = {
@@ -781,14 +769,13 @@ def centre(a: StructureAlgebra, candidates=None) -> Report:
         }
         if candidates is None:
             return Report("centre", params, PASS, witness)
-        candidates, null = ([to_sparse(ring, v) for v in vs] for vs in (candidates, basis_vectors))
         cand_rb = span_basis(ring, candidates, a.rank)
-        null_rb = span_basis(ring, null, a.rank)
+        null_rb = span_basis(ring, basis_vectors, a.rank)
     except FreenessUndetermined as exc:
         return Report("centre", params, UNDETERMINED,
                       witness={"note": f"centre not certified over this ring: {exc}"})
     outside = [c for c in candidates if not null_rb.contains(c)]
-    reduces = not outside and all(cand_rb.contains(z) for z in null)
+    reduces = not outside and all(cand_rb.contains(z) for z in basis_vectors)
     witness["reduces_to_candidates"] = reduces
     if reduces:
         return Report("centre", params, PASS, witness)

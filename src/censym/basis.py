@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .linalg import checked_sparse
 from .matrices import Matrix, exchange, is_centrosymmetric
 from .rings import Ring
 
@@ -159,13 +160,14 @@ def coords(a) -> list:
 
 
 def from_coords(ring: Ring, n: int, v) -> CentroMatrix:
-    """Inverse of :func:`coords`: the combination sum(v[u] * f_u)."""
-    v = list(v)
+    """Inverse of :func:`coords`: the combination sum(v[u] * f_u), for a
+    dense or sparse coordinate vector v."""
     idxs = canonical_indices(n)
-    if len(v) != len(idxs):
-        raise ValueError(f"expected {len(idxs)} coordinates for size {n}, got {len(v)}")
+    v = checked_sparse(ring, v, len(idxs),
+                       f"expected {len(idxs)} coordinates for size {n}, got {len(v)}")
     grid = [[ring.zero()] * n for _ in range(n)]
-    for idx, val in zip(idxs, v):
+    for u, val in v.items():
+        idx = idxs[u]
         grid[idx.i - 1][idx.j - 1] = val
         grid[n - idx.i][n - idx.j] = val
     return CentroMatrix(Matrix(ring, n, [x for row in grid for x in row]))

@@ -37,7 +37,7 @@ from .algebra import (
     ideal_is_two_sided,
     quotient_by_ideal,
 )
-from .linalg import FreenessUndetermined, RowBasis, span_basis, to_dense, to_sparse
+from .linalg import FreenessUndetermined, RowBasis, checked_sparse, span_basis, to_sparse
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
 from .rings import Ring
 from .structure import odd_quotient
@@ -70,8 +70,7 @@ def canonical_cell_witness(a: StructureAlgebra, delta_basis,
     multiplication map is then bijective)."""
     xs = [to_sparse(a.ring, v) for v in delta_basis]
     ys = [a.apply_invol_sparse(x) for x in xs]
-    j_basis = [to_dense(a.ring, a.mul_sparse(x, y), a.rank) for x in xs for y in ys]
-    return CellIdealWitness(a, j_basis, [to_dense(a.ring, x, a.rank) for x in xs], name)
+    return CellIdealWitness(a, [a.mul_sparse(x, y) for x in xs for y in ys], xs, name)
 
 
 def _act_on_leg(t: int, act, d: int, leg: str) -> dict:
@@ -255,9 +254,9 @@ def cell_chain_odd(ring: Ring, n: int) -> CellChainWitness:
     m = n // 2
     a, _, quot, proj = odd_quotient(ring, m)
     pos = fb.positions(n)
-    delta1 = [a.basis_vector(pos[(i, m + 1)]) for i in range(1, m + 2)]
+    delta1 = [{pos[(i, m + 1)]: ring.one()} for i in range(1, m + 2)]
     w1 = canonical_cell_witness(a, delta1, name="middle-column")
-    layers = [CellLayer([list(v) for v in w1.j_basis], a, w1)]
+    layers = [CellLayer(list(w1.j_basis), a, w1)]
     if m:
         layers.append(_matrix_quotient_layer(a, pos, m, quot, proj))
     return CellChainWitness(a, layers, {"n": n, "ring": ring.literal(), "parity": "odd"})
@@ -275,10 +274,7 @@ def cell_chain_even(ring: Ring, n: int) -> CellChainWitness:
     minus_one = ring.neg(ring.one())
 
     def skew(i, j):
-        v = a.zero_vector()
-        v[pos[(i, j)]] = ring.one()
-        v[pos[fb.canon_index(n, i, n + 1 - j)]] = minus_one
-        return v
+        return {pos[(i, j)]: ring.one(), pos[fb.canon_index(n, i, n + 1 - j)]: minus_one}
 
     j1 = [skew(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     delta1 = [skew(i, 1) for i in range(1, m + 1)]
@@ -292,8 +288,9 @@ def _matrix_quotient_layer(a: StructureAlgebra, pos: dict, m: int,
                            quot: StructureAlgebra, proj) -> CellLayer:
     """The top layer of both chains: the span of f[i,j] for i, j <= m, and
     in the m-by-m matrix quotient the cell witness of its first column."""
-    span = [a.basis_vector(pos[(i, j)]) for i in range(1, m + 1) for j in range(1, m + 1)]
-    delta = [proj.apply(a.basis_vector(pos[(i, 1)])) for i in range(1, m + 1)]
+    one = a.ring.one()
+    span = [{pos[(i, j)]: one} for i in range(1, m + 1) for j in range(1, m + 1)]
+    delta = [proj.matrix[pos[(i, 1)]] for i in range(1, m + 1)]
     return CellLayer(span, quot, canonical_cell_witness(quot, delta, name="matrix-quotient"))
 
 
@@ -372,7 +369,7 @@ class HeredityWitness:
     multiplication map into the product span injective."""
 
     algebra: StructureAlgebra
-    e: list
+    e: dict  # sparse
     cell: CellIdealWitness | None
     report: Report
 
@@ -389,13 +386,11 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
     bases are independent, so A*e*A is Ae (x) eA).  The witness flag
     ``cell_witness`` says e is fixed by the involution and the products are
     independent, so ``cell`` holds the canonical cell-ideal witness on Ae,
-    which :func:`verify_cell_ideal` checks.  Raises ``ValueError`` when e
-    is not of length ``a.rank`` or e*e != e."""
+    which :func:`verify_cell_ideal` checks.  e may be dense or sparse;
+    raises ``ValueError`` when it does not fit ``a.rank`` or e*e != e."""
     ring, one = a.ring, a.ring.one()
-    e_dense = list(e)
-    if len(e_dense) != a.rank:
-        raise ValueError(f"element length does not match the algebra's rank {a.rank}")
-    e = to_sparse(ring, e_dense)
+    e = checked_sparse(ring, e, a.rank,
+                       f"element length does not match the algebra's rank {a.rank}")
     if a.mul_sparse(e, e) != e:
         raise ValueError("element is not idempotent")
     params = dict(params or {})
@@ -466,7 +461,7 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
     }
     report = combine_clauses("heredity", params, clauses, witness=witness,
                              counterexample=ce)
-    return HeredityWitness(a, e_dense, cell, report)
+    return HeredityWitness(a, e, cell, report)
 
 
 def quasi_hereditary_chain_odd(ring: Ring, n: int):
@@ -485,18 +480,17 @@ def quasi_hereditary_chain_odd(ring: Ring, n: int):
     a, _, quot, proj = odd_quotient(ring, m)
     pos = fb.positions(n)
     params = {"n": n, "ring": ring.literal()}
-    witnesses = [heredity_check(a, a.basis_vector(pos[(m + 1, m + 1)]),
+    witnesses = [heredity_check(a, {pos[(m + 1, m + 1)]: ring.one()},
                                 params=dict(params, stage=1, idempotent=f"f{m + 1}_{m + 1}"))]
     clauses = {"stage1": witnesses[0].report.verdict}
     saturates = None
     if m:
         for i in range(1, m + 1):
-            ebar = proj.apply(a.basis_vector(pos[(i, i)]))
-            hw = heredity_check(quot, ebar,
+            hw = heredity_check(quot, proj.matrix[pos[(i, i)]],
                                 params=dict(params, stage=2, idempotent=f"f{i}_{i} mod J"))
             witnesses.append(hw)
             clauses[f"stage2-e{i}"] = hw.report.verdict
-        saturates = ideal_generated(quot, [proj.apply(a.basis_vector(pos[(1, 1)]))]).rank == quot.rank
+        saturates = ideal_generated(quot, [proj.matrix[pos[(1, 1)]]]).rank == quot.rank
         clauses["stage2-ideal-reaches-whole"] = PASS if saturates else FAIL
     report = combine_clauses(
         "heredity-chain", params, clauses,

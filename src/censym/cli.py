@@ -7,9 +7,14 @@ every command but dump-algebra (which always prints JSON), --seed on
 verify and frobenius, --check and --matrix-file on verify, --kind on iso
 and dump-algebra.  Exit status: 0 when nothing failed (unknown and
 undetermined verdicts do not fail scripting), 1 when at least one check
-reported fail, 2 on usage errors (an empty --check list, or an --n that
-an iso kind is not built for, among them).  --seed reaches only the
-frobenius random probes, so with a fixed --seed the --json output is
+reported fail, 2 on usage errors and 3 on an internal error.  Every usage
+error (an empty --check list, an --n that an iso kind is not built for, a
+Wedderburn split over a ring without an invertible 2, a bad ring literal
+or matrix file) is decided before the first check runs and raised as a
+``RingError``, or an ``OSError`` from reading the matrix file.  Any other
+exception is an engine fault: inside a check it prints ``internal error
+in <check> at n=<n>, ring=<ring>: ...`` on stderr.  --seed reaches only
+the frobenius random probes, so with a fixed --seed the --json output is
 byte-identical across runs.
 
 ``CHECKS`` maps each verify check to its reports and ``ISO_KINDS`` each
@@ -230,8 +235,16 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 
+class InternalError(Exception):
+    """An exception raised inside a check: an engine fault, not a usage error."""
+
+
 def run_check(name: str, ring: Ring, n: int, seed: int) -> list:
-    return CHECKS[name](ring, n, seed)
+    try:
+        return CHECKS[name](ring, n, seed)
+    except Exception as exc:
+        raise InternalError(f"internal error in {name} at n={n}, ring={ring.literal()}: "
+                            f"{type(exc).__name__}: {exc}") from exc
 
 
 def matrix_file_report(path: str) -> Report:
@@ -301,7 +314,7 @@ def cmd_table(args) -> int:
     rows = []
     for u, lu in enumerate(a.labels):
         for v, lv in enumerate(a.labels):
-            rows.append((lu, lv, a.format_element(a.mul_basis(u, v))))
+            rows.append((lu, lv, a.format_element(a.mul_basis_sparse(u, v))))
     if args.json:
         doc = {
             "n": n,
@@ -322,6 +335,8 @@ def cmd_iso(args) -> int:
     n = args.n or iso.default_n
     if not iso.applies(n):
         raise RingError(f"--kind {args.kind} needs {iso.sizes}")
+    if args.kind == "wedderburn" and ring.invert_two() is None:
+        raise RingError(f"the splitting construction requires 2 invertible in {ring.literal()}")
     params = {"n": n, "ring": ring.literal()}
     if args.kind != "wedderburn":
         return emit([check_witness(w, dict(params, **extra))
@@ -496,9 +511,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RingError, ValueError, IndexError, OSError) as exc:
+    except (RingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(exc, file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -187,7 +187,7 @@ def centralizer_membership(sys: FrobeniusSystem, d: Matrix) -> bool:
         raise ValueError("matrix does not match the extension's ring and size")
     a = algebra_of_censym(sys.ring, sys.n)
     return all(d * f == f * d for f in (
-        from_coords(sys.ring, sys.n, a.basis_vector(g)).inner for g in a.generators()))
+        from_coords(sys.ring, sys.n, {g: sys.ring.one()}).inner for g in a.generators()))
 
 
 def separability_check(sys: FrobeniusSystem) -> Report:

@@ -14,9 +14,11 @@ sum cancels, so a zero is never stored, dict ``==`` is vector equality and
 step (``acc += c*v``); it skips a multiply by one and an add into an
 absent key.  :func:`mat_vec_sparse` is the one helper that applies a
 coefficient matrix (rows are images of basis vectors) to a coordinate
-vector.  The public dense API (plain lists of payloads) is a boundary:
-:func:`to_sparse` and :func:`to_dense` convert there, and ``to_sparse``
-passes a sparse vector through, so every input may come in either form.
+vector.  A vector from outside the engine, a dense list of payloads or a
+sparse dict, enters through one boundary, :func:`checked_sparse`, which
+returns the sparse form and rejects a vector that does not fit its width;
+the kernels take sparse input and check nothing.  :func:`to_dense` gives
+the dense form back for the few dense faces that keep it.
 
 :class:`RowBasis` keeps its rows *fully* reduced: each row is 1 at its own
 pivot column and 0 at every other row's pivot column.  Subtracting a
@@ -54,6 +56,21 @@ def to_sparse(ring: Ring, v) -> dict:
     return {k: x for k, x in enumerate(v) if x != zero}
 
 
+def checked_sparse(ring: Ring, v, width: int, message: str) -> dict:
+    """The sparse form of a vector from outside the engine, dense or sparse.
+    A dense vector must have length ``width`` and a sparse one only keys in
+    ``range(width)``; otherwise ``ValueError(message)``.  Zero payloads of a
+    sparse vector are dropped, as the sparse form stores none."""
+    if not isinstance(v, dict):
+        if len(v) != width:
+            raise ValueError(message)
+        return to_sparse(ring, v)
+    if not all(k in range(width) for k in v):
+        raise ValueError(message)
+    is_zero = ring.is_zero
+    return {k: x for k, x in v.items() if not is_zero(x)}
+
+
 def to_dense(ring: Ring, v: dict, width: int) -> list:
     out = [ring.zero()] * width
     for k, x in v.items():
@@ -83,11 +100,11 @@ def unit_vector(ring: Ring, width: int, pos: int):
 
 class RowBasis:
     """A growing fully reduced row-echelon basis with unit pivots normalized
-    to 1, stored sparse in ``sparse_rows`` (``rows`` is the dense view).
+    to 1, stored sparse in ``sparse_rows``.
 
     With ``track=True`` each stored row also carries its expression over
     the vectors successfully inserted so far, which makes
-    :meth:`express` return coordinates in that inserted basis.
+    :meth:`express_sparse` return coordinates in that inserted basis.
     """
 
     def __init__(self, ring: Ring, width: int, track: bool = False):
@@ -103,10 +120,6 @@ class RowBasis:
     def rank(self) -> int:
         return len(self.sparse_rows)
 
-    @property
-    def rows(self) -> list:
-        return [to_dense(self.ring, row, self.width) for row in self.sparse_rows]
-
     def _reduce(self, v):
         """Residual of v against the stored rows, plus the row multipliers
         as ``{row index: multiplier}``."""
@@ -120,9 +133,6 @@ class RowBasis:
 
     def residual_sparse(self, v) -> dict:
         return self._reduce(v)[0]
-
-    def residual(self, v):
-        return to_dense(self.ring, self.residual_sparse(v), self.width)
 
     def contains(self, v) -> bool:
         return not self.residual_sparse(v)
@@ -179,10 +189,6 @@ class RowBasis:
         res, mults = self._reduce(v)
         return None if res else mat_vec_sparse(self.ring, self._combos, mults)
 
-    def express(self, v):
-        cs = self.express_sparse(v)
-        return None if cs is None else to_dense(self.ring, cs, self.rank)
-
 
 def span_basis(ring: Ring, vectors, width: int) -> RowBasis:
     """Reduced basis of the span of the given vectors (deferred retry on
@@ -206,15 +212,15 @@ def span_basis(ring: Ring, vectors, width: int) -> RowBasis:
 
 
 def nullspace(ring: Ring, rows, width: int) -> list:
-    """Basis of the right nullspace, exact over any commutative ring.
-    Unit-pivot elimination keeps the row module, and once every pivot is
-    a unit the fully reduced rows read x at each pivot off x at the other
-    columns, so the kernel is free on the non-pivot columns.  Raises
-    FreenessUndetermined when a pivot is stuck."""
+    """Basis of the right nullspace, as sparse vectors, exact over any
+    commutative ring.  Unit-pivot elimination keeps the row module, and
+    once every pivot is a unit the fully reduced rows read x at each pivot
+    off x at the other columns, so the kernel is free on the non-pivot
+    columns.  Raises FreenessUndetermined when a pivot is stuck."""
     rb = span_basis(ring, rows, width)
     out = []
     for f in sorted(set(range(width)) - set(rb.pivots)):
-        v = unit_vector(ring, width, f)
+        v = {f: ring.one()}
         for row, p in zip(rb.sparse_rows, rb.pivots):
             if f in row:
                 v[p] = ring.neg(row[f])
@@ -231,10 +237,3 @@ def mat_vec_sparse(ring: Ring, rows, v: dict) -> dict:
         add_multiple(ring, out, c, rows[k])
     return out
 
-
-def mat_vec(ring: Ring, rows, v):
-    """The dense form of :func:`mat_vec_sparse`, converting only the rows
-    that v uses."""
-    v = to_sparse(ring, v)
-    out = mat_vec_sparse(ring, {k: to_sparse(ring, rows[k]) for k in v}, v)
-    return to_dense(ring, out, len(rows[0]) if rows else 0)

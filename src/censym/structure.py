@@ -37,7 +37,7 @@ from .algebra import (
     subalgebra_from_vectors,
     zero_algebra,
 )
-from .linalg import RowBasis, to_dense, to_sparse, unit_vector
+from .linalg import RowBasis, add_multiple, to_sparse
 from .rings import GroupRingC2, Ring
 
 
@@ -48,9 +48,9 @@ def _relabelling(src: StructureAlgebra, tgt: StructureAlgebra, images,
     permutation."""
     inverse = [None] * tgt.rank
     for u, t in enumerate(images):
-        inverse[t] = src.basis_vector(u)
+        inverse[t] = {u: src.ring.one()}
     return LinearMapWitness(
-        src, tgt, [tgt.basis_vector(t) for t in images], inverse,
+        src, tgt, [{t: tgt.ring.one()} for t in images], inverse,
         claimed=("algebra-homomorphism", "bijective", "involution-equivariant"),
         name=name,
     )
@@ -98,11 +98,9 @@ def s3_presentation(ring: Ring):
         table[(pos[s], pos[t])] = tuple(
             (pos[w], ring.from_int(c)) for w, c in expansion.items()
         )
-    unit = [ring.zero()] * 5
-    unit[pos["a"]] = ring.one()
-    unit[pos["v"]] = ring.one()
+    unit = {pos["a"]: ring.one(), pos["v"]: ring.one()}
     swap = {"a": "a", "b": "b", "u": "d", "d": "u", "v": "v"}
-    invol = [unit_vector(ring, 5, pos[swap[s]]) for s in _S3_SYMBOLS]
+    invol = [{pos[swap[s]]: ring.one()} for s in _S3_SYMBOLS]
     pres = StructureAlgebra(ring, _S3_SYMBOLS, table, unit, invol)
     return pres, _onto_s3(pres, "s3-block-presentation")
 
@@ -129,8 +127,7 @@ def odd_quotient(ring: Ring, m: int):
     n = 2 * m + 1
     a = algebra_of_censym(ring, n)
     pos = fb.positions(n)
-    mid = a.basis_vector(pos[(m + 1, m + 1)])
-    ideal = ideal_generated(a, [mid])
+    ideal = ideal_generated(a, [{pos[(m + 1, m + 1)]: ring.one()}])
     quot, proj = quotient_by_ideal(a, ideal)
     return a, ideal, quot, proj
 
@@ -144,18 +141,14 @@ def iso_odd_quotient(ring: Ring, m: int) -> LinearMapWitness:
     a, ideal, quot, proj = odd_quotient(ring, m)
     tgt = full_matrix_algebra(ring, m, flatten_group_ring=False)
     pos = fb.positions(n)
-    minus_one = ring.neg(ring.one())
+    one = ring.one()
+    minus_one = ring.neg(one)
     matrix = []
     for lab in quot.labels:
         i, j = _parse_f_label(lab)
-        if j <= m:
-            matrix.append(tgt.basis_vector((i - 1) * m + j - 1))
-        else:
-            v = tgt.zero_vector()
-            v[(i - 1) * m + n - j] = minus_one
-            matrix.append(v)
-    inverse = [proj.apply(a.basis_vector(pos[(i, j)]))
-               for i in range(1, m + 1) for j in range(1, m + 1)]
+        matrix.append({(i - 1) * m + j - 1: one} if j <= m else
+                      {(i - 1) * m + n - j: minus_one})
+    inverse = [proj.matrix[pos[(i, j)]] for i in range(1, m + 1) for j in range(1, m + 1)]
     return LinearMapWitness(
         quot, tgt, matrix, inverse,
         claimed=("algebra-homomorphism", "bijective", "involution-equivariant"),
@@ -174,7 +167,7 @@ def column_module(a: StructureAlgebra, ring: Ring, n: int, j: int) -> BasedModul
     # an odd middle column j == n+1-j names each f[i,j] once
     cells = dict.fromkeys(fb.canon_index(n, i, col)
                           for i in range(1, fb.half_ceil(n) + 1) for col in (j, n + 1 - j))
-    return BasedModule(a, [a.basis_vector(pos[c]) for c in cells], name=f"S*f{j}")
+    return BasedModule(a, [{pos[c]: ring.one()} for c in cells], name=f"S*f{j}")
 
 
 def morita_column_iso(ring: Ring, n: int, j: int) -> LinearMapWitness:
@@ -193,10 +186,10 @@ def morita_column_iso(ring: Ring, n: int, j: int) -> LinearMapWitness:
     def push(module_from, module_to, f):
         rows = []
         for v in module_from.vectors:
-            cs = module_to.rowbasis().express_sparse(a.mul_sparse(to_sparse(ring, v), f))
+            cs = module_to.rowbasis().express_sparse(a.mul_sparse(v, f))
             if cs is None:
                 raise ValueError("right multiplication left the column module")
-            rows.append(to_dense(ring, cs, module_to.rank))
+            rows.append(cs)
         return rows
 
     return LinearMapWitness(
@@ -219,12 +212,10 @@ def endring_odd(ring: Ring, n: int):
     a = algebra_of_censym(ring, n)
     pos = fb.positions(n)
     corner = [(1, 1), (1, n), (1, mid), (mid, 1), (mid, mid)]
-    vectors = [a.basis_vector(pos[c]) for c in corner]
+    vectors = [{pos[c]: ring.one()} for c in corner]
     labels = [f"f{i}_{j}" for i, j in corner]
-    unit = a.zero_vector()
-    unit[pos[(1, 1)]] = ring.one()
-    unit[pos[(mid, mid)]] = ring.one()
-    end = subalgebra_from_vectors(a, vectors, labels, unit, induce_invol=True)
+    unit = {pos[(1, 1)]: ring.one(), pos[(mid, mid)]: ring.one()}
+    end = subalgebra_from_vectors(a, vectors, labels, unit)
     return end, _onto_s3(end, f"endring-size-{n}")
 
 
@@ -235,8 +226,8 @@ class WedderburnSplit:
     plus_algebra: StructureAlgebra   # rank ceil(n/2)^2
     minus_algebra: StructureAlgebra  # rank floor(n/2)^2
     witness: LinearMapWitness        # onto M_(n-k) x M_k, k = ceil(n/2)
-    p_plus: list
-    p_minus: list
+    p_plus: dict                     # (1 + c)/2, sparse
+    p_minus: dict                    # (1 - c)/2, sparse
 
 
 def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
@@ -255,21 +246,23 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
         )
     a = algebra_of_censym(ring, n)
     pos = fb.positions(n)
-    c = fb.exchange_coords(ring, n)
-    p_plus = [ring.mul(t, ring.add(x, y)) for x, y in zip(a.unit, c)]
-    p_minus = [ring.mul(t, ring.sub(x, y)) for x, y in zip(a.unit, c)]
+    c = to_sparse(ring, fb.exchange_coords(ring, n))
+    p_plus, p_minus = {}, {}
+    for p, sign in ((p_plus, t), (p_minus, ring.neg(t))):
+        add_multiple(ring, p, t, a.unit_sparse)
+        add_multiple(ring, p, sign, c)
     k = fb.half_ceil(n)
     low = n // 2
-    one, sp_plus, sp_minus = ring.one(), to_sparse(ring, p_plus), to_sparse(ring, p_minus)
+    one = ring.one()
 
     plus_vectors = []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            v = a.mul_sparse({pos[fb.canon_index(n, i, j)]: one}, sp_plus)
+            v = a.mul_sparse({pos[fb.canon_index(n, i, j)]: one}, p_plus)
             if n % 2 and j == k and i < k:
                 v = {w: ring.mul(t, x) for w, x in v.items()}  # t is a unit
             plus_vectors.append(v)
-    minus_vectors = [a.mul_sparse({pos[(i, j)]: one}, sp_minus)
+    minus_vectors = [a.mul_sparse({pos[(i, j)]: one}, p_minus)
                      for i in range(1, low + 1) for j in range(1, low + 1)]
 
     plus = full_matrix_algebra(ring, k, flatten_group_ring=False)
@@ -280,13 +273,12 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
     rb.insert_all(units)
     matrix = []
     for u in range(a.rank):
-        cs = rb.express({u: one})
+        cs = rb.express_sparse({u: one})
         if cs is None:
             raise ValueError("piece units do not span the algebra")
         matrix.append(cs)
-    inverse = [to_dense(ring, v, a.rank) for v in units]
     witness = LinearMapWitness(
-        a, target, matrix, inverse,
+        a, target, matrix, units,
         claimed=("algebra-homomorphism", "bijective"),
         name=f"wedderburn-size-{n}",
     )

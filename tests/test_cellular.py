@@ -77,7 +77,7 @@ def test_odd_chain_layer1_equals_generated_ideal():
     a = chain.algebra
     pos = positions(5)
     ideal = ideal_generated(a, [a.basis_vector(pos[(3, 3)])])
-    assert same_span(Z, chain.layers[0].span, ideal.vectors, a.rank)
+    assert same_span(Z, chain.layers[0].span, ideal.rowbasis.sparse_rows, a.rank)
 
 
 def test_even_chain_n2_skew_layer():
@@ -168,7 +168,7 @@ def test_char2_group_ring_has_no_heredity_route():
     assert ideal_square_is_zero(rc2, j)
     # any idempotent e inside J satisfies e = e*e in J*J = 0, so only e = 0:
     # the heredity construction cannot start from this ideal
-    for v in j.vectors:
+    for v in j.rowbasis.sparse_rows:
         assert vec_is_zero(GF2, rc2.mul(v, v))
 
 

@@ -8,6 +8,7 @@ from censym import basis as fb
 from censym import cli
 from censym.algebra import algebra_of_censym, shared_builds
 from censym.cli import CHECK_NAMES, ISO_KINDS, build_parser, check_closure, check_rank, main
+from censym.linalg import FreenessUndetermined
 from censym.rings import ring_from_literal
 from censym.structure import odd_quotient
 
@@ -211,6 +212,8 @@ def test_isos_report_a_wedderburn_construction_error_as_its_fail(capsys, monkeyp
 
 
 def test_a_misused_witness_is_a_usage_error_not_a_fail(capsys, monkeypatch):
+    # the witness is built by the engine, not by the user: misusing it is an
+    # internal error (exit 3), neither a usage error nor a fail
     real = cli.iso_s2
 
     def unsupported(ring):
@@ -220,9 +223,40 @@ def test_a_misused_witness_is_a_usage_error_not_a_fail(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "iso_s2", unsupported)
     code, out, err = run(capsys, "verify", "--n", "2", "--ring", "int", "--check", "isos")
-    assert code == 2
+    assert code == 3
     assert out == ""
-    assert err == "error: unsupported claim 'surjective'\n"
+    assert err == ("internal error in isos at n=2, ring=int: "
+                   "ValueError: unsupported claim 'surjective'\n")
+
+
+ENGINE_FAULTS = [ValueError("bad witness"), IndexError("list index out of range"),
+                 FreenessUndetermined(0, "2")]
+
+
+@pytest.mark.parametrize("fault", ENGINE_FAULTS, ids=lambda e: type(e).__name__)
+def test_an_exception_inside_a_check_is_an_internal_error(capsys, monkeypatch, fault):
+    """A ValueError, an IndexError or a FreenessUndetermined raised while a
+    check runs exits 3 and names the check, its size and its ring; it is
+    neither a usage error (2) nor a failed check (1)."""
+    def broken(ring, m):
+        raise fault
+
+    monkeypatch.setattr(cli, "iso_even", broken)
+    code, out, err = run(capsys, "verify", "--n", "4", "--check", "isos")
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error in isos at n=4, ring=int: {type(fault).__name__}: {fault}\n"
+
+
+def test_an_exception_outside_a_check_is_an_internal_error(capsys, monkeypatch):
+    def broken(ring, m):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "iso_even", broken)
+    code, out, err = run(capsys, "iso", "--kind", "even", "--n", "4")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: IndexError: list index out of range\n"
 
 
 @pytest.mark.parametrize("ring", ["int", "rat", "c2:int"])

@@ -6,8 +6,8 @@ one zero test per ring (``is_zero``) and one structure-constant oracle
 vectors, dicts that store no zero, and has one structure-algebra product
 (``StructureAlgebra.mul_sparse``), one coefficient-matrix helper
 (``linalg.mat_vec_sparse``) and one row reduction (``RowBasis``), all
-accumulating through ``linalg.add_multiple``; the dense methods convert
-around them.  The dense loops survive only here, as independent
+accumulating through ``linalg.add_multiple``; the few dense faces
+(``StructureAlgebra.mul``, ``LinearMapWitness.apply``) convert around them.  The dense loops survive only here, as independent
 references that visit every entry, zero or not.  The Frobenius check,
 which reads E off its table on the matrix units, has its dense reference
 in ``test_frobenius.py``.
@@ -20,13 +20,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from censym import basis as fb
-from censym.algebra import StructureAlgebra, algebra_of_censym, centre_basis, full_matrix_algebra
+from censym.algebra import (
+    LinearMapWitness,
+    StructureAlgebra,
+    algebra_of_censym,
+    centre_basis,
+    full_matrix_algebra,
+)
 from censym.basis import canonical_basis, coords, structure_constants
 from censym.linalg import (
     FreenessUndetermined,
     RowBasis,
     add_multiple,
-    mat_vec,
     mat_vec_sparse,
     nullspace,
     to_dense,
@@ -203,8 +208,7 @@ def test_algebra_mul_of_sparse_vectors_matches_schoolbook(literal, data):
     assert a.mul(x, y) == schoolbook_algebra_mul(a, x, y)
 
 
-def schoolbook_mat_vec(ring, rows, v):
-    width = len(rows[0]) if rows else 0
+def schoolbook_mat_vec(ring, rows, v, width):
     out = [ring.zero()] * width
     for c, row in zip(v, rows):
         out = [ring.add(o, ring.mul(c, x)) for o, x in zip(out, row)]
@@ -220,15 +224,30 @@ def test_mat_vec_matches_schoolbook(literal, data):
     width = data.draw(st.integers(1, 6))
     rows = [data.draw(sparse_vectors(ring, width)) for _ in range(height)]
     v = data.draw(sparse_vectors(ring, height)) if height else []
-    assert mat_vec(ring, rows, v) == schoolbook_mat_vec(ring, rows, v)
+    want = schoolbook_mat_vec(ring, rows, v, width)
+    source, target = (StructureAlgebra(ring, [f"e{k}" for k in range(r)], {}, {})
+                      for r in (height, width))
+    assert LinearMapWitness(source, target, rows).apply(v) == want
+    sparse = mat_vec_sparse(ring, [to_sparse(ring, row) for row in rows], to_sparse(ring, v))
+    assert to_dense(ring, sparse, width) == want
 
 
-def row_order_reduce(rb, v):
+def dense_rows(rb):
+    """The stored rows of a ``RowBasis`` as dense vectors."""
+    return [to_dense(rb.ring, row, rb.width) for row in rb.sparse_rows]
+
+
+def dense_express(rb, v):
+    """Dense coordinates of v over the vectors inserted into rb, or None."""
+    cs = rb.express_sparse(v)
+    return None if cs is None else to_dense(rb.ring, cs, rb.rank)
+
+
+def row_order_reduce(R, rows, pivots, v):
     """Subtract v[p] times each stored row from v, rows in order, every entry."""
-    R = rb.ring
     v = list(v)
     mults = []
-    for row, p in zip(rb.rows, rb.pivots):
+    for row, p in zip(rows, pivots):
         c = v[p]
         mults.append(c)
         v = [R.sub(x, R.mul(c, y)) for x, y in zip(v, row)]
@@ -263,13 +282,13 @@ def test_rowbasis_reduction_matches_row_order_reference(literal, data):
     # the stored rows are fully reduced: each pivot column is 1 in its own
     # row and 0 in every other row
     for r, p in enumerate(rb.pivots):
-        assert [row[p] for row in rb.rows] == [
+        assert [row[p] for row in dense_rows(rb)] == [
             ring.one() if k == r else ring.zero() for k in range(rb.rank)]
     for v in family + [data.draw(sparse_vectors(ring, width))]:
         res, mults = rb._reduce(to_sparse(ring, v))
         assert (to_dense(ring, res, width), to_dense(ring, mults, rb.rank)) == \
-            row_order_reduce(rb, v)
-        assert rb.residual(v) == to_dense(ring, res, width)
+            row_order_reduce(ring, dense_rows(rb), rb.pivots, v)
+        assert to_dense(ring, rb.residual_sparse(v), width) == to_dense(ring, res, width)
 
 
 def small_entries(ring):
@@ -297,7 +316,7 @@ def test_contains_and_express_agree_under_insertion_orders(ring, data):
     for v in probes:
         assert first.contains(v) == second.contains(v)
         for rb, inserted in ((first, inserted_first), (second, inserted_second)):
-            cs = rb.express(v)
+            cs = dense_express(rb, v)
             assert (cs is not None) == rb.contains(v)
             if cs is not None:
                 total = [ring.zero()] * width
@@ -325,7 +344,7 @@ def test_centre_basis_matches_sympy_nullspace(kind, n):
         comms = [[x - y for x, y in zip(a.mul(bw, bu), a.mul(bu, bw))] for bw in basis]
         rows.extend([comms[w][t] for w in range(r)] for t in range(r))
     want = sympy.Matrix(rows).nullspace()
-    got = centre_basis(a)
+    got = [to_dense(Q, v, r) for v in centre_basis(a)]
     assert len(got) == len(want)
     ours = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in v]
                          for v in got])
@@ -414,7 +433,7 @@ class DenseRowBasis:
         self.rows, self.pivots, self.combos = [], [], []
 
     def reduce(self, v):
-        return row_order_reduce(self, v)
+        return row_order_reduce(self.ring, self.rows, self.pivots, v)
 
     def insert(self, v):
         R, zero = self.ring, self.ring.zero()
@@ -476,12 +495,12 @@ def test_rowbasis_matches_dense_reference(literal, data):
             assert stuck.value.column == want[1]
         else:
             assert rb.insert(v) is want
-        assert (rb.rows, rb.pivots) == (ref.rows, ref.pivots)
+        assert (dense_rows(rb), rb.pivots) == (ref.rows, ref.pivots)
         assert rb.sparse_rows == [to_sparse(ring, row) for row in ref.rows]
     for v in family + data.draw(st.lists(vector, max_size=3)):
         res = ref.reduce(v)[0]
-        assert rb.residual(v) == res
+        assert to_dense(ring, rb.residual_sparse(v), width) == res
         assert rb.residual_sparse(to_sparse(ring, v)) == to_sparse(ring, res)
         cs = ref.express(v)
-        assert rb.express(v) == cs
+        assert dense_express(rb, v) == cs
         assert rb.express_sparse(v) == (None if cs is None else to_sparse(ring, cs))

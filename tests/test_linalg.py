@@ -1,14 +1,40 @@
+import re
+
 import pytest
 
+from censym.algebra import (
+    LinearMapWitness,
+    StructureAlgebra,
+    algebra_of_censym,
+    centre,
+    check_witness,
+    full_matrix_algebra,
+)
+from censym.basis import exchange_coords, from_coords, positions
+from censym.cellular import heredity_check
 from censym.linalg import (
     FreenessUndetermined,
     RowBasis,
-    mat_vec,
+    mat_vec_sparse,
     nullspace,
     span_basis,
+    to_dense,
+    to_sparse,
 )
 
+from censym.rings import ring_from_literal
+
 from conftest import GF5, Q, Z, Z4
+
+
+def express(rb, v):
+    """Dense coordinates of v over the inserted vectors, or None."""
+    cs = rb.express_sparse(v)
+    return None if cs is None else to_dense(rb.ring, cs, rb.rank)
+
+
+def dense_nullspace(ring, rows, width):
+    return [to_dense(ring, v, width) for v in nullspace(ring, rows, width)]
 
 
 def test_rowbasis_membership():
@@ -25,15 +51,15 @@ def test_rowbasis_express():
     rb = RowBasis(Q, 3, track=True)
     rb.insert_all([[Q.from_int(1), Q.from_int(1), Q.from_int(0)],
                    [Q.from_int(0), Q.from_int(1), Q.from_int(1)]])
-    cs = rb.express([Q.from_int(2), Q.from_int(3), Q.from_int(1)])
+    cs = express(rb, [Q.from_int(2), Q.from_int(3), Q.from_int(1)])
     assert cs == [Q.from_int(2), Q.from_int(1)]
-    assert rb.express([Q.from_int(0), Q.from_int(0), Q.from_int(1)]) is None
+    assert express(rb, [Q.from_int(0), Q.from_int(0), Q.from_int(1)]) is None
 
 
 def test_rowbasis_express_over_int_with_elimination_order():
     rb = RowBasis(Z, 2, track=True)
     rb.insert_all([[1, 1], [0, 1]])
-    assert rb.express([3, 5]) == [3, 2]
+    assert express(rb, [3, 5]) == [3, 2]
 
 
 def test_freeness_undetermined():
@@ -52,8 +78,8 @@ def test_insert_pivots_on_the_first_unit_entry():
     rb = RowBasis(Z, 2, track=True)
     assert rb.insert([2, 1])
     assert rb.pivots == [1]
-    assert rb.express([4, 2]) == [2]
-    assert rb.express([1, 0]) is None
+    assert express(rb, [4, 2]) == [2]
+    assert express(rb, [1, 0]) is None
     # the first unit, not any unit: columns 1 and 2 both hold one
     rb = RowBasis(Z, 3, track=True)
     assert rb.insert([2, 1, -1])
@@ -61,8 +87,8 @@ def test_insert_pivots_on_the_first_unit_entry():
     # a later row clears the earlier pivot column, keeping full reduction
     assert rb.insert([1, 0, 0])
     assert rb.pivots == [1, 0]
-    assert rb.rows == [[0, 1, -1], [1, 0, 0]]
-    assert rb.express([3, 5, -5]) == [5, -7]
+    assert [to_dense(Z, row, 3) for row in rb.sparse_rows] == [[0, 1, -1], [1, 0, 0]]
+    assert express(rb, [3, 5, -5]) == [5, -7]
 
 
 def test_span_basis_deferred_retry():
@@ -79,15 +105,15 @@ def test_span_basis_deferred_retry():
 
 
 def test_nullspace():
-    ns = nullspace(GF5, [[1, 2, 3]], 3)
+    ns = dense_nullspace(GF5, [[1, 2, 3]], 3)
     assert len(ns) == 2
     for v in ns:
         assert (v[0] + 2 * v[1] + 3 * v[2]) % 5 == 0
     # over a non-field the kernel is free on the non-pivot columns once
     # every pivot is a unit; the rows may come in any order
-    assert nullspace(Z, [[1, 2, 3], [0, 1, 5]], 3) == [[7, -5, 1]]
-    assert nullspace(Z, [[2, 0], [1, 0]], 2) == [[0, 1]]
-    ns = nullspace(Z4, [[2, 1, 0], [0, 0, 3]], 3)
+    assert dense_nullspace(Z, [[1, 2, 3], [0, 1, 5]], 3) == [[7, -5, 1]]
+    assert dense_nullspace(Z, [[2, 0], [1, 0]], 2) == [[0, 1]]
+    ns = dense_nullspace(Z4, [[2, 1, 0], [0, 0, 3]], 3)
     assert ns == [[1, 2, 0]]
     assert all((2 * v[0] + v[1]) % 4 == 0 and 3 * v[2] % 4 == 0 for v in ns)
     # 2*x = 0 has only x = 0 over int, but no unit pivot certifies it
@@ -97,4 +123,80 @@ def test_nullspace():
 
 def test_mat_vec():
     rows = [[1, 0], [1, 1]]
-    assert mat_vec(Z, rows, [2, 3]) == [5, 3]
+    out = mat_vec_sparse(Z, [to_sparse(Z, row) for row in rows], to_sparse(Z, [2, 3]))
+    assert to_dense(Z, out, 2) == [5, 3]
+
+
+# The five entries where a vector from outside the engine becomes sparse
+# through linalg.checked_sparse.  Each maps a ring to (a dense vector, the
+# entry applied to a vector, the entry's message for a vector that does not
+# fit its width).
+
+def _unit_entry(ring):
+    m = full_matrix_algebra(ring, 2, flatten_group_ring=False)
+
+    def call(v):
+        b = StructureAlgebra(ring, m.labels, m.table, v)
+        return b.unit_sparse, b.unit, b.validate()
+    return m.unit, call, "unit coordinate length does not match the basis"
+
+
+def _witness_row_entry(ring):
+    a = algebra_of_censym(ring, 3)
+    invol = [to_dense(ring, row, a.rank) for row in a.invol_sparse]
+
+    def call(v):
+        w = LinearMapWitness(a, a, [v] + invol[1:], invol,
+                             claimed=("bijective", "involution-equivariant"))
+        return check_witness(w).to_json_dict()
+    return invol[0], call, "matrix shapes do not match the bases"
+
+
+def _centre_entry(ring):
+    a = algebra_of_censym(ring, 3)
+
+    def call(v):
+        return centre(a, candidates=[v, a.unit]).to_json_dict()
+    return exchange_coords(ring, 3), call, "candidate length does not match the algebra's rank 5"
+
+
+def _heredity_entry(ring):
+    a = algebra_of_censym(ring, 3)
+
+    def call(v):
+        hw = heredity_check(a, v)
+        return hw.e, hw.report.to_json_dict()
+    return a.basis_vector(positions(3)[(2, 2)]), call, \
+        "element length does not match the algebra's rank 5"
+
+
+def _from_coords_entry(ring):
+    return exchange_coords(ring, 3), lambda v: from_coords(ring, 3, v), \
+        "expected 5 coordinates for size 3"
+
+
+BOUNDARY_ENTRIES = {"unit": _unit_entry, "witness-row": _witness_row_entry,
+                    "centre-candidate": _centre_entry, "heredity-e": _heredity_entry,
+                    "from-coords": _from_coords_entry}
+
+
+@pytest.mark.parametrize("literal", ["int", "rat", "zmod:4", "c2:int"])
+@pytest.mark.parametrize("entry", BOUNDARY_ENTRIES)
+def test_boundary_takes_either_form_and_checks_the_width(entry, literal):
+    ring = ring_from_literal(literal)
+    dense, call, message = BOUNDARY_ENTRIES[entry](ring)
+    sparse = to_sparse(ring, dense)
+    width, one = len(dense), ring.one()
+    assert call(sparse) == call(dense)
+    for bad in (dense[:-1], dense + [ring.zero()], dict(sparse, **{str(width): one}),
+                {**sparse, width: one}, {**sparse, -1: one}):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
+
+
+def test_a_sparse_vector_is_not_read_as_its_keys():
+    # a dict once went through list(), which keeps its keys: e read as [0]
+    # was "zero" and the coordinates {0: 5} gave the zero matrix
+    assert heredity_check(algebra_of_censym(Z, 1), {0: 1}).report.verdict == "pass"
+    assert from_coords(Z, 1, {0: 5}).inner[1, 1] == 5
+    assert StructureAlgebra(Z, ["1"], {(0, 0): ((0, 1),)}, {0: 1}).validate() == []
