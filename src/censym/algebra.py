@@ -53,10 +53,10 @@ class StructureAlgebra:
     factor as sparse vectors, ``u -> {v: {w: coeff}}``, so
     :meth:`mul_sparse` walks only the keys of its left operand and, for
     each, the shorter of the right operand's keys and that index's row;
-    one pass over the input table fills both.  ``invol`` rows, the images
-    of the basis vectors, may come dense or sparse and are stored sparse
-    as ``invol_sparse``.  The unit may come dense or sparse through
-    :func:`censym.linalg.checked_sparse` and is stored as ``unit_sparse``;
+    one pass over the input table fills both.  The ``invol`` rows, the
+    images of the basis vectors, and the unit may come dense or sparse
+    through :func:`censym.linalg.checked_sparse`; they are stored as
+    ``invol_sparse`` and ``unit_sparse``;
     ``unit``, ``mul``, ``basis_vector`` and ``zero_vector`` are the dense
     faces.
     """
@@ -77,7 +77,9 @@ class StructureAlgebra:
             self._by_left.setdefault(u, {})[v] = row
         self.unit_sparse = checked_sparse(ring, unit, len(self.labels),
                                           "unit coordinate length does not match the basis")
-        self.invol_sparse = None if invol is None else [to_sparse(ring, row) for row in invol]
+        self.invol_sparse = None if invol is None else [checked_sparse(
+            ring, row, len(self.labels), "involution matrix does not match the basis")
+            for row in invol]
         if self.invol_sparse is not None and len(self.invol_sparse) != len(self.labels):
             raise ValueError("involution matrix does not match the basis")
         self._generators = None
@@ -400,11 +402,14 @@ def direct_product(a: StructureAlgebra, b: StructureAlgebra,
 
 def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec) -> StructureAlgebra:
     """The algebra spanned by the given independent vectors, which must be
-    closed under multiplication and contain the given unit.  The induced
+    closed under multiplication and contain the given unit; each may come
+    dense or sparse through :func:`censym.linalg.checked_sparse`.  The induced
     involution is attached when the ambient algebra has one and the span is
     stable under it."""
     ring = a.ring
-    vectors = [to_sparse(ring, v) for v in vectors]
+    message = f"vector length does not match the algebra's rank {a.rank}"
+    vectors = [checked_sparse(ring, v, a.rank, message) for v in vectors]
+    unit_vec = checked_sparse(ring, unit_vec, a.rank, message)
     rb = RowBasis(ring, a.rank, track=True)
     rb.insert_all(vectors)
     table = {}
@@ -431,12 +436,18 @@ def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec) -> S
 @dataclass
 class BasedModule:
     """A free module with a listed basis of coordinate vectors inside an
-    ambient structure algebra."""
+    ambient structure algebra; the vectors may come dense or sparse through
+    :func:`censym.linalg.checked_sparse` and are stored sparse."""
 
     algebra: StructureAlgebra
     vectors: list
     name: str = "module"
     _rb: RowBasis | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = self.algebra
+        self.vectors = [checked_sparse(a.ring, v, a.rank, "module vector length does not "
+                                       f"match the algebra's rank {a.rank}") for v in self.vectors]
 
     @property
     def rank(self) -> int:
@@ -577,16 +588,15 @@ def _check_module_hom(w: LinearMapWitness):
         raise ValueError("modules live over different algebras")
     A = src.algebra
     R, one = A.ring, A.ring.one()
-    src_vectors, tgt_vectors = ([to_sparse(R, v) for v in m.vectors] for m in (src, tgt))
     # f(m_k) in the ambient algebra, so f(b*m) = sum_k cs[k] * images[k]
-    images = [mat_vec_sparse(R, tgt_vectors, row)
+    images = [mat_vec_sparse(R, tgt.vectors, row)
               for row in _sparse_rows(tgt, w.matrix, tgt.rank)]
     srb = src.rowbasis()
 
     def scan(over):
         for s in over:
             bs = {s: one}
-            for k, mk in enumerate(src_vectors):
+            for k, mk in enumerate(src.vectors):
                 where = f"({A.labels[s]}, {src.name}[{k}])"
                 cs = srb.express_sparse(A.mul_sparse(bs, mk))
                 if cs is None:
@@ -657,7 +667,8 @@ def ideal_generated(a: StructureAlgebra, gens) -> IdealBasis:
     ring, one = a.ring, a.ring.one()
     rb = RowBasis(ring, a.rank)
     stuck: list = []
-    queue = [to_sparse(ring, g) for g in gens]
+    queue = [checked_sparse(ring, g, a.rank, "generator length does not match the "
+                            f"algebra's rank {a.rank}") for g in gens]
     while queue:
         v = queue.pop()
         try:

@@ -13,9 +13,9 @@ Wedderburn split over a ring without an invertible 2, a bad ring literal
 or matrix file) is decided before the first check runs and raised as a
 ``RingError``, or an ``OSError`` from reading the matrix file.  Any other
 exception is an engine fault: inside a check it prints ``internal error
-in <check> at n=<n>, ring=<ring>: ...`` on stderr.  --seed reaches only
-the frobenius random probes, so with a fixed --seed the --json output is
-byte-identical across runs.
+in <check> at n=<n>, ring=<ring>: ...`` on stderr.  No check draws
+random input (the frobenius report records --seed and its batch in its
+params), so the --json output is byte-identical across runs.
 
 ``CHECKS`` maps each verify check to its reports and ``ISO_KINDS`` each
 iso kind to its sizes and builder; each table serves two commands.
@@ -452,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def seed_flag(p):
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for the random probes of the frobenius check; "
-                            "no other check draws random input")
+                       help="seed recorded in the frobenius report's params; "
+                            "no check draws random input")
 
     p = sub.add_parser("verify", help="run verification suites")
     common(p, n_default_help="every size 1..8")

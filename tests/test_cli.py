@@ -259,16 +259,23 @@ def test_an_exception_outside_a_check_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: IndexError: list index out of range\n"
 
 
-@pytest.mark.parametrize("ring", ["int", "rat", "c2:int"])
-def test_closure_and_rank_do_not_depend_on_the_seed(capsys, ring):
-    """Both checks are exhaustive on the basis, so --seed cannot reach them."""
-    outs = []
-    for seed in ("0", "7"):
-        code, out, _ = run(capsys, "verify", "--json", "--check", "closure,rank",
-                           "--ring", ring, "--seed", seed)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("ring", ["int", "rat", "zmod:4", "gf:2", "gf:5", "c2:int"])
+def test_reports_do_not_depend_on_the_seed(capsys, ring):
+    """closure and rank are exhaustive on the basis and the frobenius check
+    reads its verdict off E's defect tables, so --seed reaches nothing but
+    the frobenius-system report's params.seed."""
+    for check in ("closure,rank", "frobenius"):
+        docs = []
+        for seed in ("0", "7"):
+            code, out, _ = run(capsys, "verify", "--json", "--check", check,
+                               "--ring", ring, "--seed", seed)
+            assert code == 0
+            doc = json.loads(out)
+            for report in doc["reports"]:
+                if report["check"] == "frobenius-system":
+                    assert report["params"].pop("seed") == int(seed)
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
 
 def test_size_help_names_each_default():

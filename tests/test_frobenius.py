@@ -360,7 +360,7 @@ def test_row_and_column_moves_match_dense_sums(system, n, ring):
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_e_is_called_once_per_matrix_unit(monkeypatch, n):
     """The check reads E only through its table on the n^2 matrix units,
-    however many random probes it draws."""
+    whatever its batch."""
     seen = []
     system_e = FrobeniusSystem.system_e
     monkeypatch.setattr(FrobeniusSystem, "system_e",
@@ -385,9 +385,8 @@ def test_doubled_row_two_is_wrong_exactly_where_two_is_not_zero(ring, verdict):
 @pytest.mark.parametrize("literal", ["rat", "c2:int", "zmod:4"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_batch_does_no_ring_arithmetic_for_the_certified_e(monkeypatch, literal, n):
-    """For the certified E every defect table is empty, so a random probe
-    costs its draws and no ring operation.  A fresh ring instance carries
-    the counters."""
+    """The batch is certified by linearity, not drawn, so its size moves no
+    ring operation.  A fresh ring instance carries the counters."""
     ring = ring_from_literal(literal)
     counts = Counter()
     for op in ("add", "mul", "neg", "sub"):
@@ -400,3 +399,24 @@ def test_batch_does_no_ring_arithmetic_for_the_certified_e(monkeypatch, literal,
         return dict(counts)
 
     assert ops(0) == ops(50)
+
+
+@pytest.mark.parametrize("literal", ["rat", "c2:int", "zmod:4"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_check_draws_nothing(monkeypatch, literal, n):
+    """seed and batch are recorded in params, not drawn: on a fresh ring
+    instance whose sample raises, batch 100 gives batch 0's verdict,
+    clauses and counterexample for the certified E and every negative
+    control."""
+    ring = ring_from_literal(literal)
+
+    def sample(rng):
+        raise AssertionError("the Frobenius check drew a random payload")
+    monkeypatch.setattr(ring, "sample", sample)
+    for system in (FrobeniusSystem,) + NEGATIVE_CONTROLS:
+        if n == 1 and system in ROW_TWO_SYSTEMS:
+            continue
+        bare, full = (verify_frobenius_system(system(ring, n), seed=7, batch=batch)
+                      for batch in (0, 100))
+        assert (full.verdict, full.clauses, full.counterexample) == \
+            (bare.verdict, bare.clauses, bare.counterexample), system.__name__

@@ -3,12 +3,15 @@ import re
 import pytest
 
 from censym.algebra import (
+    BasedModule,
     LinearMapWitness,
     StructureAlgebra,
     algebra_of_censym,
     centre,
     check_witness,
     full_matrix_algebra,
+    ideal_generated,
+    subalgebra_from_vectors,
 )
 from censym.basis import exchange_coords, from_coords, positions
 from censym.cellular import heredity_check
@@ -127,7 +130,7 @@ def test_mat_vec():
     assert to_dense(Z, out, 2) == [5, 3]
 
 
-# The five entries where a vector from outside the engine becomes sparse
+# The entries where a vector from outside the engine becomes sparse
 # through linalg.checked_sparse.  Each maps a ring to (a dense vector, the
 # entry applied to a vector, the entry's message for a vector that does not
 # fit its width).
@@ -175,9 +178,52 @@ def _from_coords_entry(ring):
         "expected 5 coordinates for size 3"
 
 
+def _involution_row_entry(ring):
+    a = algebra_of_censym(ring, 3)
+    invol = [to_dense(ring, row, a.rank) for row in a.invol_sparse]
+
+    def call(v):
+        b = StructureAlgebra(ring, a.labels, a.table, a.unit_sparse, [v] + invol[1:])
+        return b.invol_sparse, b.validate()
+    return invol[0], call, "involution matrix does not match the basis"
+
+
+def _ideal_generator_entry(ring):
+    a = algebra_of_censym(ring, 3)
+
+    def call(v):
+        return ideal_generated(a, [v]).rowbasis.sparse_rows
+    return a.basis_vector(positions(3)[(2, 2)]), call, \
+        "generator length does not match the algebra's rank 5"
+
+
+def _subalgebra_entry(ring, as_unit):
+    a = algebra_of_censym(ring, 3)
+
+    def call(v):
+        b = subalgebra_from_vectors(a, [a.unit if as_unit else v], ["1"],
+                                    v if as_unit else a.unit)
+        return b.table, b.unit_sparse, b.invol_sparse
+    return a.unit, call, "vector length does not match the algebra's rank 5"
+
+
+def _module_vector_entry(ring):
+    a = algebra_of_censym(ring, 3)
+
+    def call(v):
+        m = BasedModule(a, [v, a.basis_vector(positions(3)[(2, 2)])])
+        return m.vectors, m.rowbasis().sparse_rows
+    return a.basis_vector(positions(3)[(1, 1)]), call, \
+        "module vector length does not match the algebra's rank 5"
+
+
 BOUNDARY_ENTRIES = {"unit": _unit_entry, "witness-row": _witness_row_entry,
                     "centre-candidate": _centre_entry, "heredity-e": _heredity_entry,
-                    "from-coords": _from_coords_entry}
+                    "from-coords": _from_coords_entry, "involution-row": _involution_row_entry,
+                    "ideal-generator": _ideal_generator_entry,
+                    "subalgebra-vector": lambda ring: _subalgebra_entry(ring, False),
+                    "subalgebra-unit": lambda ring: _subalgebra_entry(ring, True),
+                    "module-vector": _module_vector_entry}
 
 
 @pytest.mark.parametrize("literal", ["int", "rat", "zmod:4", "c2:int"])
