@@ -12,7 +12,9 @@ Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
 centre, and the associativity and anti-homomorphism clauses of
 :meth:`StructureAlgebra.validate`) hold on the whole basis once they hold on
 :meth:`StructureAlgebra.generators`, an irredundant generating set read off
-the product table alone.
+the product table alone; the centrosymmetric and full matrix builders name
+a cycle of matrix units for it to try first, so it has about n/2 elements
+for S_n and m for M_m.
 The centre is one exact unit-pivot nullspace over every ring, and a misused
 witness (unknown claim, wrong endpoints) raises ValueError, never ``fail``.
 Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
@@ -37,7 +39,6 @@ from .linalg import (
     nullspace,
     span_basis,
     to_dense,
-    to_sparse,
     unit_vector,
 )
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
@@ -56,12 +57,13 @@ class StructureAlgebra:
     one pass over the input table fills both.  The ``invol`` rows, the
     images of the basis vectors, and the unit may come dense or sparse
     through :func:`censym.linalg.checked_sparse`; they are stored as
-    ``invol_sparse`` and ``unit_sparse``;
-    ``unit``, ``mul``, ``basis_vector`` and ``zero_vector`` are the dense
-    faces.
+    ``invol_sparse`` and ``unit_sparse``.  ``unit``, ``mul``,
+    ``basis_vector`` and ``zero_vector`` are the dense faces, and ``mul``
+    takes its operands through the same boundary.  ``first`` names basis
+    indices for :meth:`generators` to try before the rest.
     """
 
-    def __init__(self, ring: Ring, labels, table: dict, unit, invol=None):
+    def __init__(self, ring: Ring, labels, table: dict, unit, invol=None, first=()):
         self.ring = ring
         self.labels = tuple(labels)
         zero = ring.zero()
@@ -82,6 +84,9 @@ class StructureAlgebra:
             for row in invol]
         if self.invol_sparse is not None and len(self.invol_sparse) != len(self.labels):
             raise ValueError("involution matrix does not match the basis")
+        self._first = tuple(first)  # indices the greedy of generators() tries first
+        if not all(u in range(len(self.labels)) for u in self._first):
+            raise ValueError("a first generator candidate is not a basis index")
         self._generators = None
 
     @property
@@ -103,10 +108,13 @@ class StructureAlgebra:
         algebra, certified from the table alone and cached.  Index u is
         reached when some T[g, v] or T[v, g], g in G and v reached, is a unit
         at u and reached elsewhere; so by induction each reached e_u is an
-        R-combination of words in G.  A greedy pass adds the lowest
-        unreached index to G whenever nothing new is reached; a prune pass
-        then drops each index of G, last to first, whose removal still
-        leaves every index reached."""
+        R-combination of words in G.  A greedy pass joins to G each
+        unreached index of ``first``, then of the basis in index order; a
+        prune pass drops each index of G, last joined to first, whose
+        removal still leaves every index reached.  Any order is sound, as
+        the certificate is only that the closure from G reaches every
+        index; the builders pass first a cycle of matrix units, E_{1,2},
+        ..., E_{m-1,m}, x*E_{m,1}, which alone generates M_m(R[C2]) = S_2m."""
         if self._generators is None:
             partners, units = {}, {}
             for (u, v), terms in self.table.items():
@@ -123,11 +131,11 @@ class StructureAlgebra:
                 # join each candidate to G (unless skip_reached and it is
                 # reached) and close under the rule; an entry that names
                 # unreached indices waits under each of them
-                gens, reached, waiting = set(), set(), {}
+                gens, reached, waiting = {}, set(), {}  # gens in join order
                 for u in candidates:
                     if skip_reached and u in reached:
                         continue
-                    gens.add(u)
+                    gens[u] = None
                     reached.add(u)
                     todo = [t for v, t in partners.get(u, ()) if v in reached]
                     todo += waiting.pop(u, [])
@@ -142,15 +150,15 @@ class StructureAlgebra:
                         else:
                             for w, _ in new:
                                 waiting.setdefault(w, []).append(terms)
-                return sorted(gens), len(reached)
+                return list(gens), len(reached)
 
-            gens = grow(range(self.rank), True)[0]
+            gens = grow([*self._first, *range(self.rank)], True)[0]
             # the rest of G reaches no more than before the last index joined
             for g in reversed(gens[:-1]):
                 rest = [h for h in gens if h != g]
                 if grow(rest, False)[1] == self.rank:
                     gens = rest
-            self._generators = tuple(gens)
+            self._generators = tuple(sorted(gens))
         return self._generators
 
     def first_failure(self, scan):
@@ -178,8 +186,10 @@ class StructureAlgebra:
         return out
 
     def mul(self, x, y):
-        R = self.ring
-        return to_dense(R, self.mul_sparse(to_sparse(R, x), to_sparse(R, y)), self.rank)
+        R, r = self.ring, self.rank
+        x, y = (checked_sparse(R, v, r, f"vector length does not match the algebra's rank {r}")
+                for v in (x, y))
+        return to_dense(R, self.mul_sparse(x, y), r)
 
     def mul_basis_sparse(self, u: int, v: int) -> dict:
         """e_u * e_v, shared with the table index: read it, never change it."""
@@ -276,7 +286,7 @@ def format_vector(ring: Ring, labels, v) -> str:
     one = ring.one()
     minus = ring.neg(one)
     parts = []
-    v = to_sparse(ring, v)
+    v = checked_sparse(ring, v, len(labels), "vector length does not match the labels")
     for c, lab in ((v[k], labels[k]) for k in sorted(v)):
         if c == one:
             parts.append(lab)
@@ -338,7 +348,13 @@ def algebra_of_censym(ring: Ring, n: int) -> StructureAlgebra:
     table = fb.structure_constants(ring, n)
     unit = {u: ring.one() for u, ix in enumerate(idxs) if ix.i == ix.j}
     invol = [{pos[fb.canon_index(n, ix.j, ix.i)]: ring.one()} for ix in idxs]
-    return StructureAlgebra(ring, labels, table, unit, invol)
+    # the cycle f[1,2], ..., f[m-1,m], f[m,n] = x*E_{m,1} of S_2m = M_m(R[C2]);
+    # at odd n the middle row and column, and f[mid,mid] unless it is reached
+    m, mid = n // 2, (n + 1) // 2
+    cycle = [(i, i + 1) for i in range(1, m)] + [(m, n)] if m else []
+    if n % 2:
+        cycle += [(1, mid), (mid, 1), (mid, mid)]
+    return StructureAlgebra(ring, labels, table, unit, invol, [pos[c] for c in cycle])
 
 
 def full_matrix_algebra(ring: Ring, m: int,
@@ -371,7 +387,9 @@ def full_matrix_algebra(ring: Ring, m: int,
                 table[(u, v)] = ((idx[(i, q, (g + h) % 2)], one),)
     unit = {idx[(i, i, 0)]: one for i in range(1, m + 1)}
     invol = [{idx[(j, i, g)]: one} for (i, j, g) in idx]
-    return StructureAlgebra(base, labels, table, unit, invol)
+    # the cycle E_{1,2}, ..., E_{m-1,m}, E_{m,1}, whose last unit carries x if flattened
+    cycle = [idx[(i, i + 1, 0)] for i in range(1, m)] + [idx[(m, 1, int(flatten))]]
+    return StructureAlgebra(base, labels, table, unit, invol, cycle)
 
 
 def zero_algebra(ring: Ring) -> StructureAlgebra:
@@ -482,10 +500,11 @@ class LinearMapWitness:
     def apply(self, v):
         """The image of v as a dense vector over the target basis, converting
         only the rows that v uses."""
-        ring = _ring_of(self.target)
-        v = to_sparse(ring, v)
-        out = mat_vec_sparse(ring, {k: to_sparse(ring, self.matrix[k]) for k in v}, v)
-        return to_dense(ring, out, self.target.rank)
+        ring, width = _ring_of(self.target), self.target.rank
+        v = checked_sparse(ring, v, self.source.rank, "vector length does not match "
+                           f"the source's rank {self.source.rank}")
+        rows = _sparse_rows(self.target, (self.matrix[k] for k in v), width)
+        return to_dense(ring, mat_vec_sparse(ring, dict(zip(v, rows)), v), width)
 
 
 def _ring_of(side) -> Ring:

@@ -20,6 +20,7 @@ canonical cells.  The closed formula is a verified property, never the code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .linalg import checked_sparse
 from .matrices import Matrix, exchange, is_centrosymmetric
@@ -66,21 +67,21 @@ def canon_index(n: int, i: int, j: int) -> tuple:
     return (i, j)
 
 
-def canonical_indices(n: int) -> list:
-    """All canonical basis indices in lexicographic order; ceil(n^2/2) of them."""
+@cache
+def canonical_indices(n: int) -> tuple:
+    """All canonical basis indices in lexicographic order; ceil(n^2/2) of
+    them.  One tuple per n, built on first use and shared by every caller."""
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
     k = half_ceil(n)
-    out = []
-    for i in range(1, k + 1):
-        top = k if (n % 2 and i == k) else n
-        for j in range(1, top + 1):
-            out.append(BasisIndex(n, i, j))
-    return out
+    return tuple(BasisIndex(n, i, j) for i in range(1, k + 1)
+                 for j in range(1, (k if n % 2 and i == k else n) + 1))
 
 
+@cache
 def positions(n: int) -> dict:
-    """Basis position of each canonical index pair: (i, j) -> u."""
+    """Basis position of each canonical index pair: (i, j) -> u.  One dict
+    per n, shared by every caller: read it, never change it."""
     return {(ix.i, ix.j): u for u, ix in enumerate(canonical_indices(n))}
 
 

@@ -890,13 +890,14 @@ def test_generators_fall_back_to_whole_basis_on_square_zero_radical():
 
 
 def test_generators_skip_a_non_unit_reach():
-    # over int the odd middle idempotent f3_3 is twice a word in f1_*, f2_1
-    # and f3_1, which the certificate cannot divide out, so f3_3 stays in G
+    # over int the odd middle idempotent f3_3 is twice a word in the cycle
+    # f1_2, f2_5 and the middle f1_3, f3_1, which the certificate cannot
+    # divide out, so f3_3 stays in G; over gf:5 it is reached and leaves G
     a, b = algebra_of_censym(Z, 5), algebra_of_censym(GF5, 5)
     assert [a.labels[g] for g in a.generators()] == [
-        "f1_2", "f1_3", "f2_1", "f3_1", "f3_3"]
+        "f1_2", "f1_3", "f2_5", "f3_1", "f3_3"]
     assert [b.labels[g] for g in b.generators()] == [
-        "f1_2", "f1_3", "f2_1", "f3_1"]
+        "f1_2", "f1_3", "f2_5", "f3_1"]
 
 
 def _reached(a, gens):
@@ -945,9 +946,22 @@ def test_generators_are_irredundant_odd_quotient(m, any_ring):
 @pytest.mark.parametrize("n", [9, 12])
 @pytest.mark.parametrize("ring", [Z, C2Z, GF2, Z4, GF5], ids=lambda r: r.literal())
 def test_generators_size_at_large_n(n, ring):
-    # the prune leaves 9 (8 over gf:5) of 41 at n = 9 and 10 of 72 at n = 12
-    want = {9: 8 if ring == GF5 else 9, 12: 10}[n]
+    # the cycle-first greedy leaves 7 (6 over gf:5) of 41 at n = 9 and 6 of
+    # 72 at n = 12, where the index-order greedy left 9 (8) and 10
+    want = {9: 6 if ring == GF5 else 7, 12: 6}[n]
     assert len(algebra_of_censym(ring, n).generators()) == want
+
+
+@pytest.mark.parametrize("n", range(2, 13, 2))
+def test_generators_of_an_even_size_are_one_cycle(n, any_ring):
+    # S_2m = M_m(R[C2]) is generated by a cycle of m matrix units carrying one x
+    assert len(algebra_of_censym(any_ring, n).generators()) == n // 2
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_generators_of_a_full_matrix_algebra_are_one_cycle(m, any_ring):
+    for flatten in (True, False):
+        assert len(full_matrix_algebra(any_ring, m, flatten_group_ring=flatten).generators()) == m
 
 
 def _ideal_over_whole_basis(a, gens):

@@ -6,11 +6,21 @@ import pytest
 
 from censym import basis as fb
 from censym import cli
-from censym.algebra import algebra_of_censym, shared_builds
+from censym.algebra import (
+    LinearMapWitness,
+    StructureAlgebra,
+    algebra_of_censym,
+    check_witness,
+    full_matrix_algebra,
+    shared_builds,
+)
 from censym.cli import CHECK_NAMES, ISO_KINDS, build_parser, check_closure, check_rank, main
+from censym.frobenius import verify_frobenius_system
 from censym.linalg import FreenessUndetermined
 from censym.rings import ring_from_literal
 from censym.structure import odd_quotient
+
+from test_frobenius import NEGATIVE_CONTROLS
 
 Z = ring_from_literal("int")
 
@@ -276,6 +286,50 @@ def test_reports_do_not_depend_on_the_seed(capsys, ring):
                     assert report["params"].pop("seed") == int(seed)
             docs.append(doc)
         assert docs[0] == docs[1]
+
+
+def _reports_that_read_g(ring, n):
+    """Every report that scans G, the generators of
+    StructureAlgebra.generators(), as JSON, and the G of S_n: the verify
+    checks that read G, each iso witness with its last row replaced by its
+    first, the wrong-E Frobenius controls from n = 2, and validate() on
+    S_n, on S_n with its last table entry dropped and on M_m."""
+    with shared_builds():
+        out = [r.to_json_dict() for check in ("isos", "cellchain", "heredity", "centre",
+                                              "frobenius", "separability", "split")
+               for r in cli.run_check(check, ring, n, 0)]
+        for kind, iso in ISO_KINDS.items():
+            if iso.applies(n) and (kind != "wedderburn" or ring.invert_two() is not None):
+                out += [check_witness(LinearMapWitness(
+                    w.source, w.target, [*w.matrix[:-1], w.matrix[0]], w.inverse,
+                    w.claimed, w.name)).to_json_dict() for w, _ in iso.build(ring, n)]
+        # the controls name cells of row 2
+        out += [verify_frobenius_system(system(ring, n)).to_json_dict()
+                for system in NEGATIVE_CONTROLS if n >= 2]
+        a = algebra_of_censym(ring, n)
+        table = {k: t for k, t in a.table.items() if k != max(a.table)}
+        broken = StructureAlgebra(ring, a.labels, table, a.unit_sparse, a.invol_sparse,
+                                  a._first)
+        out += [a.validate(), broken.validate(),
+                full_matrix_algebra(ring, (n + 1) // 2).validate()]
+        return out, a.generators()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_reports_do_not_depend_on_how_g_was_found(monkeypatch, any_ring, n):
+    """G certifies what it scans whichever order the greedy tries the basis
+    in, and a fail re-scans the whole basis: every verdict, clause and
+    counterexample is the same with G found in basis-index order."""
+    cycle_first, g = _reports_that_read_g(any_ring, n)
+    init = StructureAlgebra.__init__
+
+    def index_order(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._first = ()
+    monkeypatch.setattr(StructureAlgebra, "__init__", index_order)
+    index_first, h = _reports_that_read_g(any_ring, n)
+    assert (g != h) == (n >= 3)
+    assert cycle_first == index_first
 
 
 def test_size_help_names_each_default():

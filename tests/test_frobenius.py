@@ -163,12 +163,22 @@ class SkewedSystem(FrobeniusSystem):
 class MiddleSkewedSystem(FrobeniusSystem):
     """Wrong E: a + c*a*c + a[2,2]*(e[2,2] + e[n-1,n-1]).  The extra term is
     centrosymmetric with zero first row and column, so only the bimodule
-    clause can catch it; at n = 4 it first fails there at f1_2, which is not
-    one of the certified generators f1_3, f2_1."""
+    clause can catch it; at n = 4 it first fails there at f1_2."""
 
     def system_e(self, a):
         t = matrix_unit(self.ring, self.n, 2, 2)
         return a + a.conj_by_c() + (t + t.conj_by_c()).scale(a[2, 2])
+
+
+class CornerSkewedSystem(FrobeniusSystem):
+    """Wrong E: a + c*a*c + a[1,1]*(e[2,2] + e[n-1,n-1]).  From n = 3 the
+    extra term is centrosymmetric with zero first row and column, so only
+    the bimodule clause can catch it; it fails at f1_1 and at every s with
+    a unit product landing on cell (1, 1)."""
+
+    def system_e(self, a):
+        t = matrix_unit(self.ring, self.n, 2, 2)
+        return a + a.conj_by_c() + (t + t.conj_by_c()).scale(a[1, 1])
 
 
 class RowTwoSystem(FrobeniusSystem):
@@ -221,15 +231,24 @@ def test_wrong_e_fails_bimodule_only(ring, n):
 
 @pytest.mark.parametrize("ring", [Z, Q, C2Z], ids=lambda r: r.literal())
 def test_bimodule_failure_at_a_non_generator(ring):
-    """The generators f1_3 and f2_1 fail too, so a scan of G alone would
-    name f1_3; the re-scan of the whole basis names f1_2 (and agrees with
+    """The first s in basis order that fails is f1_1, which is not in G,
+    and some generator fails too, so a scan of G alone would name that
+    generator; the re-scan of the whole basis names f1_1 (and agrees with
     the dense reference, see DENSE_CASES)."""
     a = algebra_of_censym(ring, 4)
-    assert [a.labels[g] for g in a.generators()] == ["f1_3", "f2_1"]
-    rep = verify_frobenius_system(MiddleSkewedSystem(ring, 4), batch=5)
+    sysn = CornerSkewedSystem(ring, 4)
+    e = sysn.system_e
+    units = [matrix_unit(ring, 4, i, j) for i in range(1, 5) for j in range(1, 5)]
+    failing = [idx.label for idx, f in canonical_basis(ring, 4)
+               if any(e(f.inner * u) != f.inner * e(u) or e(u * f.inner) != e(u) * f.inner
+                      for u in units)]
+    gens = {a.labels[g] for g in a.generators()}
+    assert failing[0] == "f1_1" and "f1_1" not in gens
+    assert gens & set(failing)
+    rep = verify_frobenius_system(sysn, batch=5)
     assert rep.clauses == {"left-unit-identity": "pass", "right-unit-identity": "pass",
                            "bimodule-property": "fail", "image-centrosymmetric": "pass"}
-    assert rep.counterexample == {"identity": "bimodule", "input": "(f1_2, unit)"}
+    assert rep.counterexample == {"identity": "bimodule", "input": "(f1_1, unit)"}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -335,9 +354,10 @@ def dense_frobenius_report(sys, seed=0, batch=100) -> dict:
     return {"clauses": clauses, "counterexample": ce}
 
 
-# the skewed, middle-skewed and (doubled) row-two maps name cells of row 2,
-# so they start at n = 2
-ROW_TWO_SYSTEMS = (SkewedSystem, MiddleSkewedSystem, RowTwoSystem, DoubledRowTwoSystem)
+# the skewed, middle-skewed, corner-skewed and (doubled) row-two maps name
+# cells of row 2, so they start at n = 2
+ROW_TWO_SYSTEMS = (SkewedSystem, MiddleSkewedSystem, CornerSkewedSystem, RowTwoSystem,
+                   DoubledRowTwoSystem)
 DENSE_CASES = [(system, n)
                for system in (FrobeniusSystem, MirrorOnlySystem, IdentitySystem)
                + ROW_TWO_SYSTEMS

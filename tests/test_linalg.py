@@ -9,6 +9,7 @@ from censym.algebra import (
     algebra_of_censym,
     centre,
     check_witness,
+    format_vector,
     full_matrix_algebra,
     ideal_generated,
     subalgebra_from_vectors,
@@ -217,13 +218,37 @@ def _module_vector_entry(ring):
         "module vector length does not match the algebra's rank 5"
 
 
+def _mul_entry(ring, left):
+    a = algebra_of_censym(ring, 3)
+    c = exchange_coords(ring, 3)
+
+    def call(v):
+        return a.mul(v, c) if left else a.mul(c, v)
+    return c, call, "vector length does not match the algebra's rank 5"
+
+
+def _apply_entry(ring):
+    a = algebra_of_censym(ring, 3)
+    w = LinearMapWitness(a, a, [to_dense(ring, row, a.rank) for row in a.invol_sparse])
+    return exchange_coords(ring, 3), w.apply, "vector length does not match the source's rank 5"
+
+
+def _format_vector_entry(ring):
+    labels = algebra_of_censym(ring, 3).labels
+    return exchange_coords(ring, 3), lambda v: format_vector(ring, labels, v), \
+        "vector length does not match the labels"
+
+
 BOUNDARY_ENTRIES = {"unit": _unit_entry, "witness-row": _witness_row_entry,
                     "centre-candidate": _centre_entry, "heredity-e": _heredity_entry,
                     "from-coords": _from_coords_entry, "involution-row": _involution_row_entry,
                     "ideal-generator": _ideal_generator_entry,
                     "subalgebra-vector": lambda ring: _subalgebra_entry(ring, False),
                     "subalgebra-unit": lambda ring: _subalgebra_entry(ring, True),
-                    "module-vector": _module_vector_entry}
+                    "module-vector": _module_vector_entry,
+                    "mul-left": lambda ring: _mul_entry(ring, True),
+                    "mul-right": lambda ring: _mul_entry(ring, False),
+                    "witness-apply": _apply_entry, "format-vector": _format_vector_entry}
 
 
 @pytest.mark.parametrize("literal", ["int", "rat", "zmod:4", "c2:int"])
