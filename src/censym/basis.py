@@ -98,11 +98,7 @@ def unit_cells(n: int, i: int, j: int) -> tuple:
 
 def basis_matrix(ring: Ring, n: int, i: int, j: int) -> Matrix:
     """The basis element f[i, j] as a matrix (index canonicalized first)."""
-    i, j = canon_index(n, i, j)
-    entries = [ring.zero()] * (n * n)
-    for a, b in unit_cells(n, i, j):
-        entries[(a - 1) * n + (b - 1)] = ring.one()
-    return Matrix(ring, n, entries)
+    return from_coords(ring, n, {positions(n)[canon_index(n, i, j)]: ring.one()}).inner
 
 
 class CentroMatrix:
@@ -142,10 +138,8 @@ def _unwrap(m):
 
 def canonical_basis(ring: Ring, n: int) -> list:
     """Ordered list of (BasisIndex, CentroMatrix) pairs."""
-    return [
-        (idx, CentroMatrix(basis_matrix(ring, n, idx.i, idx.j)))
-        for idx in canonical_indices(n)
-    ]
+    one = ring.one()
+    return [(idx, from_coords(ring, n, {u: one})) for u, idx in enumerate(canonical_indices(n))]
 
 
 def coords(a) -> list:
@@ -157,21 +151,22 @@ def coords(a) -> list:
     m = _unwrap(a)
     if not is_centrosymmetric(m):
         raise ValueError("matrix is not centrosymmetric")
-    return [m[idx.i, idx.j] for idx in canonical_indices(m.n)]
+    n, cells, zero = m.n, m.cells, m.ring.zero()
+    return [cells.get((idx.i - 1) * n + idx.j - 1, zero) for idx in canonical_indices(n)]
 
 
 def from_coords(ring: Ring, n: int, v) -> CentroMatrix:
     """Inverse of :func:`coords`: the combination sum(v[u] * f_u), for a
-    dense or sparse coordinate vector v."""
+    dense or sparse coordinate vector v.  Coordinate u is the payload of
+    f_u's canonical cell and of its mirror cell, which sits at n*n-1 minus
+    its row-major position."""
     idxs = canonical_indices(n)
-    v = checked_sparse(ring, v, len(idxs),
-                       f"expected {len(idxs)} coordinates for size {n}, got {len(v)}")
-    grid = [[ring.zero()] * n for _ in range(n)]
-    for u, val in v.items():
-        idx = idxs[u]
-        grid[idx.i - 1][idx.j - 1] = val
-        grid[n - idx.i][n - idx.j] = val
-    return CentroMatrix(Matrix(ring, n, [x for row in grid for x in row]))
+    v = checked_sparse(ring, v, len(idxs), f"expected {len(idxs)} coordinates for size {n}")
+    cells, last = {}, n * n - 1
+    for u, x in v.items():
+        p = (idxs[u].i - 1) * n + idxs[u].j - 1
+        cells[p] = cells[last - p] = x
+    return CentroMatrix(Matrix(ring, n, cells))
 
 
 class NotClosed(ValueError):

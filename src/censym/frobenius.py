@@ -13,7 +13,7 @@ exact:
   witness is not evidence of non-splitness.
 
 The certified map is the R-linear map whose table is T, where T[u] is the
-sparse vector of ``FrobeniusSystem.system_e`` on the matrix unit e_u:
+``cells`` of ``FrobeniusSystem.system_e`` on the matrix unit e_u:
 E(a) = sum_u a[u] * T[u].  The check calls ``system_e`` once per matrix
 unit and reads every clause off T, each identity as one defect table.
 No input is drawn: ``seed`` and ``batch`` are recorded in the report
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .algebra import algebra_of_censym
 from .basis import CentroMatrix, canonical_indices, from_coords, unit_cells
-from .linalg import add_multiple, to_sparse
+from .linalg import add_multiple
 from .matrices import Matrix, matrix_unit
 from .reports import FAIL, PASS, UNKNOWN, Report, combine_clauses
 from .rings import Ring
@@ -80,11 +80,11 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
     every matrix a, plus the bimodule property of E on all (canonical
     basis) x (matrix unit) pairs, all through E's table T.
 
-    T[u] is the sparse vector of ``system_e`` on the matrix unit e_u, in
-    row-major cells; ``system_e`` is called on nothing else.  Each
-    identity is R-linear in a, so it is read as a defect table D whose row
-    D[u] is its left side minus its right side on e_u: it holds at a iff
-    sum_u a[u] * D[u] is zero.  Since x_i = e[i, 1] and y_i e[i, k] =
+    T[u] is the ``cells`` of ``system_e`` on the matrix unit e_u, a sparse
+    vector over the row-major cells; ``system_e`` is called on nothing
+    else.  Each identity is R-linear in a, so it is read as a defect
+    table D whose row D[u] is its left side minus its right side on e_u:
+    it holds at a iff sum_u a[u] * D[u] is zero.  Since x_i = e[i, 1] and y_i e[i, k] =
     e[1, k], D_L[e(i, k)] is row 1 of T[1, k] moved into row i, minus
     e(i, k); since y_i = e[1, i] and e[k, i] x_i = e[k, 1], D_R[e(k, i)]
     is column 1 of T[k, 1] moved into column i, minus e(k, i); and D_I[u]
@@ -103,8 +103,7 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
     one = ring.one()
     minus_one = ring.neg(one)
     cells = [(i, j) for i in range(n) for j in range(n)]
-    table = [to_sparse(ring, sys.system_e(matrix_unit(ring, n, i + 1, j + 1)).entries)
-             for i, j in cells]
+    table = [sys.system_e(matrix_unit(ring, n, i + 1, j + 1)).cells for i, j in cells]
 
     def defect_table(sides):
         """The non-zero rows u -> lhs - rhs, for (lhs, rhs) in basis order."""
@@ -183,13 +182,12 @@ def separability_check(sys: FrobeniusSystem) -> Report:
     ring, n = sys.ring, sys.n
     d = Matrix.identity(ring, n)
     # e[p, q] * d * e[r, s] = d[q, r] * e[p, s]
-    entries = [ring.zero()] * (n * n)
+    total, one = {}, ring.one()
     for i in range(1, n + 1):
         for p, q in sys.x_cells(i):
             for r, s in sys.y_cells(i):
-                cell = (p - 1) * n + s - 1
-                entries[cell] = ring.add(entries[cell], d[q, r])
-    total = Matrix(ring, n, entries)
+                add_multiple(ring, total, d[q, r], {(p - 1) * n + s - 1: one})
+    total = Matrix(ring, n, total)
     ok = total == d and centralizer_membership(sys, d)
     report = Report(
         "separability", sys.params(),

@@ -17,8 +17,10 @@ coefficient matrix (rows are images of basis vectors) to a coordinate
 vector.  A vector from outside the engine, a dense list of payloads or a
 sparse dict, enters through one boundary, :func:`checked_sparse`, which
 returns the sparse form and rejects a vector that does not fit its width;
-the kernels take sparse input and check nothing.  :func:`to_dense` gives
-the dense form back for the few dense faces that keep it.
+the kernels take sparse input and check nothing.  A ``matrices.Matrix``
+enters there too and keeps its non-zero cells in this form.
+:func:`to_dense` gives the dense form back for the few dense faces that
+keep it, such as ``Matrix.entries``.
 
 :class:`RowBasis` keeps its rows *fully* reduced: each row is 1 at its own
 pivot column and 0 at every other row's pivot column.  Subtracting a

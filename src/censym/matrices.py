@@ -1,59 +1,59 @@
-"""Dense square matrices over a ring, matrix units, and symmetry predicates.
+"""Square matrices over a ring, matrix units, and symmetry predicates.
 
 Indexing is 1-based throughout the public interface: ``a[i, j]`` with
-``1 <= i, j <= n``.  Entries are canonical ring payloads, and every zero
-test is the ring's ``is_zero``.
+``1 <= i, j <= n``.  A matrix keeps only its non-zero cells, as ``cells``:
+a dict {row-major position (i-1)*n + (j-1): payload} in the sparse form of
+:mod:`censym.linalg`, so dict ``==`` is matrix equality and no zero is
+stored.  Dense and sparse input both enter through
+``linalg.checked_sparse``; ``entries`` is the dense row-major view.
 
-* Multiplication skips zeros on both sides: each row of the left factor
-  walks only its non-zero entries, and each of those walks only the
-  non-zero entries of the matching row of the right factor.  A product of
-  matrix units therefore costs O(n), a dense product still O(n^3), and
-  every entry is the same ring element the schoolbook sum gives (terms are
-  added in k order).
-* Addition skips the ring add wherever one of the two entries is zero and
-  keeps the other entry, which is the same canonical payload.
+* Every sum goes through ``linalg.add_multiple``, so a cancelled cell or
+  a scale that reaches zero stores nothing.
+* A product adds x times row k of the right factor into row i for each
+  left cell x at (i, k).  A product of matrix units therefore costs O(1),
+  a dense product O(n^3), and every entry is the same ring element the
+  schoolbook sum gives.
+* Transposition and conjugation by the exchange matrix only move keys.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
+from .linalg import add_multiple, checked_sparse, to_dense
 from .rings import Ring, RingError, ensure_same_ring
 
 
 class Matrix:
-    """An n-by-n matrix over a ring, stored row-major."""
+    """An n-by-n matrix over a ring, stored as its non-zero cells."""
 
-    __slots__ = ("ring", "n", "entries")
+    __slots__ = ("ring", "n", "cells")
 
-    def __init__(self, ring: Ring, n: int, entries: Iterable):
+    def __init__(self, ring: Ring, n: int, entries):
+        """``entries`` is a dense row-major sequence or a sparse dict."""
         if n < 1:
             raise ValueError(f"matrix size must be >= 1, got {n}")
-        entries = tuple(entries)
-        if len(entries) != n * n:
-            raise ValueError(f"expected {n * n} entries for size {n}, got {len(entries)}")
         self.ring = ring
         self.n = n
-        self.entries = entries
+        self.cells = checked_sparse(ring, entries, n * n,
+                                    f"expected {n * n} entries for size {n}")
 
     @classmethod
     def zero(cls, ring: Ring, n: int) -> "Matrix":
-        z = ring.zero()
-        return cls(ring, n, [z] * (n * n))
+        return cls(ring, n, {})
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
-        z, o = ring.zero(), ring.one()
-        return cls(ring, n, [o if i == j else z for i in range(n) for j in range(n)])
+        return cls(ring, n, dict.fromkeys(range(0, n * n, n + 1), ring.one()))
 
-    def _check_index(self, i: int, j: int) -> None:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"index ({i}, {j}) out of range for size {self.n}")
+    @property
+    def entries(self) -> tuple:
+        """The dense row-major entries, zeros included."""
+        return tuple(to_dense(self.ring, self.cells, self.n * self.n))
 
     def __getitem__(self, ij):
         i, j = ij
-        self._check_index(i, j)
-        return self.entries[(i - 1) * self.n + (j - 1)]
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"index ({i}, {j}) out of range for size {self.n}")
+        return self.cells.get((i - 1) * self.n + j - 1, self.ring.zero())
 
     def _compat(self, other: "Matrix") -> None:
         ensure_same_ring(self.ring, other.ring, "matrices")
@@ -62,62 +62,49 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
-        add, is_zero = self.ring.add, self.ring.is_zero
-        return Matrix(self.ring, self.n, [
-            b if is_zero(a) else a if is_zero(b) else add(a, b)
-            for a, b in zip(self.entries, other.entries)
-        ])
+        cells = dict(self.cells)
+        add_multiple(self.ring, cells, self.ring.one(), other.cells)
+        return Matrix(self.ring, self.n, cells)
 
     def scale(self, r) -> "Matrix":
-        mul = self.ring.mul
-        return Matrix(self.ring, self.n, [mul(r, a) for a in self.entries])
+        cells = {}
+        add_multiple(self.ring, cells, r, self.cells)
+        return Matrix(self.ring, self.n, cells)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
-        n = self.n
-        R = self.ring
-        add, mul, is_zero, zero = R.add, R.mul, R.is_zero, R.zero()
-        a, b = self.entries, other.entries
-        # non-zero (j, b[k, j]) of row k of the right factor, built on first use
-        brows = [None] * n
-        out = []
-        for i in range(n):
-            acc = [zero] * n
-            for k, x in enumerate(a[i * n : (i + 1) * n]):
-                if not is_zero(x):
-                    brow = brows[k]
-                    if brow is None:
-                        brow = brows[k] = [
-                            (j, y) for j, y in enumerate(b[k * n : (k + 1) * n])
-                            if not is_zero(y)
-                        ]
-                    for j, y in brow:
-                        acc[j] = add(acc[j], mul(x, y))
-            out.extend(acc)
-        return Matrix(R, n, out)
+        n, ring = self.n, self.ring
+        right = {}  # row k of the right factor as {column: payload}
+        for p, y in other.cells.items():
+            right.setdefault(p // n, {})[p % n] = y
+        rows = {}
+        for p, x in self.cells.items():
+            row = right.get(p % n)
+            if row:
+                add_multiple(ring, rows.setdefault(p // n, {}), x, row)
+        return Matrix(ring, n, {i * n + j: z for i, row in rows.items() for j, z in row.items()})
 
     def transpose(self) -> "Matrix":
         n = self.n
-        e = self.entries
-        return Matrix(self.ring, n, [e[j * n + i] for i in range(n) for j in range(n)])
+        return Matrix(self.ring, n, {p % n * n + p // n: x for p, x in self.cells.items()})
 
     def conj_by_c(self) -> "Matrix":
         """Conjugation by the exchange matrix: (cac)[j, k] == a[n+1-j, n+1-k].
 
-        Row-major position (j-1)*n + (k-1) mirrors to n*n-1 minus itself, so
-        this is the entry tuple reversed."""
-        return Matrix(self.ring, self.n, self.entries[::-1])
+        Row-major position (j-1)*n + (k-1) mirrors to n*n-1 minus itself."""
+        last = self.n * self.n - 1
+        return Matrix(self.ring, self.n, {last - p: x for p, x in self.cells.items()})
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and other.ring == self.ring
             and other.n == self.n
-            and other.entries == self.entries
+            and other.cells == self.cells
         )
 
     def __hash__(self):
-        return hash((self.ring, self.n, self.entries))
+        return hash((self.ring, self.n, frozenset(self.cells.items())))
 
     def __repr__(self):
         rows = "; ".join(
@@ -158,16 +145,13 @@ def matrix_unit(ring: Ring, n: int, i: int, j: int) -> Matrix:
     """The matrix with 1 in position (i, j) and 0 elsewhere."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"index ({i}, {j}) out of range for size {n}")
-    m = Matrix.zero(ring, n)
-    entries = list(m.entries)
-    entries[(i - 1) * n + (j - 1)] = ring.one()
-    return Matrix(ring, n, entries)
+    return Matrix(ring, n, {(i - 1) * n + j - 1: ring.one()})
 
 
 def exchange(ring: Ring, n: int) -> Matrix:
     """The anti-diagonal permutation matrix c; satisfies c*c == identity."""
-    z, o = ring.zero(), ring.one()
-    return Matrix(ring, n, [o if i + j == n - 1 else z for i in range(n) for j in range(n)])
+    one = ring.one()
+    return Matrix(ring, n, {i * n + n - 1 - i: one for i in range(n)})
 
 
 def is_symmetric(a: Matrix) -> bool:

@@ -421,6 +421,21 @@ def test_batch_does_no_ring_arithmetic_for_the_certified_e(monkeypatch, literal,
     assert ops(0) == ops(50)
 
 
+def test_zero_tests_stay_within_n_cubed(monkeypatch):
+    """No dense n^2 loop over a matrix is left on the check's path: at n = 16
+    the Frobenius and separability checks together make at most 2*n^3 zero
+    tests, where a dense E table alone makes n^4.  A fresh ring instance
+    carries the counter."""
+    ring, n = ring_from_literal("int"), 16
+    counts = Counter()
+    monkeypatch.setattr(ring, "is_zero", lambda x, f=ring.is_zero:
+                        counts.update(["is_zero"]) or f(x))
+    sys16 = FrobeniusSystem(ring, n)
+    assert verify_frobenius_system(sys16).verdict == "pass"
+    assert separability_check(sys16).verdict == "pass"
+    assert 0 < counts["is_zero"] <= 2 * n ** 3
+
+
 @pytest.mark.parametrize("literal", ["rat", "c2:int", "zmod:4"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_the_check_draws_nothing(monkeypatch, literal, n):

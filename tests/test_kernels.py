@@ -1,13 +1,16 @@
 """Differential tests of the sparse kernels against schoolbook references.
 
-The program has one matrix product (the zero-skipping ``Matrix.__mul__``),
-one zero test per ring (``is_zero``) and one structure-constant oracle
-(the sparse matrix-unit expansion).  The witness layer works on sparse
-vectors, dicts that store no zero, and has one structure-algebra product
-(``StructureAlgebra.mul_sparse``), one coefficient-matrix helper
-(``linalg.mat_vec_sparse``) and one row reduction (``RowBasis``), all
-accumulating through ``linalg.add_multiple``; the few dense faces
-(``StructureAlgebra.mul``, ``LinearMapWitness.apply``) convert around them.  The dense loops survive only here, as independent
+The program has one zero test per ring (``is_zero``), one
+structure-constant oracle (the sparse matrix-unit expansion) and one
+element format, sparse vectors: dicts that store no zero.  A ``Matrix``
+keeps its non-zero cells in that format and has one product
+(``Matrix.__mul__``).  The witness layer has one structure-algebra
+product (``StructureAlgebra.mul_sparse``), one coefficient-matrix helper
+(``linalg.mat_vec_sparse``) and one row reduction (``RowBasis``).  These
+three, and every ``Matrix`` sum and product, accumulate through
+``linalg.add_multiple``; the few dense faces (``Matrix.entries``,
+``StructureAlgebra.mul``, ``LinearMapWitness.apply``) convert around
+them.  The dense loops survive only here, as independent
 references that visit every entry, zero or not.  The Frobenius check,
 which reads E off its table on the matrix units, has its dense reference
 in ``test_frobenius.py``.
@@ -146,7 +149,7 @@ def test_is_zero_matches_comparison_with_zero(literal, data):
 @settings(max_examples=100, deadline=None)
 @given(pair=matrix_pairs())
 def test_sum_matches_ring_add_everywhere(pair):
-    # the zero-skipping add keeps the other entry where one side is zero
+    # the sparse add keeps the other entry where one side is zero
     a, b = pair
     add = a.ring.add
     assert a + b == Matrix(a.ring, a.n, [add(x, y) for x, y in zip(a.entries, b.entries)])

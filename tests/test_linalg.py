@@ -25,7 +25,7 @@ from censym.linalg import (
     to_dense,
     to_sparse,
 )
-
+from censym.matrices import Matrix, exchange
 from censym.rings import ring_from_literal
 
 from conftest import GF5, Q, Z, Z4
@@ -233,6 +233,11 @@ def _apply_entry(ring):
     return exchange_coords(ring, 3), w.apply, "vector length does not match the source's rank 5"
 
 
+def _matrix_entry(ring):
+    return list(exchange(ring, 3).entries), lambda v: Matrix(ring, 3, v), \
+        "expected 9 entries for size 3"
+
+
 def _format_vector_entry(ring):
     labels = algebra_of_censym(ring, 3).labels
     return exchange_coords(ring, 3), lambda v: format_vector(ring, labels, v), \
@@ -248,7 +253,8 @@ BOUNDARY_ENTRIES = {"unit": _unit_entry, "witness-row": _witness_row_entry,
                     "module-vector": _module_vector_entry,
                     "mul-left": lambda ring: _mul_entry(ring, True),
                     "mul-right": lambda ring: _mul_entry(ring, False),
-                    "witness-apply": _apply_entry, "format-vector": _format_vector_entry}
+                    "witness-apply": _apply_entry, "format-vector": _format_vector_entry,
+                    "matrix-entries": _matrix_entry}
 
 
 @pytest.mark.parametrize("literal", ["int", "rat", "zmod:4", "c2:int"])
@@ -270,4 +276,16 @@ def test_a_sparse_vector_is_not_read_as_its_keys():
     # was "zero" and the coordinates {0: 5} gave the zero matrix
     assert heredity_check(algebra_of_censym(Z, 1), {0: 1}).report.verdict == "pass"
     assert from_coords(Z, 1, {0: 5}).inner[1, 1] == 5
+    assert Matrix(Z, 1, {0: 5})[1, 1] == 5
+    assert Matrix(Z, 2, {0: 5, 1: 7, 2: 1, 3: 9}).entries == (5, 7, 1, 9)
     assert StructureAlgebra(Z, ["1"], {(0, 0): ((0, 1),)}, {0: 1}).validate() == []
+
+
+def test_width_messages_name_the_expected_width():
+    # a sparse vector's len() is its key count, which says nothing of its width
+    with pytest.raises(ValueError, match=r"^expected 2 coordinates for size 2$"):
+        from_coords(Z, 2, {9: 1})
+    with pytest.raises(ValueError, match=r"^expected 4 entries for size 2$"):
+        Matrix(Z, 2, {9: 1})
+    with pytest.raises(ValueError, match=r"^expected 4 entries for size 2$"):
+        Matrix(Z, 2, [1, 2, 3])

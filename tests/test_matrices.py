@@ -13,11 +13,19 @@ from censym.matrices import (
 )
 from censym.rings import RingMismatchError, ring_from_literal
 
-from conftest import GF5, Q, Z
+from conftest import C2Z, GF2, GF5, Q, Z, Z4
 
 
 def rand_matrix(ring, n, rng):
     return Matrix(ring, n, [ring.sample(rng) for _ in range(n * n)])
+
+
+def rand_matrix_with_zero_lines(ring, n, rng):
+    """A random matrix whose randomly chosen rows and columns are zero."""
+    rows = {i for i in range(n) if rng.random() < 0.3}
+    cols = {j for j in range(n) if rng.random() < 0.3}
+    return Matrix(ring, n, [ring.zero() if p // n in rows or p % n in cols else ring.sample(rng)
+                            for p in range(n * n)])
 
 
 def test_matrix_units():
@@ -162,3 +170,32 @@ def test_matrix_ring_axioms_sampled():
             assert (a + b) * c == a * c + b * c
             eye = Matrix.identity(ring, n)
             assert a * eye == a and eye * a == a
+
+
+def test_dense_and_sparse_forms_give_one_matrix():
+    rng = random.Random(11)
+    for ring in (Z, Z4, C2Z):
+        for n in (1, 2, 4):
+            a = rand_matrix_with_zero_lines(ring, n, rng)
+            # every position keyed, zeros included: the boundary drops them
+            b = Matrix(ring, n, dict(enumerate(a.entries)))
+            assert b == a and hash(b) == hash(a)
+            assert Matrix(ring, n, a.cells) == a
+            assert b.cells == {p: x for p, x in enumerate(a.entries) if not ring.is_zero(x)}
+
+
+def test_a_matrix_stores_no_zero():
+    assert Matrix(Z4, 1, [2]).scale(2) == Matrix.zero(Z4, 1)
+    assert Matrix(Z4, 1, [2]).scale(2).cells == {}
+    assert Matrix.zero(Z, 3).cells == {} and matrix_unit(Z, 3, 2, 3).cells == {5: 1}
+    rng = random.Random(13)
+    for ring in (Z4, GF2, C2Z):
+        minus_one = ring.neg(ring.one())
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            a, b = (rand_matrix_with_zero_lines(ring, n, rng) for _ in range(2))
+            results = (a.transpose(), a.conj_by_c(), a + b, a * b, b * a,
+                       a.scale(ring.sample(rng)), a + a.scale(minus_one))
+            for m in results:
+                assert not any(ring.is_zero(x) for x in m.cells.values())
+            assert results[-1].cells == {}
