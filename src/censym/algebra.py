@@ -26,7 +26,6 @@ only memo of the structure-constant table.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import wraps
 
 from . import basis as fb
@@ -451,21 +450,16 @@ def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec) -> S
     return StructureAlgebra(ring, labels, table, unit, invol)
 
 
-@dataclass
 class BasedModule:
     """A free module with a listed basis of coordinate vectors inside an
     ambient structure algebra; the vectors may come dense or sparse through
     :func:`censym.linalg.checked_sparse` and are stored sparse."""
 
-    algebra: StructureAlgebra
-    vectors: list
-    name: str = "module"
-    _rb: RowBasis | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        a = self.algebra
-        self.vectors = [checked_sparse(a.ring, v, a.rank, "module vector length does not "
-                                       f"match the algebra's rank {a.rank}") for v in self.vectors]
+    def __init__(self, algebra: StructureAlgebra, vectors: list, name: str = "module"):
+        self.algebra, self.name, self._rb = algebra, name, None
+        self.vectors = [checked_sparse(algebra.ring, v, algebra.rank, "module vector length "
+                                       f"does not match the algebra's rank {algebra.rank}")
+                        for v in vectors]
 
     @property
     def rank(self) -> int:
@@ -479,7 +473,6 @@ class BasedModule:
         return self._rb
 
 
-@dataclass
 class LinearMapWitness:
     """A linear map on bases plus the properties it claims; claims are
     verified exhaustively by :func:`check_witness`.
@@ -490,12 +483,10 @@ class LinearMapWitness:
     left-module-homomorphism, bijective, involution-equivariant.
     """
 
-    source: object
-    target: object
-    matrix: list
-    inverse: list | None = None
-    claimed: tuple = ()
-    name: str = "map"
+    def __init__(self, source, target, matrix: list, inverse: list | None = None,
+                 claimed: tuple = (), name: str = "map"):
+        self.source, self.target, self.name = source, target, name
+        self.matrix, self.inverse, self.claimed = matrix, inverse, claimed
 
     def apply(self, v):
         """The image of v as a dense vector over the target basis, converting
@@ -659,12 +650,11 @@ _CHECKS = {
 }
 
 
-@dataclass
 class IdealBasis:
     """A two-sided ideal with a reduced free spanning set."""
 
-    algebra: StructureAlgebra
-    rowbasis: RowBasis
+    def __init__(self, algebra: StructureAlgebra, rowbasis: RowBasis):
+        self.algebra, self.rowbasis = algebra, rowbasis
 
     @property
     def rank(self) -> int:

@@ -19,7 +19,7 @@ canonical cells.  The closed formula is a verified property, never the code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .linalg import checked_sparse
@@ -41,11 +41,8 @@ def rank_of(n: int) -> int:
     return (n * n + 1) // 2
 
 
-@dataclass(frozen=True, order=True)
-class BasisIndex:
-    n: int
-    i: int
-    j: int
+class BasisIndex(namedtuple("BasisIndex", "n i j")):
+    __slots__ = ()
 
     @property
     def label(self) -> str:

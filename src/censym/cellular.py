@@ -26,8 +26,6 @@ upgrade cell layers to the quasi-hereditary structure for odd sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import basis as fb
 from .algebra import (
     IdealBasis,
@@ -43,7 +41,6 @@ from .rings import Ring
 from .structure import odd_quotient
 
 
-@dataclass
 class CellIdealWitness:
     """Certificate data for one cell ideal inside ``algebra``.
 
@@ -53,10 +50,10 @@ class CellIdealWitness:
     involution image of ``delta_basis``.
     """
 
-    algebra: StructureAlgebra
-    j_basis: list
-    delta_basis: list
-    name: str = "cell-ideal"
+    def __init__(self, algebra: StructureAlgebra, j_basis: list, delta_basis: list,
+                 name: str = "cell-ideal"):
+        self.algebra, self.name = algebra, name
+        self.j_basis, self.delta_basis = j_basis, delta_basis
 
     @property
     def delta_rank(self) -> int:
@@ -225,21 +222,18 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
                            counterexample=ce)
 
 
-@dataclass
 class CellLayer:
     """One chain layer: its span inside the original algebra and its cell
     witness in the stage quotient."""
 
-    span: list
-    stage: StructureAlgebra
-    witness: CellIdealWitness
+    def __init__(self, span: list, stage: StructureAlgebra, witness: CellIdealWitness):
+        self.span, self.stage, self.witness = span, stage, witness
 
 
-@dataclass
 class CellChainWitness:
-    algebra: StructureAlgebra
-    layers: list
-    params: dict = field(default_factory=dict)
+    def __init__(self, algebra: StructureAlgebra, layers: list, params: dict | None = None):
+        self.algebra, self.layers = algebra, layers
+        self.params = {} if params is None else params
 
     def delta_ranks(self) -> list:
         return [layer.witness.delta_rank for layer in self.layers]
@@ -362,16 +356,15 @@ def verify_cell_chain(chain: CellChainWitness) -> Report:
                            witness=witness, counterexample=ce)
 
 
-@dataclass
 class HeredityWitness:
     """Certificate that A*e*A is a heredity ideal: e idempotent, eAe of
     rank one with basis e, multiplicity modules Ae and eA free, and the
     multiplication map into the product span injective."""
 
-    algebra: StructureAlgebra
-    e: dict  # sparse
-    cell: CellIdealWitness | None
-    report: Report
+    def __init__(self, algebra: StructureAlgebra, e: dict, cell: CellIdealWitness | None,
+                 report: Report):
+        self.algebra, self.cell, self.report = algebra, cell, report
+        self.e = e  # sparse
 
     @property
     def ok(self) -> bool:

@@ -32,8 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from . import basis as fb
 from .algebra import (
@@ -144,16 +143,12 @@ def check_structure_constants(ring: Ring, n: int) -> Report:
                   witness={"formula_pairs": applicable, "total_pairs": r * r})
 
 
-@dataclass(frozen=True)
-class IsoKind:
+class IsoKind(namedtuple("IsoKind", "sizes applies build default_n", defaults=(2,))):
     """One family of isomorphism witnesses: the sizes it is built for, in
-    words and as a test, the size ``iso`` uses without --n, and a builder
-    returning (witness, extra report params) pairs."""
+    words and as the test ``applies(n)``, a builder ``build(ring, n)`` of
+    (witness, extra report params) pairs, and the size ``iso`` uses without --n."""
 
-    sizes: str
-    applies: Callable[[int], bool]
-    build: Callable[[Ring, int], list]
-    default_n: int = 2
+    __slots__ = ()
 
 
 # ``verify --check isos`` runs the kinds in this order

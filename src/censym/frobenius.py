@@ -25,7 +25,7 @@ of the basis matrices; the s that pass each one form a subalgebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import algebra_of_censym
 from .basis import CentroMatrix, canonical_indices, from_coords, unit_cells
@@ -35,10 +35,8 @@ from .reports import FAIL, PASS, UNKNOWN, Report, combine_clauses
 from .rings import Ring
 
 
-@dataclass(frozen=True)
-class FrobeniusSystem:
-    ring: Ring
-    n: int
+class FrobeniusSystem(namedtuple("FrobeniusSystem", "ring n")):
+    __slots__ = ()
 
     def x_cells(self, i: int) -> tuple:
         """x_i = e[i, 1] as matrix-unit cells."""
@@ -115,9 +113,16 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
                 out[u] = d
         return out
 
-    left = defect_table(({i * n + c: x for c, x in table[k].items() if c < n}, {u: one})
+    # each T[u] sliced once: by_row[u][r] = {column: x}, by_col[u][c] = {row: x}
+    by_row, by_col = [{} for _ in table], [{} for _ in table]
+    for t, rows, cols in zip(table, by_row, by_col):
+        for p, x in t.items():
+            r, c = divmod(p, n)
+            rows.setdefault(r, {})[c] = x
+            cols.setdefault(c, {})[r] = x
+    left = defect_table(({i * n + c: x for c, x in by_row[k].get(0, {}).items()}, {u: one})
                         for u, (i, k) in enumerate(cells))
-    right = defect_table(({c + i: x for c, x in table[k * n].items() if c % n == 0}, {u: one})
+    right = defect_table(({r * n + i: x for r, x in by_col[k * n].get(0, {}).items()}, {u: one})
                          for u, (k, i) in enumerate(cells))
     image = defect_table((t, {n * n - 1 - p: x for p, x in t.items()}) for t in table)
 
@@ -126,7 +131,7 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
     def bimodule_scan(over):
         for idx in (indices[k] for k in over):
             s = [(i - 1, j - 1) for i, j in unit_cells(n, idx.i, idx.j)]
-            for u, (p, q) in enumerate(cells):
+            for u, ((p, q), rows, cols) in enumerate(zip(cells, by_row, by_col)):
                 # s*e[p, q] sums e[i, q] over the cells (i, p) of s, and
                 # e[i, j]*E(u) moves row j of E(u) into row i; mirrored on the right
                 lhs, rhs = {}, {}
@@ -135,10 +140,12 @@ def verify_frobenius_system(sys: FrobeniusSystem, seed: int = 0,
                         add_multiple(ring, lhs, one, table[i * n + q])
                     if i == q:
                         add_multiple(ring, rhs, one, table[p * n + j])
-                    add_multiple(ring, lhs, minus_one,
-                                 {i * n + c % n: x for c, x in table[u].items() if c // n == j})
-                    add_multiple(ring, rhs, minus_one,
-                                 {c - c % n + j: x for c, x in table[u].items() if c % n == i})
+                    if j in rows:
+                        add_multiple(ring, lhs, minus_one,
+                                     {i * n + c: x for c, x in rows[j].items()})
+                    if i in cols:
+                        add_multiple(ring, rhs, minus_one,
+                                     {r * n + j: x for r, x in cols[i].items()})
                 if lhs or rhs:
                     return f"({idx.label}, unit)"
         return None

@@ -8,8 +8,6 @@ non-field ring.  Only ``fail`` signals a contradiction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 PASS = "pass"
 FAIL = "fail"
@@ -17,14 +15,13 @@ UNKNOWN = "unknown"
 UNDETERMINED = "undetermined"
 
 
-@dataclass
 class Report:
-    check: str
-    params: dict = field(default_factory=dict)
-    verdict: str = PASS
-    witness: dict | None = None
-    counterexample: dict | None = None
-    clauses: dict | None = None
+    def __init__(self, check: str, params: dict | None = None, verdict: str = PASS,
+                 witness: dict | None = None, counterexample: dict | None = None,
+                 clauses: dict | None = None):
+        self.check, self.verdict, self.clauses = check, verdict, clauses
+        self.params = {} if params is None else params
+        self.witness, self.counterexample = witness, counterexample
 
     def to_json_dict(self) -> dict:
         out = {

@@ -9,6 +9,8 @@ residues in ``[0, m)`` for modular rings; and 2-tuples ``(a, b)`` meaning
 group.  Payload equality is ring-element equality, and every operation
 returns a payload in canonical form.  A :class:`Ring` instance supplies
 the arithmetic, parsing/formatting, and sampling for its payloads.
+``fractions`` (and the ``decimal`` it imports) loads with the first
+``rat`` ring built or unpickled, so a process without one never loads it.
 
 Ring literals: ``int``, ``rat``, ``zmod:<m>``, ``gf:<p>`` (prime p), and
 ``c2:<ring>`` for the group-ring constructor (nesting allowed).
@@ -17,7 +19,8 @@ Ring literals: ``int``, ``rat``, ``zmod:<m>``, ``gf:<p>`` (prime p), and
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
+
+Fraction = None  # bound in RationalRing.__new__, so that an unpickled ring binds it too
 
 
 class RingError(ValueError):
@@ -203,6 +206,11 @@ class RationalRing(_NumberRing):
     """
 
     is_field = True
+
+    def __new__(cls):
+        global Fraction
+        from fractions import Fraction
+        return super().__new__(cls)
 
     def add(self, a, b):
         return _canonical_rational(a + b)

@@ -21,8 +21,6 @@ builder, :func:`_relabelling`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import basis as fb
 from .algebra import (
     BasedModule,
@@ -219,15 +217,15 @@ def endring_odd(ring: Ring, n: int):
     return end, _onto_s3(end, f"endring-size-{n}")
 
 
-@dataclass
 class WedderburnSplit:
     """The two-sided splitting by the central idempotents (1 +- c)/2."""
 
-    plus_algebra: StructureAlgebra   # rank ceil(n/2)^2
-    minus_algebra: StructureAlgebra  # rank floor(n/2)^2
-    witness: LinearMapWitness        # onto M_(n-k) x M_k, k = ceil(n/2)
-    p_plus: dict                     # (1 + c)/2, sparse
-    p_minus: dict                    # (1 - c)/2, sparse
+    def __init__(self, plus_algebra: StructureAlgebra, minus_algebra: StructureAlgebra,
+                 witness: LinearMapWitness, p_plus: dict, p_minus: dict):
+        # ranks ceil(n/2)^2 and floor(n/2)^2
+        self.plus_algebra, self.minus_algebra = plus_algebra, minus_algebra
+        self.witness = witness  # onto M_(n-k) x M_k, k = ceil(n/2)
+        self.p_plus, self.p_minus = p_plus, p_minus  # (1 + c)/2 and (1 - c)/2, sparse
 
 
 def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
