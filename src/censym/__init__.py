@@ -12,7 +12,6 @@ exact arithmetic; the ``censym`` command drives the suites.
 
 from .algebra import (
     BasedModule,
-    IdealBasis,
     LinearMapWitness,
     StructureAlgebra,
     algebra_of_censym,

@@ -5,9 +5,11 @@ sparse product table on basis pairs, unit coordinates, and optionally an
 involution given by the coordinate images of the basis.  It is the common
 carrier for the centrosymmetric algebra, full matrix algebras (also over a
 group-ring coefficient ring, flattened to the base), direct products,
-corner subalgebras, and quotients.  Linear maps between algebras or based
-modules travel as :class:`LinearMapWitness` values whose claimed properties
-are machine-checked exhaustively on basis pairs by :func:`check_witness`.
+corner subalgebras, and quotients.  A two-sided ideal is its reduced
+unit-pivot :class:`censym.linalg.RowBasis`, as :func:`ideal_generated`
+returns it.  Linear maps between algebras or based modules travel as
+:class:`LinearMapWitness` values whose claimed properties are
+machine-checked exhaustively on basis pairs by :func:`check_witness`.
 Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
 centre, and the associativity and anti-homomorphism clauses of
 :meth:`StructureAlgebra.validate`) hold on the whole basis once they hold on
@@ -456,7 +458,7 @@ class BasedModule:
     :func:`censym.linalg.checked_sparse` and are stored sparse."""
 
     def __init__(self, algebra: StructureAlgebra, vectors: list, name: str = "module"):
-        self.algebra, self.name, self._rb = algebra, name, None
+        self.algebra, self.ring, self.name, self._rb = algebra, algebra.ring, name, None
         self.vectors = [checked_sparse(algebra.ring, v, algebra.rank, "module vector length "
                                        f"does not match the algebra's rank {algebra.rank}")
                         for v in vectors]
@@ -464,6 +466,10 @@ class BasedModule:
     @property
     def rank(self) -> int:
         return len(self.vectors)
+
+    @property
+    def labels(self) -> list:
+        return [f"{self.name}[{k}]" for k in range(self.rank)]
 
     def rowbasis(self) -> RowBasis:
         if self._rb is None:
@@ -491,29 +497,18 @@ class LinearMapWitness:
     def apply(self, v):
         """The image of v as a dense vector over the target basis, converting
         only the rows that v uses."""
-        ring, width = _ring_of(self.target), self.target.rank
+        ring, width = self.target.ring, self.target.rank
         v = checked_sparse(ring, v, self.source.rank, "vector length does not match "
                            f"the source's rank {self.source.rank}")
         rows = _sparse_rows(self.target, (self.matrix[k] for k in v), width)
         return to_dense(ring, mat_vec_sparse(ring, dict(zip(v, rows)), v), width)
 
 
-def _ring_of(side) -> Ring:
-    return side.algebra.ring if isinstance(side, BasedModule) else side.ring
-
-
 def _sparse_rows(side, rows, width: int) -> list:
     """Witness rows over ``side``'s ring in sparse form; a row of the wrong
     width is misuse, as the matrix then names no map between the bases."""
-    ring = _ring_of(side)
-    return [checked_sparse(ring, row, width, "matrix shapes do not match the bases")
+    return [checked_sparse(side.ring, row, width, "matrix shapes do not match the bases")
             for row in rows]
-
-
-def _labels_of(side):
-    if isinstance(side, BasedModule):
-        return [f"{side.name}[{k}]" for k in range(side.rank)]
-    return side.labels
 
 
 def check_witness(w: LinearMapWitness, params: dict | None = None) -> Report:
@@ -575,16 +570,14 @@ def _check_bijective(w: LinearMapWitness):
         raise ValueError("matrix shapes do not match the bases")
     f = _sparse_rows(tgt, w.matrix, tgt.rank)
     g = _sparse_rows(src, w.inverse, src.rank)
-    one = _ring_of(src).one()
+    one = src.ring.one()
     for u in range(src.rank):
-        if mat_vec_sparse(_ring_of(src), g, f[u]) != {u: one}:
-            return {"input": f"{_labels_of(src)[u]}",
-                    "reason": "inverse(map(u)) != u"}
-    one = _ring_of(tgt).one()
+        if mat_vec_sparse(src.ring, g, f[u]) != {u: one}:
+            return {"input": f"{src.labels[u]}", "reason": "inverse(map(u)) != u"}
+    one = tgt.ring.one()
     for t in range(tgt.rank):
-        if mat_vec_sparse(_ring_of(tgt), f, g[t]) != {t: one}:
-            return {"input": f"{_labels_of(tgt)[t]}",
-                    "reason": "map(inverse(t)) != t"}
+        if mat_vec_sparse(tgt.ring, f, g[t]) != {t: one}:
+            return {"input": f"{tgt.labels[t]}", "reason": "map(inverse(t)) != t"}
     return None
 
 
@@ -650,27 +643,14 @@ _CHECKS = {
 }
 
 
-class IdealBasis:
-    """A two-sided ideal with a reduced free spanning set."""
-
-    def __init__(self, algebra: StructureAlgebra, rowbasis: RowBasis):
-        self.algebra, self.rowbasis = algebra, rowbasis
-
-    @property
-    def rank(self) -> int:
-        return self.rowbasis.rank
-
-    def contains(self, v) -> bool:
-        return self.rowbasis.contains(v)
-
-
-def ideal_generated(a: StructureAlgebra, gens) -> IdealBasis:
-    """Smallest two-sided ideal containing ``gens``, as a reduced unit-pivot
-    basis.  Each row the basis grows by is multiplied on both sides by the
-    certified generators G of :meth:`StructureAlgebra.generators` only.  The
-    span J is then closed under products with G on both sides; the b with
-    b*J and J*b inside J are closed under products (b*b'*J lies in b*J), and
-    words in G span A, so J is a two-sided ideal.  Raises
+def ideal_generated(a: StructureAlgebra, gens) -> RowBasis:
+    """Smallest two-sided ideal containing ``gens``.  An ideal is its
+    reduced unit-pivot :class:`censym.linalg.RowBasis`, and that is what
+    this returns.  Each row the basis grows by is multiplied on both sides
+    by the certified generators G of :meth:`StructureAlgebra.generators`
+    only.  The span J is then closed under products with G on both sides;
+    the b with b*J and J*b inside J are closed under products (b*b'*J lies
+    in b*J), and words in G span A, so J is a two-sided ideal.  Raises
     FreenessUndetermined when elimination cannot certify a free basis over
     the ring."""
     ring, one = a.ring, a.ring.one()
@@ -695,36 +675,36 @@ def ideal_generated(a: StructureAlgebra, gens) -> IdealBasis:
                 stuck = []
     if stuck:
         rb.insert(stuck[0])  # re-raise with context
-    return IdealBasis(a, rb)
+    return rb
 
 
-def ideal_is_two_sided(j: IdealBasis) -> bool:
+def ideal_is_two_sided(a: StructureAlgebra, j: RowBasis) -> bool:
     """Whether b*J and J*b lie in J for b in the generators; the b that pass
     are closed under products (b*b'*J lies in b*J), so all of A passes."""
-    a = j.algebra
     for u in a.generators():
         bu = {u: a.ring.one()}
-        for row in j.rowbasis.sparse_rows:
+        for row in j.sparse_rows:
             if not j.contains(a.mul_sparse(bu, row)) or not j.contains(a.mul_sparse(row, bu)):
                 return False
     return True
 
 
-def quotient_by_ideal(a: StructureAlgebra, j: IdealBasis):
+def quotient_by_ideal(a: StructureAlgebra, j: RowBasis):
     """Quotient algebra on the non-pivot part of the basis, plus the
     projection witness (a surjective algebra homomorphism).  The induced
-    involution is attached when the ideal is involution-stable."""
-    if j.algebra is not a and j.algebra.labels != a.labels:
+    involution is attached when the ideal is involution-stable.  A row
+    basis of another width or ring raises ValueError."""
+    if j.width != a.rank or j.ring != a.ring:
         raise ValueError("ideal does not belong to this algebra")
     ring = a.ring
-    pivot_set = set(j.rowbasis.pivots)
+    pivot_set = set(j.pivots)
     comp = [u for u in range(a.rank) if u not in pivot_set]
     labels = tuple(a.labels[u] for u in comp)
     at = {u: uq for uq, u in enumerate(comp)}
 
     def project(v):
         # a residual is zero at every pivot, so its keys all lie in comp
-        return {at[u]: c for u, c in j.rowbasis.residual_sparse(v).items()}
+        return {at[u]: c for u, c in j.residual_sparse(v).items()}
 
     table = {}
     for uq, u in enumerate(comp):
@@ -735,7 +715,7 @@ def quotient_by_ideal(a: StructureAlgebra, j: IdealBasis):
     unit = project(a.unit_sparse)
     invol = None
     if a.invol_sparse is not None:
-        if all(j.contains(a.apply_invol_sparse(row)) for row in j.rowbasis.sparse_rows):
+        if all(j.contains(a.apply_invol_sparse(row)) for row in j.sparse_rows):
             invol = [project(a.invol_sparse[u]) for u in comp]
     q = StructureAlgebra(ring, labels, table, unit, invol)
     proj_matrix = [project({u: ring.one()}) for u in range(a.rank)]

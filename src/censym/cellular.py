@@ -22,20 +22,22 @@ transports the group-ring chain R(1-x) < R[x]/(x^2-1) through the
 matrix-over-group-ring isomorphism.  Heredity ideals (idempotent e with
 eAe of rank one, free multiplicity modules, injective multiplication)
 upgrade cell layers to the quasi-hereditary structure for odd sizes.
+An ideal is its reduced :class:`censym.linalg.RowBasis`.  Witness vectors
+enter through :func:`censym.linalg.checked_sparse`: a wrong width raises
+``ValueError``, never a verdict.
 """
 
 from __future__ import annotations
 
 from . import basis as fb
 from .algebra import (
-    IdealBasis,
     StructureAlgebra,
     algebra_of_censym,
     ideal_generated,
     ideal_is_two_sided,
     quotient_by_ideal,
 )
-from .linalg import FreenessUndetermined, RowBasis, checked_sparse, span_basis, to_sparse
+from .linalg import FreenessUndetermined, RowBasis, checked_sparse, span_basis
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
 from .rings import Ring
 from .structure import odd_quotient
@@ -65,9 +67,22 @@ def canonical_cell_witness(a: StructureAlgebra, delta_basis,
     """The witness whose ideal basis is the product grid, J[p*d + q] =
     x_p * i(x_q).  Valid whenever those products are independent (the
     multiplication map is then bijective)."""
-    xs = [to_sparse(a.ring, v) for v in delta_basis]
+    xs = _checked_vectors(a, delta_basis)
     ys = [a.apply_invol_sparse(x) for x in xs]
     return CellIdealWitness(a, [a.mul_sparse(x, y) for x in xs for y in ys], xs, name)
+
+
+def _checked_vectors(a: StructureAlgebra, vectors) -> list:
+    """Witness vectors, dense or sparse, in sparse form, checked against ``a.rank``."""
+    message = f"witness vector length does not match the algebra's rank {a.rank}"
+    return [checked_sparse(a.ring, v, a.rank, message) for v in vectors]
+
+
+def _fail(clauses: dict, ce: dict | None, clause: str, info: dict) -> dict:
+    """Mark ``clause`` failed and return the report's counterexample: ``ce``
+    when an earlier clause failed first, else ``info`` tagged with ``clause``."""
+    clauses[clause] = FAIL
+    return ce or dict(info, clause=clause)
 
 
 def _act_on_leg(t: int, act, d: int, leg: str) -> dict:
@@ -133,14 +148,7 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
     ce = None
     d = w.delta_rank
     jn = len(w.j_basis)
-
-    def fail(clause, info):
-        nonlocal ce
-        clauses[clause] = FAIL
-        if ce is None:
-            ce = dict(info, clause=clause)
-
-    js, xs = ([to_sparse(ring, v) for v in vs] for vs in (w.j_basis, w.delta_basis))
+    js, xs = _checked_vectors(a, w.j_basis), _checked_vectors(a, w.delta_basis)
     try:
         jrb = RowBasis(ring, a.rank, track=True)
         jrb.insert_all(js)
@@ -151,14 +159,15 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
         return combine_clauses("cell-ideal", params, clauses,
                                witness={"note": "ideal basis freeness undetermined"})
     except ValueError:
-        fail("delta-freeness-rank", {"reason": "listed ideal basis is dependent"})
+        ce = _fail(clauses, ce, "delta-freeness-rank",
+                   {"reason": "listed ideal basis is dependent"})
         return combine_clauses("cell-ideal", params, clauses, counterexample=ce)
 
     # (1) involution stability of the ideal
     clauses["involution-stability"] = PASS
     for t, v in enumerate(js):
         if not jrb.contains(a.apply_invol_sparse(v)):
-            fail("involution-stability", {"input": f"J[{t}]"})
+            ce = _fail(clauses, ce, "involution-stability", {"input": f"J[{t}]"})
             break
 
     # (2) delta freeness, containment, rank bookkeeping
@@ -170,35 +179,37 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
         yrb = RowBasis(ring, a.rank, track=True)
         yrb.insert_all(ys)
         if jn != d * d:
-            fail("delta-freeness-rank",
-                 {"reason": f"ideal rank {jn} != delta rank squared {d * d}"})
+            ce = _fail(clauses, ce, "delta-freeness-rank",
+                       {"reason": f"ideal rank {jn} != delta rank squared {d * d}"})
         elif not all(jrb.contains(x) for x in xs):
-            fail("delta-freeness-rank", {"reason": "delta is not inside the ideal"})
+            ce = _fail(clauses, ce, "delta-freeness-rank",
+                       {"reason": "delta is not inside the ideal"})
     except FreenessUndetermined:
         clauses["delta-freeness-rank"] = UNDETERMINED
         drb = yrb = None
     except ValueError:
-        fail("delta-freeness-rank", {"reason": "delta basis is dependent"})
+        ce = _fail(clauses, ce, "delta-freeness-rank", {"reason": "delta basis is dependent"})
         drb = yrb = None
 
     # (3) the grid map is a bimodule homomorphism, both sides
     clauses["alpha-bimodule"] = PASS
     if drb is None or jn != d * d:
         if clauses["delta-freeness-rank"] != UNDETERMINED:
-            fail("alpha-bimodule",
-                 {"reason": "ideal basis off the delta grid or delta basis unusable"})
+            ce = _fail(clauses, ce, "alpha-bimodule",
+                       {"reason": "ideal basis off the delta grid or delta basis unusable"})
         else:
             clauses["alpha-bimodule"] = UNDETERMINED
     else:
         info = a.first_failure(
             lambda over: _alpha_bimodule_failure(a, js, xs, ys, jrb, drb, yrb, over))
         if info is not None:
-            fail("alpha-bimodule", info)
+            ce = _fail(clauses, ce, "alpha-bimodule", info)
 
     # (4) the grid map is bijective: J is free, so it needs d*d vectors
     clauses["alpha-bijective"] = PASS
     if jn != d * d:
-        fail("alpha-bijective", {"reason": f"ideal rank {jn} != delta rank squared {d * d}"})
+        ce = _fail(clauses, ce, "alpha-bijective",
+                   {"reason": f"ideal rank {jn} != delta rank squared {d * d}"})
 
     # (5) commuting square: i(J[p*d + q]) == J[q*d + p]
     clauses["commuting-square"] = PASS
@@ -206,7 +217,7 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
         for t, v in enumerate(js):
             p, q = divmod(t, d)
             if a.apply_invol_sparse(v) != js[q * d + p]:
-                fail("commuting-square", {"input": f"J[{t}]"})
+                ce = _fail(clauses, ce, "commuting-square", {"input": f"J[{t}]"})
                 break
     elif clauses["involution-stability"] != PASS:
         clauses["commuting-square"] = clauses["involution-stability"]
@@ -273,7 +284,7 @@ def cell_chain_even(ring: Ring, n: int) -> CellChainWitness:
     j1 = [skew(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
     delta1 = [skew(i, 1) for i in range(1, m + 1)]
     w1 = CellIdealWitness(a, j1, delta1, name="skew-part")
-    quot, proj = quotient_by_ideal(a, IdealBasis(a, span_basis(ring, j1, a.rank)))
+    quot, proj = quotient_by_ideal(a, span_basis(ring, j1, a.rank))
     layers = [CellLayer(j1, a, w1), _matrix_quotient_layer(a, pos, m, quot, proj)]
     return CellChainWitness(a, layers, {"n": n, "ring": ring.literal(), "parity": "even"})
 
@@ -291,58 +302,55 @@ def _matrix_quotient_layer(a: StructureAlgebra, pos: dict, m: int,
 def verify_cell_chain(chain: CellChainWitness) -> Report:
     """Direct-sum decomposition, involution stability of every layer,
     two-sidedness of the partial sums (the last is A itself when the direct
-    sum passes), rank bookkeeping, and all layer witnesses."""
+    sum passes), rank bookkeeping, and all layer witnesses.  Each layer span
+    and each partial sum after the first (the first layer's basis) is
+    reduced once; the last partial sum is the direct sum's basis."""
     a = chain.algebra
-    ring = a.ring
     clauses = {}
     ce = None
 
-    layer_spans = [[to_sparse(ring, v) for v in layer.span] for layer in chain.layers]
-    spans = [v for span in layer_spans for v in span]
-    try:
-        stacked = span_basis(ring, spans, a.rank)
-        if len(spans) == a.rank and stacked.rank == a.rank:
-            clauses["direct-sum"] = PASS
-        else:
-            clauses["direct-sum"] = FAIL
-            ce = {"clause": "direct-sum", "vectors": len(spans),
-                  "span_rank": stacked.rank, "rank": a.rank}
-    except FreenessUndetermined:
+    def reduced(vectors):
+        try:
+            return span_basis(a.ring, vectors, a.rank)
+        except FreenessUndetermined:
+            return None
+
+    layer_spans = [_checked_vectors(a, layer.span) for layer in chain.layers]
+    bases = [reduced(span) for span in layer_spans]
+    spans, partials = [], []
+    for p, span in enumerate(layer_spans):
+        spans += span
+        partials.append(reduced(spans) if p else bases[0])
+    stacked = partials[-1] if partials else RowBasis(a.ring, a.rank)
+
+    if stacked is None:
         clauses["direct-sum"] = UNDETERMINED
+    elif len(spans) == a.rank and stacked.rank == a.rank:
+        clauses["direct-sum"] = PASS
+    else:
+        ce = _fail(clauses, ce, "direct-sum",
+                   {"vectors": len(spans), "span_rank": stacked.rank, "rank": a.rank})
 
-    clauses["involution-stable-layers"] = PASS
-    for p, span in enumerate(layer_spans, start=1):
-        try:
-            rb = span_basis(ring, span, a.rank)
-        except FreenessUndetermined:
-            clauses["involution-stable-layers"] = UNDETERMINED
-            continue
-        if not all(rb.contains(a.apply_invol_sparse(v)) for v in span):
-            clauses["involution-stable-layers"] = FAIL
-            ce = ce or {"clause": "involution-stable-layers", "layer": p}
+    # an undetermined layer or partial sum leaves its clause undetermined
+    # unless another one fails it
+    clauses["involution-stable-layers"] = UNDETERMINED if None in bases else PASS
+    for p, (span, rb) in enumerate(zip(layer_spans, bases), start=1):
+        if rb is not None and not all(rb.contains(a.apply_invol_sparse(v)) for v in span):
+            ce = _fail(clauses, ce, "involution-stable-layers", {"layer": p})
 
-    clauses["partial-sums-ideals"] = PASS
-    partial = []
-    for p, span in enumerate(layer_spans, start=1):
-        if p == len(chain.layers) and clauses["direct-sum"] == PASS:
+    clauses["partial-sums-ideals"] = UNDETERMINED if None in partials else PASS
+    for p, rb in enumerate(partials, start=1):
+        if p == len(partials) and clauses["direct-sum"] == PASS:
             break  # the last partial sum is then A, an ideal of itself
-        partial.extend(span)
-        try:
-            rb = span_basis(ring, partial, a.rank)
-        except FreenessUndetermined:
-            clauses["partial-sums-ideals"] = UNDETERMINED
-            continue
-        if not ideal_is_two_sided(IdealBasis(a, rb)):
-            clauses["partial-sums-ideals"] = FAIL
-            ce = ce or {"clause": "partial-sums-ideals", "layer": p}
+        if rb is not None and not ideal_is_two_sided(a, rb):
+            ce = _fail(clauses, ce, "partial-sums-ideals", {"layer": p})
 
     ranks = chain.delta_ranks()
     squares = sum(r * r for r in ranks)
     if squares == a.rank:
         clauses["rank-sum"] = PASS
     else:
-        clauses["rank-sum"] = FAIL
-        ce = ce or {"clause": "rank-sum", "sum_of_squares": squares, "rank": a.rank}
+        ce = _fail(clauses, ce, "rank-sum", {"sum_of_squares": squares, "rank": a.rank})
 
     for p, layer in enumerate(chain.layers, start=1):
         rep = verify_cell_ideal(layer.witness, params=chain.params)
@@ -392,14 +400,8 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
     ae = ea = ideal_rank = None
     cell = None
 
-    def fail(clause, info):
-        nonlocal ce
-        clauses[clause] = FAIL
-        if ce is None:
-            ce = dict(info, clause=clause)
-
     if not e:
-        fail("corner-rank-one", {"reason": "e is zero"})
+        ce = _fail(clauses, ce, "corner-rank-one", {"reason": "e is zero"})
     else:
         try:
             corner = RowBasis(ring, a.rank)
@@ -408,9 +410,8 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
             for u in range(a.rank):
                 w = a.mul_sparse(a.mul_sparse(e, {u: one}), e)
                 if not corner.contains(w):
-                    fail("corner-rank-one",
-                         {"input": a.labels[u],
-                          "reason": "e*A*e has rank above one"})
+                    ce = _fail(clauses, ce, "corner-rank-one",
+                               {"input": a.labels[u], "reason": "e*A*e has rank above one"})
                     break
         except FreenessUndetermined:
             clauses["corner-rank-one"] = UNDETERMINED
@@ -430,8 +431,8 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
             clauses["multiplication-injective"] = PASS
             ideal_rank = prod.rank
         except ValueError:
-            fail("multiplication-injective",
-                 {"reason": "product grid is linearly dependent"})
+            ce = _fail(clauses, ce, "multiplication-injective",
+                       {"reason": "product grid is linearly dependent"})
         except FreenessUndetermined:
             clauses["multiplication-injective"] = UNDETERMINED
     else:
@@ -494,9 +495,9 @@ def quasi_hereditary_chain_odd(ring: Ring, n: int):
     return witnesses, report
 
 
-def ideal_square_is_zero(a: StructureAlgebra, j: IdealBasis) -> bool:
+def ideal_square_is_zero(a: StructureAlgebra, j: RowBasis) -> bool:
     """Whether the ideal multiplies to zero (so it contains no nonzero
     idempotent, and in particular cannot be a heredity ideal)."""
-    vecs = j.rowbasis.sparse_rows
+    vecs = j.sparse_rows
     return not any(a.mul_sparse(x, y) for x in vecs for y in vecs)
 

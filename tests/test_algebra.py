@@ -4,7 +4,6 @@ import pytest
 
 from censym.algebra import (
     BasedModule,
-    IdealBasis,
     LinearMapWitness,
     StructureAlgebra,
     algebra_of_censym,
@@ -119,8 +118,22 @@ def test_ideal_of_middle_idempotent_s3():
         a.basis_vector(lab["f2_1"]),
         f1_plus_f13,
     ]
-    assert same_span(Z, j.rowbasis.sparse_rows, expected, a.rank)
-    assert ideal_is_two_sided(j)
+    assert same_span(Z, j.sparse_rows, expected, a.rank)
+    assert ideal_is_two_sided(a, j)
+
+
+def test_an_ideal_is_its_row_basis():
+    a = algebra_of_censym(Z, 3)
+    j = ideal_generated(a, [a.basis_vector(label_map(a)["f2_2"])])
+    assert type(j) is RowBasis
+    assert (j.ring, j.width, j.rank) == (Z, a.rank, 4)
+
+
+@pytest.mark.parametrize("ring, width", [(Z, 8), (Q, 5)])
+def test_quotient_rejects_a_row_basis_of_another_algebra(ring, width):
+    # S_3 over Z has rank 5: another width or another ring is misuse
+    with pytest.raises(ValueError, match="ideal does not belong to this algebra"):
+        quotient_by_ideal(algebra_of_censym(Z, 3), RowBasis(ring, width))
 
 
 def test_ideal_of_unit_is_everything():
@@ -133,7 +146,7 @@ def test_nilpotent_ideal_char2():
     one_plus_x = [1, 1]
     j = ideal_generated(rc2, [one_plus_x])
     assert j.rank == 1
-    sq = rc2.mul(j.rowbasis.sparse_rows[0], j.rowbasis.sparse_rows[0])
+    sq = rc2.mul(j.sparse_rows[0], j.sparse_rows[0])
     assert vec_is_zero(GF2, sq)
 
 
@@ -151,7 +164,7 @@ def test_quotient_s3_by_middle():
     rep = check_witness(proj)
     assert rep.verdict == "pass"
     # the projection kills exactly the ideal
-    for v in j.rowbasis.sparse_rows:
+    for v in j.sparse_rows:
         assert vec_is_zero(Q, proj.apply(v))
 
 
@@ -984,7 +997,7 @@ def _ideal_over_whole_basis(a, gens):
             stuck = []
     if stuck:
         rb.insert(stuck[0])
-    return IdealBasis(a, rb)
+    return rb
 
 
 def _assert_same_ideal(a, seed):
@@ -998,8 +1011,8 @@ def _assert_same_ideal(a, seed):
             _ideal_over_whole_basis(a, [seed])
         return
     ref = _ideal_over_whole_basis(a, [seed])
-    assert same_span(a.ring, fast.rowbasis.sparse_rows, ref.rowbasis.sparse_rows, a.rank)
-    assert set(fast.rowbasis.pivots) == set(ref.rowbasis.pivots)
+    assert same_span(a.ring, fast.sparse_rows, ref.sparse_rows, a.rank)
+    assert set(fast.pivots) == set(ref.pivots)
     (qf, _), (qr, _) = quotient_by_ideal(a, fast), quotient_by_ideal(a, ref)
     assert (qf.labels, qf.table, qf.unit, qf.invol_sparse) == (
         qr.labels, qr.table, qr.unit, qr.invol_sparse)

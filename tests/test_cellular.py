@@ -20,6 +20,7 @@ from censym.cellular import (
     verify_cell_chain,
     verify_cell_ideal,
 )
+import censym.cellular
 from censym.rings import GroupRingC2
 
 from conftest import GF2, GF3, GF5, Q, Z, same_span, vec_is_zero
@@ -77,7 +78,7 @@ def test_odd_chain_layer1_equals_generated_ideal():
     a = chain.algebra
     pos = positions(5)
     ideal = ideal_generated(a, [a.basis_vector(pos[(3, 3)])])
-    assert same_span(Z, chain.layers[0].span, ideal.rowbasis.sparse_rows, a.rank)
+    assert same_span(Z, chain.layers[0].span, ideal.sparse_rows, a.rank)
 
 
 def test_even_chain_n2_skew_layer():
@@ -168,7 +169,7 @@ def test_char2_group_ring_has_no_heredity_route():
     assert ideal_square_is_zero(rc2, j)
     # any idempotent e inside J satisfies e = e*e in J*J = 0, so only e = 0:
     # the heredity construction cannot start from this ideal
-    for v in j.rowbasis.sparse_rows:
+    for v in j.sparse_rows:
         assert vec_is_zero(GF2, rc2.mul(v, v))
 
 
@@ -411,3 +412,60 @@ def test_cell_ideal_negative_controls(case):
     assert rep.verdict == "fail"
     assert rep.clauses == clauses
     assert rep.counterexample == counterexample
+
+
+def _even2_with_long_span():
+    chain = cell_chain_even(Z, 2)
+    chain.layers[0].span = [[1, -1, 7]]
+    return chain
+
+
+WRONG_WIDTH = {
+    "cell-ideal": lambda: verify_cell_ideal(CellIdealWitness(
+        algebra_of_censym(Z, 2), [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+        [[1, 0, 0], [0, 1, 0]])),
+    "canonical-witness": lambda: canonical_cell_witness(algebra_of_censym(Z, 2), [[1, 0, 5]]),
+    "chain-span": lambda: verify_cell_chain(_even2_with_long_span()),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_WIDTH)
+def test_witness_vector_of_wrong_width_is_misuse(case):
+    # a vector that does not fit the algebra's rank names no element: it is
+    # misuse, not a fail verdict and not an IndexError
+    with pytest.raises(ValueError, match="algebra's rank 2"):
+        WRONG_WIDTH[case]()
+
+
+def test_failed_chain_clause_stays_failed_past_an_undetermined_layer():
+    # layer 1 is f1_2, whose involution image f2_1 lies outside its span;
+    # layer 2 is 2*f1_1, which has no unit pivot over Z
+    chain = cell_chain_odd(Z, 3)
+    a = chain.algebra
+    lab = {l: u for u, l in enumerate(a.labels)}
+    for layer, span in zip(chain.layers, ([{lab["f1_2"]: 1}], [{lab["f1_1"]: 2}])):
+        layer.span = span
+    rep = verify_cell_chain(chain)
+    assert rep.verdict == "fail"
+    assert rep.clauses["direct-sum"] == "undetermined"
+    assert rep.clauses["involution-stable-layers"] == "fail"
+    assert rep.clauses["partial-sums-ideals"] == "fail"
+    assert rep.counterexample == {"clause": "involution-stable-layers", "layer": 1}
+
+
+@pytest.mark.parametrize("build, n", [(cell_chain_even, 6), (cell_chain_odd, 7)])
+def test_chain_reduces_each_span_and_partial_sum_once(monkeypatch, build, n):
+    # one reduction per layer span, plus one per partial sum after the
+    # first (that one is the first layer's basis): 3 for two layers
+    chain = build(Z, n)
+    calls = []
+    span_basis = censym.cellular.span_basis
+
+    def counted(*args):
+        calls.append(args)
+        return span_basis(*args)
+
+    monkeypatch.setattr(censym.cellular, "span_basis", counted)
+    assert verify_cell_chain(chain).verdict == "pass"
+    assert len(chain.layers) == 2
+    assert len(calls) == 3

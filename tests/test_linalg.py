@@ -193,7 +193,7 @@ def _ideal_generator_entry(ring):
     a = algebra_of_censym(ring, 3)
 
     def call(v):
-        return ideal_generated(a, [v]).rowbasis.sparse_rows
+        return ideal_generated(a, [v]).sparse_rows
     return a.basis_vector(positions(3)[(2, 2)]), call, \
         "generator length does not match the algebra's rank 5"
 

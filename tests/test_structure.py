@@ -130,7 +130,7 @@ class TestIsoOddQuotient:
     def test_zero_coset_maps_to_zero(self):
         a, ideal, quot, proj = odd_quotient(Z, 2)
         w = iso_odd_quotient(Z, 2)
-        for v in ideal.rowbasis.sparse_rows:
+        for v in ideal.sparse_rows:
             assert w.apply(proj.apply(v)) == w.target.zero_vector()
 
     def test_ideal_rank_bookkeeping(self):
