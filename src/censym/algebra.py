@@ -40,7 +40,6 @@ from .linalg import (
     nullspace,
     span_basis,
     to_dense,
-    unit_vector,
 )
 from .reports import FAIL, PASS, UNDETERMINED, Report, combine_clauses
 from .rings import GroupRingC2, Ring
@@ -67,7 +66,7 @@ class StructureAlgebra:
     def __init__(self, ring: Ring, labels, table: dict, unit, invol=None, first=()):
         self.ring = ring
         self.labels = tuple(labels)
-        zero = ring.zero()
+        zero, basis = ring.zero(), frozenset(range(len(self.labels)))
         self.table, self._by_left = {}, {}
         for (u, v), terms in table.items():
             kept = tuple((w, c) for w, c in terms if c != zero)
@@ -76,6 +75,8 @@ class StructureAlgebra:
             row = dict(kept)
             if len(row) != len(kept):
                 raise ValueError(f"table entry {(u, v)} names a basis index twice")
+            if not (u in basis and v in basis and row.keys() <= basis):
+                raise ValueError(f"table entry {(u, v)} names an index outside the basis")
             self.table[u, v] = kept
             self._by_left.setdefault(u, {})[v] = row
         self.unit_sparse = checked_sparse(ring, unit, len(self.labels),
@@ -102,7 +103,7 @@ class StructureAlgebra:
         return [self.ring.zero()] * self.rank
 
     def basis_vector(self, u: int):
-        return unit_vector(self.ring, self.rank, u)
+        return to_dense(self.ring, {u: self.ring.one()}, self.rank)
 
     def generators(self) -> tuple:
         """An irredundant set G of basis indices whose words span the
@@ -491,6 +492,8 @@ class LinearMapWitness:
 
     def __init__(self, source, target, matrix: list, inverse: list | None = None,
                  claimed: tuple = (), name: str = "map"):
+        if len(matrix) != source.rank or inverse is not None and len(inverse) != target.rank:
+            raise ValueError("matrix shapes do not match the bases")
         self.source, self.target, self.name = source, target, name
         self.matrix, self.inverse, self.claimed = matrix, inverse, claimed
 
@@ -566,8 +569,6 @@ def _check_bijective(w: LinearMapWitness):
     if w.inverse is None:
         raise ValueError("bijective claim without an explicit inverse")
     src, tgt = w.source, w.target
-    if len(w.matrix) != src.rank or len(w.inverse) != tgt.rank:
-        raise ValueError("matrix shapes do not match the bases")
     f = _sparse_rows(tgt, w.matrix, tgt.rank)
     g = _sparse_rows(src, w.inverse, src.rank)
     one = src.ring.one()

@@ -14,13 +14,13 @@ sum cancels, so a zero is never stored, dict ``==`` is vector equality and
 step (``acc += c*v``); it skips a multiply by one and an add into an
 absent key.  :func:`mat_vec_sparse` is the one helper that applies a
 coefficient matrix (rows are images of basis vectors) to a coordinate
-vector.  A vector from outside the engine, a dense list of payloads or a
-sparse dict, enters through one boundary, :func:`checked_sparse`, which
-returns the sparse form and rejects a vector that does not fit its width;
-the kernels take sparse input and check nothing.  A ``matrices.Matrix``
-enters there too and keeps its non-zero cells in this form.
-:func:`to_dense` gives the dense form back for the few dense faces that
-keep it, such as ``Matrix.entries``.
+vector.  One way in, one way out: :func:`checked_sparse` takes a vector
+from outside the engine, dense list or sparse dict (a ``matrices.Matrix``'s
+cells too), returns the sparse form and rejects one that does not fit its
+width; :func:`to_dense` gives the dense form back for the few dense faces,
+such as ``Matrix.entries``.  The kernels take sparse input and check
+nothing, but :class:`RowBasis` (so :func:`span_basis` and :func:`nullspace`)
+checks a dense vector against its width and trusts a sparse one.
 
 :class:`RowBasis` keeps its rows *fully* reduced: each row is 1 at its own
 pivot column and 0 at every other row's pivot column.  Subtracting a
@@ -48,16 +48,6 @@ class FreenessUndetermined(Exception):
         self.column = column
 
 
-def to_sparse(ring: Ring, v) -> dict:
-    """The sparse form of a dense vector; a sparse vector is returned as is."""
-    if isinstance(v, dict):
-        return v
-    if ring.is_zero is not_:  # truthiness is the zero test: select in C
-        return dict(compress(enumerate(v), v))
-    zero = ring.zero()
-    return {k: x for k, x in enumerate(v) if x != zero}
-
-
 def checked_sparse(ring: Ring, v, width: int, message: str) -> dict:
     """The sparse form of a vector from outside the engine, dense or sparse.
     A dense vector must have length ``width`` and a sparse one only keys in
@@ -66,7 +56,10 @@ def checked_sparse(ring: Ring, v, width: int, message: str) -> dict:
     if not isinstance(v, dict):
         if len(v) != width:
             raise ValueError(message)
-        return to_sparse(ring, v)
+        if ring.is_zero is not_:  # truthiness is the zero test: select in C
+            return dict(compress(enumerate(v), v))
+        zero = ring.zero()
+        return {k: x for k, x in enumerate(v) if x != zero}
     if not all(k in range(width) for k in v):
         raise ValueError(message)
     is_zero = ring.is_zero
@@ -92,12 +85,6 @@ def add_multiple(ring: Ring, acc: dict, c, v: dict) -> None:
             acc.pop(k, None)
         else:
             acc[k] = t
-
-
-def unit_vector(ring: Ring, width: int, pos: int):
-    v = [ring.zero()] * width
-    v[pos] = ring.one()
-    return v
 
 
 class RowBasis:
@@ -126,7 +113,8 @@ class RowBasis:
         """Residual of v against the stored rows, plus the row multipliers
         as ``{row index: multiplier}``."""
         R, row_of = self.ring, self._row_of
-        v = to_sparse(R, v)
+        v = v if isinstance(v, dict) else checked_sparse(
+            R, v, self.width, f"vector length does not match the width {self.width}")
         mults = {row_of[p]: c for p, c in v.items() if p in row_of}
         res = dict(v)
         for r, c in mults.items():

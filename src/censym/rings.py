@@ -72,7 +72,7 @@ class Ring:
     such a test where the zero payload is the only falsy one (ints,
     fractions, residues), never for tuple payloads, which are always truthy.
     A ring whose ``is_zero`` is ``operator.not_`` declares exactly that, and
-    :func:`censym.linalg.to_sparse` then lets the entries select themselves.
+    :func:`censym.linalg.checked_sparse` then lets the entries select themselves.
 
     Two rings are equal exactly when their literals are equal, and a ring
     hashes as its literal: the literal is the ring's name in every report

@@ -35,7 +35,7 @@ from .algebra import (
     subalgebra_from_vectors,
     zero_algebra,
 )
-from .linalg import RowBasis, add_multiple, to_sparse
+from .linalg import RowBasis, add_multiple, checked_sparse
 from .rings import GroupRingC2, Ring
 
 
@@ -244,7 +244,8 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
         )
     a = algebra_of_censym(ring, n)
     pos = fb.positions(n)
-    c = to_sparse(ring, fb.exchange_coords(ring, n))
+    c = checked_sparse(ring, fb.exchange_coords(ring, n), a.rank,
+                       f"exchange coordinates do not match the rank {a.rank}")
     p_plus, p_minus = {}, {}
     for p, sign in ((p_plus, t), (p_minus, ring.neg(t))):
         add_multiple(ring, p, t, a.unit_sparse)

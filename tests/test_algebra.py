@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -21,7 +22,7 @@ from censym.algebra import (
 from censym.basis import coords, exchange_coords, from_coords, positions, rank_of
 from censym.linalg import FreenessUndetermined, RowBasis, span_basis, to_dense
 from censym.rings import GroupRingC2
-from censym.structure import morita_column_iso, odd_quotient
+from censym.structure import iso_even, morita_column_iso, odd_quotient
 
 from conftest import C2Z, GF2, GF3, GF5, Q, Z, Z4, same_span, vec_is_zero
 
@@ -356,6 +357,22 @@ def test_witness_rows_of_the_wrong_width_are_misuse(claim):
         w = LinearMapWitness(a, a, [row[:-1] for row in _eye(a)], _eye(a), claimed=(claim,))
     with pytest.raises(ValueError, match="matrix shapes do not match the bases"):
         check_witness(w)
+
+
+@pytest.mark.parametrize("change", ["short", "extra"])
+@pytest.mark.parametrize("claim", ["algebra-homomorphism", "bijective",
+                                   "involution-equivariant", "left-module-homomorphism"])
+def test_witness_with_the_wrong_row_count_is_misuse(claim, change):
+    # a row count other than the source's rank names no map between the
+    # bases: an extra row once passed and a missing one gave an IndexError
+    w = morita_column_iso(Z, 6, 2) if claim == "left-module-homomorphism" else iso_even(Z, 2)
+    wrong = w.matrix[:-1] if change == "short" else w.matrix + [w.matrix[0]]
+    with pytest.raises(ValueError, match="matrix shapes do not match the bases"):
+        LinearMapWitness(w.source, w.target, wrong, w.inverse, claimed=(claim,))
+    if claim == "bijective":
+        wrong = w.inverse[:-1] if change == "short" else w.inverse + [w.inverse[0]]
+        with pytest.raises(ValueError, match="matrix shapes do not match the bases"):
+            LinearMapWitness(w.source, w.target, w.matrix, wrong, claimed=(claim,))
 
 
 def test_centre_field_cases(field):
@@ -802,6 +819,16 @@ def test_table_entry_naming_a_basis_index_twice_is_rejected():
     m = full_matrix_algebra(Z, 2)
     with pytest.raises(ValueError, match=r"table entry \(1, 2\) names a basis index twice"):
         broken_m2({(1, 2): ((3, 1), (3, 2))}, invol=m.invol_sparse)
+
+
+@pytest.mark.parametrize("key, terms", [((0, 3), ((0, 1),)), ((3, 0), ((0, 1),)),
+                                        ((0, 0), ((2, 1),)), ((0, 0), ((0, 1), (-1, 1)))])
+def test_table_entry_naming_an_index_outside_the_basis_is_rejected(key, terms):
+    # such an entry once built, validated and vanished from to_json_dict()
+    table = {(0, 0): ((0, 1),), key: terms}
+    with pytest.raises(ValueError,
+                       match=re.escape(f"table entry {key} names an index outside the basis")):
+        StructureAlgebra(Z, ["1"], table, [1], invol=[[1]])
 
 
 @pytest.mark.parametrize("build", [

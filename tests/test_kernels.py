@@ -35,10 +35,10 @@ from censym.linalg import (
     FreenessUndetermined,
     RowBasis,
     add_multiple,
+    checked_sparse,
     mat_vec_sparse,
     nullspace,
     to_dense,
-    to_sparse,
 )
 from censym.matrices import Matrix, matrix_unit
 from censym.rings import ring_from_literal
@@ -231,7 +231,8 @@ def test_mat_vec_matches_schoolbook(literal, data):
     source, target = (StructureAlgebra(ring, [f"e{k}" for k in range(r)], {}, {})
                       for r in (height, width))
     assert LinearMapWitness(source, target, rows).apply(v) == want
-    sparse = mat_vec_sparse(ring, [to_sparse(ring, row) for row in rows], to_sparse(ring, v))
+    sparse = mat_vec_sparse(ring, [checked_sparse(ring, row, len(row), "dense row")
+                                   for row in rows], checked_sparse(ring, v, len(v), "dense v"))
     assert to_dense(ring, sparse, width) == want
 
 
@@ -288,7 +289,7 @@ def test_rowbasis_reduction_matches_row_order_reference(literal, data):
         assert [row[p] for row in dense_rows(rb)] == [
             ring.one() if k == r else ring.zero() for k in range(rb.rank)]
     for v in family + [data.draw(sparse_vectors(ring, width))]:
-        res, mults = rb._reduce(to_sparse(ring, v))
+        res, mults = rb._reduce(checked_sparse(ring, v, len(v), "dense v"))
         assert (to_dense(ring, res, width), to_dense(ring, mults, rb.rank)) == \
             row_order_reduce(ring, dense_rows(rb), rb.pivots, v)
         assert to_dense(ring, rb.residual_sparse(v), width) == to_dense(ring, res, width)
@@ -499,11 +500,14 @@ def test_rowbasis_matches_dense_reference(literal, data):
         else:
             assert rb.insert(v) is want
         assert (dense_rows(rb), rb.pivots) == (ref.rows, ref.pivots)
-        assert rb.sparse_rows == [to_sparse(ring, row) for row in ref.rows]
+        assert rb.sparse_rows == [checked_sparse(ring, row, len(row), "dense row")
+                                  for row in ref.rows]
     for v in family + data.draw(st.lists(vector, max_size=3)):
         res = ref.reduce(v)[0]
         assert to_dense(ring, rb.residual_sparse(v), width) == res
-        assert rb.residual_sparse(to_sparse(ring, v)) == to_sparse(ring, res)
+        assert rb.residual_sparse(checked_sparse(ring, v, len(v), "dense v")) == \
+            checked_sparse(ring, res, len(res), "dense residual")
         cs = ref.express(v)
         assert dense_express(rb, v) == cs
-        assert rb.express_sparse(v) == (None if cs is None else to_sparse(ring, cs))
+        assert rb.express_sparse(v) == (
+            None if cs is None else checked_sparse(ring, cs, len(cs), "dense coordinates"))

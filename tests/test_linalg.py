@@ -21,9 +21,9 @@ from censym.linalg import (
     RowBasis,
     mat_vec_sparse,
     nullspace,
+    checked_sparse,
     span_basis,
     to_dense,
-    to_sparse,
 )
 from censym.matrices import Matrix, exchange
 from censym.rings import ring_from_literal
@@ -127,7 +127,8 @@ def test_nullspace():
 
 def test_mat_vec():
     rows = [[1, 0], [1, 1]]
-    out = mat_vec_sparse(Z, [to_sparse(Z, row) for row in rows], to_sparse(Z, [2, 3]))
+    out = mat_vec_sparse(Z, [checked_sparse(Z, row, len(row), "dense row") for row in rows],
+                         checked_sparse(Z, [2, 3], 2, "dense v"))
     assert to_dense(Z, out, 2) == [5, 3]
 
 
@@ -262,13 +263,55 @@ BOUNDARY_ENTRIES = {"unit": _unit_entry, "witness-row": _witness_row_entry,
 def test_boundary_takes_either_form_and_checks_the_width(entry, literal):
     ring = ring_from_literal(literal)
     dense, call, message = BOUNDARY_ENTRIES[entry](ring)
-    sparse = to_sparse(ring, dense)
+    sparse = checked_sparse(ring, dense, len(dense), "dense vector")
     width, one = len(dense), ring.one()
     assert call(sparse) == call(dense)
     for bad in (dense[:-1], dense + [ring.zero()], dict(sparse, **{str(width): one}),
                 {**sparse, width: one}, {**sparse, -1: one}):
         with pytest.raises(ValueError, match=re.escape(message)):
             call(bad)
+
+
+# RowBasis and the eliminations over it read a dense vector through
+# checked_sparse against the basis width; a sparse vector is the engine's
+# own and is trusted, so only dense misfits apply here.  Each maps (a ring,
+# a family of rows of width 3, a vector) to what the entry makes of it.
+
+def _filled(ring, family, track=False):
+    rb = RowBasis(ring, 3, track=track)
+    for row in family:
+        rb.insert(row)
+    return rb
+
+
+def _insert(ring, family, v):
+    rb = _filled(ring, family)
+    return rb.insert(v), rb.sparse_rows, rb.pivots
+
+
+ROWBASIS_ENTRIES = {
+    "insert": _insert,
+    "contains": lambda ring, family, v: _filled(ring, family).contains(v),
+    "residual": lambda ring, family, v: _filled(ring, family).residual_sparse(v),
+    "express": lambda ring, family, v: _filled(ring, family, True).express_sparse(v),
+    "span-basis": lambda ring, family, v: span_basis(ring, family + [v], 3).sparse_rows,
+    "nullspace": lambda ring, family, v: nullspace(ring, family + [v], 3),
+}
+
+
+@pytest.mark.parametrize("literal", ["int", "rat", "zmod:4", "c2:int"])
+@pytest.mark.parametrize("entry", ROWBASIS_ENTRIES)
+def test_rowbasis_takes_either_form_and_checks_a_dense_width(entry, literal):
+    ring = ring_from_literal(literal)
+    call, zero, one = ROWBASIS_ENTRIES[entry], ring.zero(), ring.one()
+    family = [[one, zero, one], [zero, one, zero]]
+    for dense in ([one, one, one], [one, one, zero]):  # in the span, then outside it
+        sparse = checked_sparse(ring, dense, 3, "dense vector")
+        assert call(ring, family, sparse) == call(ring, family, dense)
+        for bad in (dense[:-1], dense + [zero], dense + [one]):
+            with pytest.raises(ValueError,
+                               match=r"^vector length does not match the width 3$"):
+                call(ring, family, bad)
 
 
 def test_a_sparse_vector_is_not_read_as_its_keys():
