@@ -16,7 +16,7 @@ centre, and the associativity and anti-homomorphism clauses of
 :meth:`StructureAlgebra.generators`, an irredundant generating set read off
 the product table alone; the centrosymmetric and full matrix builders name
 a cycle of matrix units for it to try first, so it has about n/2 elements
-for S_n and m for M_m.
+for S_n and m for M_m, and quotients inherit it.
 The centre is one exact unit-pivot nullspace over every ring, and a misused
 witness (unknown claim, wrong endpoints) raises ValueError, never ``fail``.
 Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
@@ -116,7 +116,8 @@ class StructureAlgebra:
         removal still leaves every index reached.  Any order is sound, as
         the certificate is only that the closure from G reaches every
         index; the builders pass first a cycle of matrix units, E_{1,2},
-        ..., E_{m-1,m}, x*E_{m,1}, which alone generates M_m(R[C2]) = S_2m."""
+        ..., E_{m-1,m}, x*E_{m,1}, which alone generates M_m(R[C2]) = S_2m,
+        and :func:`quotient_by_ideal` the images of its parent's G."""
         if self._generators is None:
             partners, units = {}, {}
             for (u, v), terms in self.table.items():
@@ -215,11 +216,13 @@ class StructureAlgebra:
         nucleus {x : (xy)z = x(yz) for all y, z} is closed under products
         with no associativity assumed, and in an associative table so is
         {x : (xy)* = y*x* for all y}.  Any defect re-runs the audit on the
-        whole basis, so the list is the exhaustive one, in basis order.
+        whole basis, so the list is the exhaustive one, in basis order.  The
+        associativity clause visits only the w with T[v, w] or some T[t, w],
+        t in T[u, v], non-zero, in ascending order: elsewhere both sides are zero.
         """
         R, r, tbl, labels = self.ring, self.rank, self.table, self.labels
         one, unit, invol = R.one(), self.unit_sparse, self.invol_sparse
-        table_of = self.mul_basis_sparse
+        table_of, by_left = self.mul_basis_sparse, self._by_left
 
         def audit(over):
             defects = []
@@ -230,10 +233,9 @@ class StructureAlgebra:
             for u in over:
                 for v in range(r):
                     uv = tbl.get((u, v), ())
-                    for w in range(r):
+                    ws = set(by_left.get(v, ())).union(*(by_left.get(t, ()) for t, _ in uv))
+                    for w in sorted(ws):
                         vw = tbl.get((v, w), ())
-                        if not uv and not vw:
-                            continue
                         # (e_u e_v) e_w = sum c*T[t, w] over (t, c) in T[u, v], and
                         # e_u (e_v e_w) = sum c*T[u, t] over (t, c) in T[v, w]
                         left, right = {}, {}
@@ -373,20 +375,20 @@ def full_matrix_algebra(ring: Ring, m: int,
         raise ValueError(f"matrix algebra size must be >= 1, got {m}")
     # g is the power of x carried by a basis element; unflattened, always 0
     flatten = isinstance(ring, GroupRingC2) and flatten_group_ring
-    base = ring.base if flatten else ring
+    base, powers = (ring.base, (0, 1)) if flatten else (ring, (0,))
     idx = {}
     labels = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            for g in (0, 1) if flatten else (0,):
+            for g in powers:
                 idx[(i, j, g)] = len(labels)
                 labels.append(f"E{i}_{j}" if g == 0 else f"x*E{i}_{j}")
     one = base.one()
     table = {}
-    for (i, j, g), u in idx.items():
-        for (p, q, h), v in idx.items():
-            if j == p:
-                table[(u, v)] = ((idx[(i, q, (g + h) % 2)], one),)
+    for (i, j, g), u in idx.items():  # E_{i,j}x^g * E_{j,q}x^h = E_{i,q}x^(g+h)
+        for q in range(1, m + 1):
+            for h in powers:
+                table[(u, idx[(j, q, h)])] = ((idx[(i, q, (g + h) % 2)], one),)
     unit = {idx[(i, i, 0)]: one for i in range(1, m + 1)}
     invol = [{idx[(j, i, g)]: one} for (i, j, g) in idx]
     # the cycle E_{1,2}, ..., E_{m-1,m}, E_{m,1}, whose last unit carries x if flattened
@@ -692,9 +694,12 @@ def ideal_is_two_sided(a: StructureAlgebra, j: RowBasis) -> bool:
 
 def quotient_by_ideal(a: StructureAlgebra, j: RowBasis):
     """Quotient algebra on the non-pivot part of the basis, plus the
-    projection witness (a surjective algebra homomorphism).  The induced
-    involution is attached when the ideal is involution-stable.  A row
-    basis of another width or ring raises ValueError."""
+    projection witness (a surjective algebra homomorphism).  Each non-zero
+    product of surviving basis elements is projected once, in the parent
+    table's key order; the quotient's :meth:`generators` tries first each
+    image of the parent's G that is a unit times one basis element.  The
+    induced involution is attached when the ideal is involution-stable.  A
+    row basis of another width or ring raises ValueError."""
     if j.width != a.rank or j.ring != a.ring:
         raise ValueError("ideal does not belong to this algebra")
     ring = a.ring
@@ -708,18 +713,21 @@ def quotient_by_ideal(a: StructureAlgebra, j: RowBasis):
         return {at[u]: c for u, c in j.residual_sparse(v).items()}
 
     table = {}
-    for uq, u in enumerate(comp):
-        for vq, v in enumerate(comp):
+    for u, v in a.table:
+        if u in at and v in at:
             cs = project(a.mul_basis_sparse(u, v))
             if cs:
-                table[(uq, vq)] = tuple(sorted(cs.items()))
+                table[(at[u], at[v])] = tuple(sorted(cs.items()))
+    proj_matrix = [project({u: ring.one()}) for u in range(a.rank)]
+    # the projection is onto, so the images of G generate the quotient
+    first = [w for g in a.generators() if len(proj_matrix[g]) == 1
+             for w, c in proj_matrix[g].items() if ring.inv(c) is not None]
     unit = project(a.unit_sparse)
     invol = None
     if a.invol_sparse is not None:
         if all(j.contains(a.apply_invol_sparse(row)) for row in j.sparse_rows):
             invol = [project(a.invol_sparse[u]) for u in comp]
-    q = StructureAlgebra(ring, labels, table, unit, invol)
-    proj_matrix = [project({u: ring.one()}) for u in range(a.rank)]
+    q = StructureAlgebra(ring, labels, table, unit, invol, first)
     witness = LinearMapWitness(
         source=a, target=q, matrix=proj_matrix,
         claimed=("algebra-homomorphism",), name="quotient-projection",

@@ -20,6 +20,7 @@ from censym.algebra import (
     zero_algebra,
 )
 from censym.basis import coords, exchange_coords, from_coords, positions, rank_of
+from censym.cellular import cell_chain_even
 from censym.linalg import FreenessUndetermined, RowBasis, span_basis, to_dense
 from censym.rings import GroupRingC2
 from censym.structure import iso_even, morita_column_iso, odd_quotient
@@ -189,6 +190,47 @@ def test_quotient_by_whole_algebra_is_zero():
     assert q.rank == 0
     assert q.validate() == []
     assert proj.apply(a.unit) == []
+
+
+def _quotient_table_over_all_pairs(a, j):
+    """Reference table: e_u*e_v projected for every pair of surviving
+    indices, keyed row-major by quotient index."""
+    comp = [u for u in range(a.rank) if u not in set(j.pivots)]
+    at = {u: uq for uq, u in enumerate(comp)}
+    table = {}
+    for uq, u in enumerate(comp):
+        for vq, v in enumerate(comp):
+            cs = j.residual_sparse(a.mul_basis_sparse(u, v))
+            if cs:
+                table[(uq, vq)] = tuple(sorted((at[w], c) for w, c in cs.items()))
+    return table
+
+
+def _quotient_of_size(ring, n):
+    """S_n, its ideal, the quotient M_{n//2}(R) and the projection: at odd n
+    over the middle-column ideal, at even n over the skew ideal (the span of
+    f[i,j] - f[i,n+1-j] for i, j <= n/2)."""
+    if n % 2:
+        return odd_quotient(ring, n // 2)
+    chain = cell_chain_even(ring, n)
+    a = chain.algebra
+    j = span_basis(ring, chain.layers[0].span, a.rank)
+    return (a, j, *quotient_by_ideal(a, j))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_quotient_table_matches_all_pairs_projection(n, any_ring):
+    a, j, quot, _ = _quotient_of_size(any_ring, n)
+    assert list(quot.table.items()) == list(_quotient_table_over_all_pairs(a, j).items())
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("ring", [Z, GF5, C2Z, Z4], ids=lambda r: r.literal())
+def test_quotient_generators_are_the_parent_cycle(n, ring):
+    # the quotient's G is the image of the parent's cycle: n // 2 matrix units
+    a, _, quot, proj = _quotient_of_size(ring, n)
+    assert len(quot.generators()) == n // 2
+    assert quot.generators() == tuple(sorted(w for g in a.generators() for w in proj.matrix[g]))
 
 
 def test_zero_algebra_is_legal():
@@ -548,6 +590,30 @@ def test_full_matrix_algebra_unflattened_over_group_ring():
     assert m.validate() == []
 
 
+def _schoolbook_matrix_table(ring, m, flatten):
+    """E_{i,j}x^g * E_{p,q}x^h = delta_{j,p} E_{i,q}x^(g+h mod 2) over every
+    pair of matrix units, keyed row-major, with the labels it implies."""
+    flatten = flatten and isinstance(ring, GroupRingC2)
+    units = [(i, j, g) for i in range(1, m + 1) for j in range(1, m + 1)
+             for g in ((0, 1) if flatten else (0,))]
+    one = (ring.base if flatten else ring).one()
+    labels = tuple(f"x*E{i}_{j}" if g else f"E{i}_{j}" for i, j, g in units)
+    table = {(u, v): ((units.index((i, q, (g + h) % 2)), one),)
+             for u, (i, j, g) in enumerate(units)
+             for v, (p, q, h) in enumerate(units) if j == p}
+    return labels, table
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("ring,flatten", [(Z, True), (GF5, True), (C2Z, True),
+                                          (C2Z, False)])
+def test_full_matrix_algebra_matches_schoolbook_units(m, ring, flatten):
+    a = full_matrix_algebra(ring, m, flatten_group_ring=flatten)
+    labels, table = _schoolbook_matrix_table(ring, m, flatten)
+    assert a.labels == labels
+    assert list(a.table.items()) == list(table.items())
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_algebra_of_censym_rejects_non_positive_size(n):
     with pytest.raises(ValueError, match="matrix size must be >= 1"):
@@ -765,6 +831,8 @@ CORRUPTED = {
     "M_3(gf:2)": lambda: full_matrix_algebra(GF2, 3),
     "S_3(int)": lambda: algebra_of_censym(Z, 3),
     "S_4(c2:int)": lambda: algebra_of_censym(C2Z, 4),
+    "S_5(int)/J": lambda: odd_quotient(Z, 2)[2],
+    "M_3(c2:int)": lambda: full_matrix_algebra(C2Z, 3),
 }
 
 
