@@ -1,7 +1,7 @@
 """Finite-rank structure-constant algebras with involutions.
 
 A :class:`StructureAlgebra` is a free module with a distinguished basis, a
-sparse product table on basis pairs, unit coordinates, and optionally an
+single sparse store of its basis products, unit coordinates, and optionally an
 involution given by the coordinate images of the basis.  It is the common
 carrier for the centrosymmetric algebra, full matrix algebras (also over a
 group-ring coefficient ring, flattened to the base), direct products,
@@ -14,15 +14,15 @@ Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
 centre, and the associativity and anti-homomorphism clauses of
 :meth:`StructureAlgebra.validate`) hold on the whole basis once they hold on
 :meth:`StructureAlgebra.generators`, an irredundant generating set read off
-the product table alone; the centrosymmetric and full matrix builders name
+the products alone; the centrosymmetric and full matrix builders name
 a cycle of matrix units for it to try first, so it has about n/2 elements
 for S_n and m for M_m, and quotients inherit it.
 The centre is one exact unit-pivot nullspace over every ring, and a misused
 witness (unknown claim, wrong endpoints) raises ValueError, never ``fail``.
 Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
 (the centrosymmetric algebra and the odd quotient) build once per argument
-tuple and hand every caller the same object, so the shared algebra is the
-only memo of the structure-constant table.
+tuple and hand every caller the same object, so the shared algebra's store
+is the only memo of its products; outside a block every call builds afresh.
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ class StructureAlgebra:
     structure-constant table ``(u, v) -> ((w, coeff), ...)``.
 
     Each table entry names a basis index w at most once and keeps only
-    non-zero coefficients.  The same entries are also indexed by left
-    factor as sparse vectors, ``u -> {v: {w: coeff}}``, so
-    :meth:`mul_sparse` walks only the keys of its left operand and, for
-    each, the shorter of the right operand's keys and that index's row;
-    one pass over the input table fills both.  The ``invol`` rows, the
-    images of the basis vectors, and the unit may come dense or sparse
-    through :func:`censym.linalg.checked_sparse`; they are stored as
-    ``invol_sparse`` and ``unit_sparse``.  ``unit``, ``mul``,
+    non-zero coefficients.  The entries are held once, indexed by left
+    factor as sparse vectors in ``by_left``, ``u -> {v: {w: coeff}}``
+    (read it, never change it), so :meth:`mul_sparse` walks only the keys
+    of its left operand and, for each, the shorter of the right operand's
+    keys and that index's row; :attr:`table` rebuilds the input form.  The
+    ``invol`` rows, the images of the basis vectors, and the unit may come
+    dense or sparse through :func:`censym.linalg.checked_sparse`; they are
+    stored as ``invol_sparse`` and ``unit_sparse``.  ``unit``, ``mul``,
     ``basis_vector`` and ``zero_vector`` are the dense faces, and ``mul``
     takes its operands through the same boundary.  ``first`` names basis
     indices for :meth:`generators` to try before the rest.
@@ -67,9 +67,9 @@ class StructureAlgebra:
         self.ring = ring
         self.labels = tuple(labels)
         zero, basis = ring.zero(), frozenset(range(len(self.labels)))
-        self.table, self._by_left = {}, {}
+        self.by_left = {}
         for (u, v), terms in table.items():
-            kept = tuple((w, c) for w, c in terms if c != zero)
+            kept = [(w, c) for w, c in terms if c != zero]
             if not kept:
                 continue
             row = dict(kept)
@@ -77,8 +77,7 @@ class StructureAlgebra:
                 raise ValueError(f"table entry {(u, v)} names a basis index twice")
             if not (u in basis and v in basis and row.keys() <= basis):
                 raise ValueError(f"table entry {(u, v)} names an index outside the basis")
-            self.table[u, v] = kept
-            self._by_left.setdefault(u, {})[v] = row
+            self.by_left.setdefault(u, {})[v] = row
         self.unit_sparse = checked_sparse(ring, unit, len(self.labels),
                                           "unit coordinate length does not match the basis")
         self.invol_sparse = None if invol is None else [checked_sparse(
@@ -94,6 +93,12 @@ class StructureAlgebra:
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @property
+    def table(self) -> dict:
+        """A fresh dict ``(u, v) -> ((w, coeff), ...)`` with row-major keys, from ``by_left``."""
+        rows = self.by_left
+        return {(u, v): tuple(rows[u][v].items()) for u in sorted(rows) for v in sorted(rows[u])}
 
     @property
     def unit(self) -> list:
@@ -120,9 +125,10 @@ class StructureAlgebra:
         and :func:`quotient_by_ideal` the images of its parent's G."""
         if self._generators is None:
             partners, units = {}, {}
-            for (u, v), terms in self.table.items():
-                partners.setdefault(u, []).append((v, terms))
-                partners.setdefault(v, []).append((u, terms))
+            for u, row in self.by_left.items():
+                for v, terms in row.items():
+                    partners.setdefault(u, []).append((v, terms))
+                    partners.setdefault(v, []).append((u, terms))
 
             def is_unit(c):
                 # decided once per coefficient, not again in every closure
@@ -144,7 +150,7 @@ class StructureAlgebra:
                     todo += waiting.pop(u, [])
                     while todo:
                         terms = todo.pop()
-                        new = [(w, c) for w, c in terms if w not in reached]
+                        new = [(w, c) for w, c in terms.items() if w not in reached]
                         if len(new) == 1 and is_unit(new[0][1]):
                             x = new[0][0]
                             reached.add(x)
@@ -176,7 +182,7 @@ class StructureAlgebra:
         mul, one = R.mul, R.one()
         out = {}
         for u, cu in x.items():
-            products = self._by_left.get(u)
+            products = self.by_left.get(u)
             if not products:
                 continue
             if len(y) <= len(products):
@@ -195,8 +201,8 @@ class StructureAlgebra:
         return to_dense(R, self.mul_sparse(x, y), r)
 
     def mul_basis_sparse(self, u: int, v: int) -> dict:
-        """e_u * e_v, shared with the table index: read it, never change it."""
-        return self._by_left.get(u, {}).get(v, {})
+        """e_u * e_v, shared with ``by_left``: read it, never change it."""
+        return self.by_left.get(u, {}).get(v, {})
 
     def apply_invol_sparse(self, x: dict) -> dict:
         if self.invol_sparse is None:
@@ -220,9 +226,8 @@ class StructureAlgebra:
         associativity clause visits only the w with T[v, w] or some T[t, w],
         t in T[u, v], non-zero, in ascending order: elsewhere both sides are zero.
         """
-        R, r, tbl, labels = self.ring, self.rank, self.table, self.labels
+        R, r, labels, by_left = self.ring, self.rank, self.labels, self.by_left
         one, unit, invol = R.one(), self.unit_sparse, self.invol_sparse
-        table_of, by_left = self.mul_basis_sparse, self._by_left
 
         def audit(over):
             defects = []
@@ -231,18 +236,17 @@ class StructureAlgebra:
                 if self.mul_sparse(unit, e) != e or self.mul_sparse(e, unit) != e:
                     defects.append(f"unit law fails at {labels[u]}")
             for u in over:
+                row_u = by_left.get(u, {})
                 for v in range(r):
-                    uv = tbl.get((u, v), ())
-                    ws = set(by_left.get(v, ())).union(*(by_left.get(t, ()) for t, _ in uv))
-                    for w in sorted(ws):
-                        vw = tbl.get((v, w), ())
+                    uv, row_v = row_u.get(v, {}), by_left.get(v, {})
+                    for w in sorted(set(row_v).union(*(by_left.get(t, ()) for t in uv))):
                         # (e_u e_v) e_w = sum c*T[t, w] over (t, c) in T[u, v], and
                         # e_u (e_v e_w) = sum c*T[u, t] over (t, c) in T[v, w]
                         left, right = {}, {}
-                        for t, c in uv:
-                            add_multiple(R, left, c, table_of(t, w))
-                        for t, c in vw:
-                            add_multiple(R, right, c, table_of(u, t))
+                        for t, c in uv.items():
+                            add_multiple(R, left, c, by_left.get(t, {}).get(w, {}))
+                        for t, c in row_v.get(w, {}).items():
+                            add_multiple(R, right, c, row_u.get(t, {}))
                         if left != right:
                             defects.append("associativity fails at "
                                            f"({labels[u]}, {labels[v]}, {labels[w]})")
@@ -254,7 +258,7 @@ class StructureAlgebra:
                     defects.append("involution moves the unit")
                 for u in over:
                     for v in range(r):
-                        if (self.apply_invol_sparse(table_of(u, v))
+                        if (self.apply_invol_sparse(by_left.get(u, {}).get(v, {}))
                                 != self.mul_sparse(invol[v], invol[u])):
                             defects.append("involution is not an anti-homomorphism at "
                                            f"({labels[u]}, {labels[v]})")
@@ -263,22 +267,11 @@ class StructureAlgebra:
         return self.first_failure(audit) or []
 
     def to_json_dict(self) -> dict:
-        R = self.ring
-        r = self.rank
-        tensor = [
-            [
-                [R.format(c) for c in to_dense(R, self.mul_basis_sparse(u, v), r)]
-                for v in range(r)
-            ]
-            for u in range(r)
-        ]
-        out = {
-            "ring": R.literal(),
-            "rank": r,
-            "labels": list(self.labels),
-            "unit": [R.format(c) for c in self.unit],
-            "tensor": tensor,
-        }
+        R, r = self.ring, self.rank
+        tensor = [[[R.format(c) for c in to_dense(R, self.mul_basis_sparse(u, v), r)]
+                   for v in range(r)] for u in range(r)]
+        out = {"ring": R.literal(), "rank": r, "labels": list(self.labels),
+               "unit": [R.format(c) for c in self.unit], "tensor": tensor}
         if self.invol_sparse is not None:
             out["involution"] = [[R.format(c) for c in to_dense(R, row, r)]
                                  for row in self.invol_sparse]
@@ -410,9 +403,9 @@ def direct_product(a: StructureAlgebra, b: StructureAlgebra,
         f"{prefixes[1]}:{lab}" for lab in b.labels
     ]
     off = a.rank
-    table = dict(a.table)
-    for (u, v), terms in b.table.items():
-        table[(u + off, v + off)] = tuple((w + off, c) for w, c in terms)
+    table = {(u + k, v + k): tuple((w + k, c) for w, c in terms.items())
+             for x, k in ((a, 0), (b, off)) for u, row in x.by_left.items()
+             for v, terms in row.items()}
     unit = dict(a.unit_sparse)
     unit.update((k + off, c) for k, c in b.unit_sparse.items())
     invol = None
@@ -695,8 +688,8 @@ def ideal_is_two_sided(a: StructureAlgebra, j: RowBasis) -> bool:
 def quotient_by_ideal(a: StructureAlgebra, j: RowBasis):
     """Quotient algebra on the non-pivot part of the basis, plus the
     projection witness (a surjective algebra homomorphism).  Each non-zero
-    product of surviving basis elements is projected once, in the parent
-    table's key order; the quotient's :meth:`generators` tries first each
+    product of surviving basis elements is projected once, in the parent's
+    ``by_left`` order; the quotient's :meth:`generators` tries first each
     image of the parent's G that is a unit times one basis element.  The
     induced involution is attached when the ideal is involution-stable.  A
     row basis of another width or ring raises ValueError."""
@@ -713,9 +706,9 @@ def quotient_by_ideal(a: StructureAlgebra, j: RowBasis):
         return {at[u]: c for u, c in j.residual_sparse(v).items()}
 
     table = {}
-    for u, v in a.table:
-        if u in at and v in at:
-            cs = project(a.mul_basis_sparse(u, v))
+    for u, row in a.by_left.items():
+        for v, terms in row.items():
+            cs = project(terms) if u in at and v in at else None
             if cs:
                 table[(at[u], at[v])] = tuple(sorted(cs.items()))
     proj_matrix = [project({u: ring.one()}) for u in range(a.rank)]
@@ -742,16 +735,16 @@ def centre_basis(a: StructureAlgebra) -> list:
     off the table entries T[w, u] and T[u, w], one row per e_t coordinate.
     The nullspace, and so the unique fully reduced form it is read from, is
     the whole basis's.  Raises FreenessUndetermined when a pivot is stuck."""
-    ring, tbl = a.ring, a.table
+    ring, by_left = a.ring, a.by_left
     minus_one = ring.neg(ring.one())
     rows = []
     for u in a.generators():
         # rows_u[t][w] is the e_t coordinate of b_w*b_u - b_u*b_w
-        rows_u = {}
+        rows_u, row_u = {}, by_left.get(u, {})
         for w in range(a.rank):
-            for t, c in tbl.get((w, u), ()):
+            for t, c in by_left.get(w, {}).get(u, {}).items():
                 rows_u.setdefault(t, {})[w] = c
-            for t, c in tbl.get((u, w), ()):
+            for t, c in row_u.get(w, {}).items():
                 add_multiple(ring, rows_u.setdefault(t, {}), minus_one, {w: c})
         rows += [rows_u[t] for t in sorted(rows_u) if rows_u[t]]
     return nullspace(ring, rows, a.rank)

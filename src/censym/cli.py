@@ -99,23 +99,23 @@ def check_rank(ring: Ring, n: int) -> Report:
 
 
 def check_structure_constants(ring: Ring, n: int) -> Report:
-    """The matrix-unit oracle tensor, read from the algebra's table, agrees
+    """The matrix-unit oracle tensor, read from the algebra's products, agrees
     with the closed product formula on all applicable canonical index pairs.
     The two kron guards of ``formula_product`` make f_a * f_b zero unless
     b.i is a.j or n+1-a.j, so the two are compared on those rows, and off
-    them a walk over the table's keys finds any applicable pair with an
+    them a walk over the products finds any applicable pair with an
     entry; the counterexample is the row-major-first failing pair.  An odd
     n leaves out the 2r-1 pairs with the middle idempotent as a factor and
     the (mid-1)^2 other middle-row-by-middle-column pairs of the r^2."""
     params = {"check": "structure-constants", "n": n, "ring": ring.literal()}
     idxs = fb.canonical_indices(n)
-    table = algebra_of_censym(ring, n).table
+    by_left = algebra_of_censym(ring, n).by_left
     by_row = {}
     for v, b in enumerate(idxs):
         by_row.setdefault(b.i, []).append(v)
 
     def oracle(u, v):
-        return {(idxs[w].i, idxs[w].j): c for w, c in table.get((u, v), ())}
+        return {(idxs[w].i, idxs[w].j): c for w, c in by_left.get(u, {}).get(v, {}).items()}
 
     def first_mismatch():
         for u, a in enumerate(idxs):
@@ -127,7 +127,7 @@ def check_structure_constants(ring: Ring, n: int) -> Report:
         return None
 
     mismatch = first_mismatch()
-    failures = [((u, v), {}) for u, v in table
+    failures = [((u, v), {}) for u, row in by_left.items() for v in row
                 if idxs[v].i not in (idxs[u].j, n + 1 - idxs[u].j)
                 and fb.formula_applicable(n, idxs[u], idxs[v])]
     failures += [mismatch] if mismatch else []

@@ -105,7 +105,8 @@ def s3_presentation(ring: Ring):
 
 def iso_even(ring: Ring, m: int) -> LinearMapWitness:
     """m-by-m matrices over the group ring onto the size-2m algebra:
-    E[i,j] -> f[i,j] and x*E[i,j] -> f[i, n+1-j]."""
+    E[i,j] -> f[i,j] and x*E[i,j] -> f[i, n+1-j].  Builds S_2m afresh on each
+    call outside a :func:`censym.algebra.shared_builds` block."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     n = 2 * m
@@ -121,7 +122,7 @@ def iso_even(ring: Ring, m: int) -> LinearMapWitness:
 def odd_quotient(ring: Ring, m: int):
     """The size-(2m+1) algebra, its middle-column ideal, the quotient, and
     the projection witness; built once per (ring, m) inside a
-    :func:`censym.algebra.shared_builds` block."""
+    :func:`censym.algebra.shared_builds` block, afresh on each call outside one."""
     n = 2 * m + 1
     a = algebra_of_censym(ring, n)
     pos = fb.positions(n)
@@ -171,7 +172,8 @@ def column_module(a: StructureAlgebra, ring: Ring, n: int, j: int) -> BasedModul
 def morita_column_iso(ring: Ring, n: int, j: int) -> LinearMapWitness:
     """Left-module isomorphism S*f_1 -> S*f_j by right multiplication with
     f[1,j] = e[1,j] + e[n,n+1-j]; the inverse multiplies by
-    f[j,1] = e[j,1] + e[n+1-j,n], extracting columns j and n+1-j back."""
+    f[j,1] = e[j,1] + e[n+1-j,n], extracting columns j and n+1-j back.
+    Builds S_n afresh on each call outside a :func:`censym.algebra.shared_builds` block."""
     if n < 4:
         raise ValueError("column isomorphisms are built for sizes >= 4")
     if not (2 <= j <= n // 2):
@@ -203,7 +205,8 @@ def endring_odd(ring: Ring, n: int):
     """Endomorphism ring of S*f_1 (+) S*f_mid for odd n >= 5, assembled from
     the four idempotent corners, with its isomorphism onto the size-3
     algebra.  The two corner relations are part of the returned algebra:
-    f[1,mid]*f[mid,1] == f_1 + f[1,n] and f[mid,1]*f[1,mid] == 2*f_mid."""
+    f[1,mid]*f[mid,1] == f_1 + f[1,n] and f[mid,1]*f[1,mid] == 2*f_mid.
+    Builds S_n afresh on each call outside a :func:`censym.algebra.shared_builds` block."""
     if n < 5 or n % 2 == 0:
         raise ValueError(f"need an odd size >= 5, got {n}")
     mid = (n + 1) // 2
@@ -235,7 +238,8 @@ def wedderburn_split(ring: Ring, n: int) -> WedderburnSplit:
     the symmetrized and antisymmetrized combinations f[i,j] * (1 +- c)/2
     (with a half rescaling of the odd middle column).  The witness's
     exhaustive algebra-homomorphism and bijective claims certify that they
-    multiply as the matrix units of the two pieces.
+    multiply as the matrix units of the two pieces.  Builds S_n afresh on
+    each call outside a :func:`censym.algebra.shared_builds` block.
     """
     t = ring.invert_two()
     if t is None:

@@ -23,7 +23,7 @@ from censym.basis import coords, exchange_coords, from_coords, positions, rank_o
 from censym.cellular import cell_chain_even
 from censym.linalg import FreenessUndetermined, RowBasis, span_basis, to_dense
 from censym.rings import GroupRingC2
-from censym.structure import iso_even, morita_column_iso, odd_quotient
+from censym.structure import endring_odd, iso_even, morita_column_iso, odd_quotient
 
 from conftest import C2Z, GF2, GF3, GF5, Q, Z, Z4, same_span, vec_is_zero
 
@@ -900,15 +900,31 @@ def test_table_entry_naming_an_index_outside_the_basis_is_rejected(key, terms):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: algebra_of_censym(C2Z, 5),
-    lambda: full_matrix_algebra(C2Z, 2),
-    lambda: direct_product(algebra_of_censym(Z, 3), full_matrix_algebra(Z, 2)),
-    lambda: odd_quotient(Q, 2)[2],
-], ids=["censym", "matrix", "product", "quotient"])
-def test_dense_and_sparse_involution_rows_build_the_same_algebra(build):
+    lambda R: algebra_of_censym(R, 5),
+    lambda R: full_matrix_algebra(R, 2),
+    lambda R: full_matrix_algebra(R, 2, flatten_group_ring=False),
+    lambda R: direct_product(algebra_of_censym(R, 3),
+                             full_matrix_algebra(R, 2, flatten_group_ring=False)),
+    lambda R: odd_quotient(R, 2)[2],
+    lambda R: quotient_by_ideal(*_quotient_of_size(R, 6)[:2])[0],
+    lambda R: endring_odd(R, 5)[0],  # a corner through subalgebra_from_vectors
+], ids=["censym", "matrix", "matrix-unflattened", "product", "odd-quotient",
+        "skew-quotient", "subalgebra"])
+def test_dense_and_sparse_involution_rows_build_the_same_algebra(build, any_ring):
     """The constructor stores the involution sparse whichever form its rows
-    come in, and drops zero coefficients from the table in one pass."""
-    a = build()
+    come in, and drops zero coefficients from the table in one pass.  The
+    table is a fresh row-major dict on every read, so clearing one leaves
+    the algebra's products as they were, and a rebuild from it multiplies
+    the same."""
+    a = build(any_ring)
+    r, table = a.rank, a.table
+    assert table is not a.table and list(table) == sorted(table)
+    x, y = {u: a.ring.one() for u in range(r)}, {u: a.ring.one() for u in range(0, r, 2)}
+    products = [dict(a.mul_basis_sparse(u, v)) for u in range(r) for v in range(r)]
+    xy = a.mul_sparse(x, y)
+    table.clear()
+    assert [a.mul_basis_sparse(u, v) for u in range(r) for v in range(r)] == products
+    assert a.mul_sparse(x, y) == xy and a.table and list(a.table) == sorted(a.table)
     padded = {uv: terms + ((0, a.ring.zero()),) for uv, terms in a.table.items()}
     padded[(0, 0)] = padded.get((0, 0), ()) + ((1, a.ring.zero()),)
     for b in (StructureAlgebra(a.ring, a.labels, a.table, a.unit, dense_invol(a)),
@@ -916,7 +932,8 @@ def test_dense_and_sparse_involution_rows_build_the_same_algebra(build):
         assert (b.labels, b.table, b.unit, b.invol_sparse, dense_invol(b)) == (
             a.labels, a.table, a.unit, a.invol_sparse, dense_invol(a))
         assert list(b.table) == list(a.table)
-        assert all(b.mul_basis_sparse(u, v) == dict(terms) for (u, v), terms in a.table.items())
+        assert [b.mul_basis_sparse(u, v) for u in range(r) for v in range(r)] == products
+        assert b.mul_sparse(x, y) == xy
         assert b.to_json_dict() == a.to_json_dict()
 
 
@@ -1013,10 +1030,10 @@ def _reached(a, gens):
     fixpoint over the table: u joins when some T[g, v] or T[v, g], g in gens
     and v reached, names u with a unit coefficient and otherwise only
     reached indices."""
-    gens, reached = set(gens), set(gens)
+    gens, reached, table = set(gens), set(gens), a.table
     while True:
         fresh = set()
-        for (u, v), terms in a.table.items():
+        for (u, v), terms in table.items():
             if u in gens and v in reached or v in gens and u in reached:
                 new = [(w, c) for w, c in terms if w not in reached]
                 if len(new) == 1 and a.ring.inv(new[0][1]) is not None:

@@ -307,7 +307,8 @@ def _reports_that_read_g(ring, n):
         out += [verify_frobenius_system(system(ring, n)).to_json_dict()
                 for system in NEGATIVE_CONTROLS if n >= 2]
         a = algebra_of_censym(ring, n)
-        table = {k: t for k, t in a.table.items() if k != max(a.table)}
+        table = a.table
+        del table[max(table)]
         broken = StructureAlgebra(ring, a.labels, table, a.unit_sparse, a.invol_sparse,
                                   a._first)
         out += [a.validate(), broken.validate(),

@@ -157,12 +157,12 @@ def test_sum_matches_ring_add_everywhere(pair):
 
 def schoolbook_algebra_mul(a, x, y):
     """sum over every basis pair of x_u * y_v * T[u, v], zero terms included."""
-    R = a.ring
+    R, table = a.ring, a.table
     out = [R.zero()] * a.rank
     for u in range(a.rank):
         for v in range(a.rank):
             xy = R.mul(x[u], y[v])
-            for w, c in a.table.get((u, v), ()):
+            for w, c in table.get((u, v), ()):
                 out[w] = R.add(out[w], R.mul(xy, c))
     return out
 
