@@ -13,10 +13,10 @@ machine-checked exhaustively on basis pairs by :func:`check_witness`.
 Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
 centre, and the associativity and anti-homomorphism clauses of
 :meth:`StructureAlgebra.validate`) hold on the whole basis once they hold on
-:meth:`StructureAlgebra.generators`, an irredundant generating set read off
-the products alone; the centrosymmetric and full matrix builders name
-a cycle of matrix units for it to try first, so it has about n/2 elements
-for S_n and m for M_m, and quotients inherit it.
+:meth:`StructureAlgebra.generators`, a generating set read off the products
+alone, irredundant outside the indices tried first; the centrosymmetric and
+full matrix builders name a cycle of matrix units to try first, so it has
+about n/2 elements for S_n and m for M_m, and quotients inherit it.
 The centre is one exact unit-pivot nullspace over every ring, and a misused
 witness (unknown claim, wrong endpoints) raises ValueError, never ``fail``.
 Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from functools import wraps
+from itertools import chain
 
 from . import basis as fb
 from .linalg import (
@@ -111,24 +112,27 @@ class StructureAlgebra:
         return to_dense(self.ring, {u: self.ring.one()}, self.rank)
 
     def generators(self) -> tuple:
-        """An irredundant set G of basis indices whose words span the
-        algebra, certified from the table alone and cached.  Index u is
-        reached when some T[g, v] or T[v, g], g in G and v reached, is a unit
-        at u and reached elsewhere; so by induction each reached e_u is an
-        R-combination of words in G.  A greedy pass joins to G each
-        unreached index of ``first``, then of the basis in index order; a
-        prune pass drops each index of G, last joined to first, whose
-        removal still leaves every index reached.  Any order is sound, as
+        """A set G of basis indices whose words span the algebra, certified
+        from the table alone and cached.  Index u is reached when some
+        T[g, v] or T[v, g], g in G and v reached, is a unit at u and reached
+        elsewhere; so by induction each reached e_u is an R-combination of
+        words in G.  A greedy pass joins to G each unreached index of
+        ``first``, then of the basis in index order; a prune pass drops each
+        index of G outside ``first``, last joined to first, whose removal
+        still leaves every index reached, so G is irredundant only outside
+        ``first``.  Any order is sound, as
         the certificate is only that the closure from G reaches every
         index; the builders pass first a cycle of matrix units, E_{1,2},
         ..., E_{m-1,m}, x*E_{m,1}, which alone generates M_m(R[C2]) = S_2m,
         and :func:`quotient_by_ideal` the images of its parent's G."""
         if self._generators is None:
-            partners, units = {}, {}
-            for u, row in self.by_left.items():
+            by_left, by_right, units = self.by_left, {}, {}
+            for u, row in by_left.items():
                 for v, terms in row.items():
-                    partners.setdefault(u, []).append((v, terms))
-                    partners.setdefault(v, []).append((u, terms))
+                    by_right.setdefault(v, []).append((u, terms))
+
+            def partners(u):  # (other factor, product) for each product of u
+                return chain(by_left.get(u, {}).items(), by_right.get(u, ()))
 
             def is_unit(c):
                 # decided once per coefficient, not again in every closure
@@ -146,7 +150,7 @@ class StructureAlgebra:
                         continue
                     gens[u] = None
                     reached.add(u)
-                    todo = [t for v, t in partners.get(u, ()) if v in reached]
+                    todo = [t for v, t in partners(u) if v in reached]
                     todo += waiting.pop(u, [])
                     while todo:
                         terms = todo.pop()
@@ -154,7 +158,7 @@ class StructureAlgebra:
                         if len(new) == 1 and is_unit(new[0][1]):
                             x = new[0][0]
                             reached.add(x)
-                            todo += [t for g, t in partners.get(x, ()) if g in gens]
+                            todo += [t for g, t in partners(x) if g in gens]
                             todo += waiting.pop(x, [])
                         else:
                             for w, _ in new:
@@ -162,8 +166,9 @@ class StructureAlgebra:
                 return list(gens), len(reached)
 
             gens = grow([*self._first, *range(self.rank)], True)[0]
-            # the rest of G reaches no more than before the last index joined
-            for g in reversed(gens[:-1]):
+            # the rest of G reaches no more than before the last index joined;
+            # on every algebra tried, no index of first could be dropped
+            for g in reversed([g for g in gens[:-1] if g not in self._first]):
                 rest = [h for h in gens if h != g]
                 if grow(rest, False)[1] == self.rank:
                     gens = rest
@@ -179,7 +184,7 @@ class StructureAlgebra:
 
     def mul_sparse(self, x: dict, y: dict) -> dict:
         R = self.ring
-        mul, one = R.mul, R.one()
+        _, mul, _, _, one = R.ops
         out = {}
         for u, cu in x.items():
             products = self.by_left.get(u)
@@ -488,7 +493,7 @@ class LinearMapWitness:
     def __init__(self, source, target, matrix: list, inverse: list | None = None,
                  claimed: tuple = (), name: str = "map"):
         if len(matrix) != source.rank or inverse is not None and len(inverse) != target.rank:
-            raise ValueError("matrix shapes do not match the bases")
+            raise ValueError(_SHAPES)
         self.source, self.target, self.name = source, target, name
         self.matrix, self.inverse, self.claimed = matrix, inverse, claimed
 
@@ -498,15 +503,12 @@ class LinearMapWitness:
         ring, width = self.target.ring, self.target.rank
         v = checked_sparse(ring, v, self.source.rank, "vector length does not match "
                            f"the source's rank {self.source.rank}")
-        rows = _sparse_rows(self.target, (self.matrix[k] for k in v), width)
-        return to_dense(ring, mat_vec_sparse(ring, dict(zip(v, rows)), v), width)
+        rows = {k: checked_sparse(ring, self.matrix[k], width, _SHAPES) for k in v}
+        return to_dense(ring, mat_vec_sparse(ring, rows, v), width)
 
 
-def _sparse_rows(side, rows, width: int) -> list:
-    """Witness rows over ``side``'s ring in sparse form; a row of the wrong
-    width is misuse, as the matrix then names no map between the bases."""
-    return [checked_sparse(side.ring, row, width, "matrix shapes do not match the bases")
-            for row in rows]
+# a row of the wrong width is misuse: the matrix then names no map between the bases
+_SHAPES = "matrix shapes do not match the bases"
 
 
 def check_witness(w: LinearMapWitness, params: dict | None = None) -> Report:
@@ -520,10 +522,19 @@ def check_witness(w: LinearMapWitness, params: dict | None = None) -> Report:
     params.setdefault("map", w.name)
     clauses = {}
     counterexample = None
+    memo = {}  # w.matrix and w.inverse in sparse form, converted on first read
+
+    def rows(name):
+        if name not in memo:
+            side = w.target if name == "matrix" else w.source
+            memo[name] = [checked_sparse(side.ring, row, side.rank, _SHAPES)
+                          for row in getattr(w, name)]
+        return memo[name]
+
     for prop in w.claimed:
         if prop not in _CHECKS:
             raise ValueError(f"unsupported claim {prop!r}")
-        ce = _CHECKS[prop](w)
+        ce = _CHECKS[prop](w, rows)
         clauses[prop] = PASS if ce is None else FAIL
         if ce is not None and counterexample is None:
             counterexample = dict(ce, property=prop)
@@ -531,21 +542,18 @@ def check_witness(w: LinearMapWitness, params: dict | None = None) -> Report:
                            counterexample=counterexample)
 
 
-def _check_algebra_hom(w: LinearMapWitness):
+def _check_algebra_hom(w: LinearMapWitness, rows):
     """Unit, then f(b*c) = f(b)*f(c) for b in the generators, c in the basis.
     The b that pass are a submodule closed under products: f(bb'c) =
     f(b)f(b'c) = f(b)f(b')f(c) = f(bb')f(c); the unit clause covers f(1)."""
     src, tgt = w.source, w.target
     if not isinstance(src, StructureAlgebra) or not isinstance(tgt, StructureAlgebra):
         raise ValueError("algebra-homomorphism needs algebra endpoints")
-    f = _sparse_rows(tgt, w.matrix, tgt.rank)
+    f = rows("matrix")
     img_unit = mat_vec_sparse(tgt.ring, f, src.unit_sparse)
     if img_unit != tgt.unit_sparse:
-        return {
-            "input": "unit",
-            "lhs": tgt.format_element(img_unit),
-            "rhs": tgt.format_element(tgt.unit_sparse),
-        }
+        return {"input": "unit", "lhs": tgt.format_element(img_unit),
+                "rhs": tgt.format_element(tgt.unit_sparse)}
 
     def scan(over):
         for u in over:
@@ -560,12 +568,11 @@ def _check_algebra_hom(w: LinearMapWitness):
     return src.first_failure(scan)
 
 
-def _check_bijective(w: LinearMapWitness):
+def _check_bijective(w: LinearMapWitness, rows):
     if w.inverse is None:
         raise ValueError("bijective claim without an explicit inverse")
     src, tgt = w.source, w.target
-    f = _sparse_rows(tgt, w.matrix, tgt.rank)
-    g = _sparse_rows(src, w.inverse, src.rank)
+    f, g = rows("matrix"), rows("inverse")
     one = src.ring.one()
     for u in range(src.rank):
         if mat_vec_sparse(src.ring, g, f[u]) != {u: one}:
@@ -577,7 +584,7 @@ def _check_bijective(w: LinearMapWitness):
     return None
 
 
-def _check_module_hom(w: LinearMapWitness):
+def _check_module_hom(w: LinearMapWitness, rows):
     """b*M lies in M and f(b*m) = b*f(m) for b in the generators; the b that
     pass are closed under products, as f(b*b'*m) = b*f(b'*m) = b*b'*f(m)."""
     src, tgt = w.source, w.target
@@ -588,8 +595,7 @@ def _check_module_hom(w: LinearMapWitness):
     A = src.algebra
     R, one = A.ring, A.ring.one()
     # f(m_k) in the ambient algebra, so f(b*m) = sum_k cs[k] * images[k]
-    images = [mat_vec_sparse(R, tgt.vectors, row)
-              for row in _sparse_rows(tgt, w.matrix, tgt.rank)]
+    images = [mat_vec_sparse(R, tgt.vectors, row) for row in rows("matrix")]
     srb = src.rowbasis()
 
     def scan(over):
@@ -611,22 +617,19 @@ def _check_module_hom(w: LinearMapWitness):
     return A.first_failure(scan)
 
 
-def _check_invol_equivariant(w: LinearMapWitness):
+def _check_invol_equivariant(w: LinearMapWitness, rows):
     src, tgt = w.source, w.target
     if not isinstance(src, StructureAlgebra) or not isinstance(tgt, StructureAlgebra):
         raise ValueError("involution check needs algebra endpoints")
     if src.invol_sparse is None or tgt.invol_sparse is None:
         raise ValueError("both sides need involutions")
-    f = _sparse_rows(tgt, w.matrix, tgt.rank)
+    f = rows("matrix")
     for u in range(src.rank):
         lhs = tgt.apply_invol_sparse(f[u])
         rhs = mat_vec_sparse(tgt.ring, f, src.invol_sparse[u])
         if lhs != rhs:
-            return {
-                "input": src.labels[u],
-                "lhs": tgt.format_element(lhs),
-                "rhs": tgt.format_element(rhs),
-            }
+            return {"input": src.labels[u], "lhs": tgt.format_element(lhs),
+                    "rhs": tgt.format_element(rhs)}
     return None
 
 

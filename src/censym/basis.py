@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .linalg import checked_sparse
+from .linalg import checked_sparse, to_dense
 from .matrices import Matrix, exchange, is_centrosymmetric
 from .rings import Ring
 
@@ -140,16 +140,21 @@ def canonical_basis(ring: Ring, n: int) -> list:
 
 
 def coords(a) -> list:
-    """Coordinates of a centrosymmetric matrix over the canonical basis.
+    """The dense form of :func:`coords_sparse`."""
+    m = _unwrap(a)
+    return to_dense(m.ring, coords_sparse(m), rank_of(m.n))
 
-    Each basis element contributes exactly one canonical cell, so the
-    coordinate at (i, j) is just the entry a[i, j].
-    """
+
+def coords_sparse(a) -> dict:
+    """Coordinates of a centrosymmetric matrix over the canonical basis, read
+    from its non-zero cells alone: each basis element contributes exactly one
+    canonical cell, so the coordinate at (i, j) is just the entry a[i, j]."""
     m = _unwrap(a)
     if not is_centrosymmetric(m):
         raise ValueError("matrix is not centrosymmetric")
-    n, cells, zero = m.n, m.cells, m.ring.zero()
-    return [cells.get((idx.i - 1) * n + idx.j - 1, zero) for idx in canonical_indices(n)]
+    n, pos = m.n, positions(m.n)
+    cells = (((p // n + 1, p % n + 1), c) for p, c in m.cells.items())
+    return {pos[q]: c for q, c in cells if q in pos}
 
 
 def from_coords(ring: Ring, n: int, v) -> CentroMatrix:

@@ -14,11 +14,14 @@ sum cancels, so a zero is never stored, dict ``==`` is vector equality and
 step (``acc += c*v``); it skips a multiply by one and an add into an
 absent key.  :func:`mat_vec_sparse` is the one helper that applies a
 coefficient matrix (rows are images of basis vectors) to a coordinate
-vector.  One way in, one way out: :func:`checked_sparse` takes a vector
-from outside the engine, dense list or sparse dict (a ``matrices.Matrix``'s
-cells too), returns the sparse form and rejects one that does not fit its
-width; :func:`to_dense` gives the dense form back for the few dense faces,
-such as ``Matrix.entries``.  The kernels take sparse input and check
+vector.  Cost model: a kernel call pays per term, not per call, as the
+kernels read a ring's operations from :attr:`censym.rings.Ring.ops`, bound
+once per ring, and :class:`RowBasis` reduces the zero vector without a pass.
+One way in, one way out: :func:`checked_sparse` takes a vector from outside
+the engine, dense list or sparse dict (a ``matrices.Matrix``'s cells too),
+returns the sparse form and rejects one that does not fit its width;
+:func:`to_dense` gives the dense form back for the few dense faces, such as
+``Matrix.entries``.  The kernels take sparse input and check
 nothing, but :class:`RowBasis` (so :func:`span_basis` and :func:`nullspace`)
 checks a dense vector against its width and trusts a sparse one.
 
@@ -60,9 +63,11 @@ def checked_sparse(ring: Ring, v, width: int, message: str) -> dict:
             return dict(compress(enumerate(v), v))
         zero = ring.zero()
         return {k: x for k, x in enumerate(v) if x != zero}
-    if not all(k in range(width) for k in v):
+    if not all(map(range(width).__contains__, v)):
         raise ValueError(message)
     is_zero = ring.is_zero
+    if is_zero is not_:
+        return dict(compress(v.items(), v.values()))
     return {k: x for k, x in v.items() if not is_zero(x)}
 
 
@@ -75,7 +80,7 @@ def to_dense(ring: Ring, v: dict, width: int) -> list:
 
 def add_multiple(ring: Ring, acc: dict, c, v: dict) -> None:
     """acc += c*v in place, deleting every key whose sum is zero."""
-    add, mul, is_zero, one = ring.add, ring.mul, ring.is_zero, ring.one()
+    add, mul, _, is_zero, one = ring.ops
     unit = c == one
     for k, x in v.items():
         t = x if unit else c if x == one else mul(c, x)
@@ -115,10 +120,13 @@ class RowBasis:
         R, row_of = self.ring, self._row_of
         v = v if isinstance(v, dict) else checked_sparse(
             R, v, self.width, f"vector length does not match the width {self.width}")
+        if not v:
+            return {}, {}
+        neg, rows = R.ops[2], self.sparse_rows
         mults = {row_of[p]: c for p, c in v.items() if p in row_of}
         res = dict(v)
         for r, c in mults.items():
-            add_multiple(R, res, R.neg(c), self.sparse_rows[r])
+            add_multiple(R, res, neg(c), rows[r])
         return res, mults
 
     def residual_sparse(self, v) -> dict:
@@ -135,6 +143,7 @@ class RowBasis:
         res, mults = self._reduce(v)
         if not res:
             return False
+        _, mul, neg, _, _ = R.ops
         support = sorted(res)
         for lead in support:
             inv = R.inv(res[lead])
@@ -148,14 +157,14 @@ class RowBasis:
             # new row = inv * (v - sum mults[r] * old basis combinations)
             combo = {self.rank: inv}
             for r, m in mults.items():
-                add_multiple(R, combo, R.neg(R.mul(inv, m)), self._combos[r])
+                add_multiple(R, combo, neg(mul(inv, m)), self._combos[r])
         # keep full reduced form: clear the new pivot column in the other
         # rows (the new row is zero at their pivots, as a unit times a
         # non-zero entry is non-zero and the residual is zero there)
         for r, other in enumerate(self.sparse_rows):
             c = other.get(lead)
             if c is not None:
-                c = R.neg(c)
+                c = neg(c)
                 add_multiple(R, other, c, row)
                 if self.track:
                     add_multiple(R, self._combos[r], c, combo)

@@ -19,6 +19,7 @@ Ring literals: ``int``, ``rat``, ``zmod:<m>``, ``gf:<p>`` (prime p), and
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 
 Fraction = None  # bound in RationalRing.__new__, so that an unpickled ring binds it too
 
@@ -77,9 +78,19 @@ class Ring:
     Two rings are equal exactly when their literals are equal, and a ring
     hashes as its literal: the literal is the ring's name in every report
     and the text that :func:`ring_from_literal` parses back.
+
+    The sparse kernels read :attr:`ops` rather than binding the operations
+    on every call.  It is built from the instance's own methods on first
+    kernel use, so an overriding subclass or a method set on the instance
+    before then (a counting ring) is honoured; one rebound after that is not.
     """
 
     is_field: bool = False
+
+    @cached_property
+    def ops(self) -> tuple:
+        """``(add, mul, neg, is_zero, one())`` of this instance, bound once."""
+        return self.add, self.mul, self.neg, self.is_zero, self.one()
 
     def zero(self):
         raise NotImplementedError

@@ -1,7 +1,10 @@
 import random
 import re
+from collections import Counter
 
 import pytest
+
+import censym.algebra
 
 from censym.algebra import (
     BasedModule,
@@ -415,6 +418,25 @@ def test_witness_with_the_wrong_row_count_is_misuse(claim, change):
         wrong = w.inverse[:-1] if change == "short" else w.inverse + [w.inverse[0]]
         with pytest.raises(ValueError, match="matrix shapes do not match the bases"):
             LinearMapWitness(w.source, w.target, w.matrix, wrong, claimed=(claim,))
+
+
+def test_check_witness_converts_each_witness_row_once(monkeypatch):
+    # three claims read the same matrix rows: they pass through the
+    # checked boundary once, on the first read, and the inverse's once too
+    w = iso_even(GF5, 3)
+    assert set(w.claimed) == {"algebra-homomorphism", "bijective", "involution-equivariant"}
+    rows = {id(r) for r in w.matrix + w.inverse}
+    assert len(rows) == len(w.matrix) + len(w.inverse)
+    seen, real = Counter(), censym.algebra.checked_sparse
+
+    def counted(ring, v, width, message):
+        seen[id(v)] += id(v) in rows
+        return real(ring, v, width, message)
+
+    monkeypatch.setattr(censym.algebra, "checked_sparse", counted)
+    assert check_witness(w).verdict == "pass"
+    assert {k for k, c in seen.items() if c} == rows
+    assert set(seen[k] for k in rows) == {1}
 
 
 def test_centre_field_cases(field):
@@ -1066,6 +1088,42 @@ def test_generators_are_irredundant_full_matrix_algebra(m, ring, flatten):
 @pytest.mark.parametrize("m", range(1, 5))
 def test_generators_are_irredundant_odd_quotient(m, any_ring):
     _assert_irredundant(odd_quotient(any_ring, m)[2])
+
+
+def _pruned_over_every_index(a):
+    """G as a greedy over first, then the basis, followed by a prune trial of
+    every joined index but the last, those from first included."""
+    gens, reached, whole = [], set(), set(range(a.rank))
+    for u in [*a._first, *range(a.rank)]:
+        if u not in reached:
+            gens.append(u)
+            reached = _reached(a, gens)
+    for g in reversed(gens[:-1]):
+        rest = [h for h in gens if h != g]
+        if _reached(a, rest) == whole:
+            gens = rest
+    return tuple(sorted(gens))
+
+
+PRUNE_RINGS = [Z, GF5, Z4, C2Z]
+PRUNE_CASES = ([("censym", n, None) for n in range(1, 17)]
+               + [("full", m, flatten) for m in range(1, 7) for flatten in (True, False)]
+               + [("odd-quotient", m, None) for m in range(1, 6)])
+
+
+@pytest.mark.parametrize("kind,size,flatten", PRUNE_CASES)
+@pytest.mark.parametrize("ring", PRUNE_RINGS, ids=lambda r: r.literal())
+def test_generators_skip_the_prune_only_where_it_drops_nothing(kind, size, flatten, ring):
+    # generators() keeps the indices that joined from first untried; on these
+    # algebras a prune over every index keeps them too, so G is the same
+    if kind == "censym":
+        a = algebra_of_censym(ring, size)
+    elif kind == "full":
+        a = full_matrix_algebra(ring, size, flatten_group_ring=flatten)
+    else:
+        a = odd_quotient(ring, size)[2]
+    assert a._first
+    assert a.generators() == _pruned_over_every_index(a)
 
 
 @pytest.mark.parametrize("n", [9, 12])

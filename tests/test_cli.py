@@ -122,10 +122,11 @@ def test_closure_fails_when_a_basis_product_leaves_the_algebra(capsys, monkeypat
 
 
 def test_rank_fails_when_coords_loses_a_coordinate(capsys, monkeypatch):
-    """Negative control: a coords that zeroes the last coordinate breaks
-    the round trip on the last basis element, and rank names it."""
-    real = fb.coords
-    monkeypatch.setattr(fb, "coords", lambda a: real(a)[:-1] + [a.ring.zero()])
+    """Negative control: a coordinate reader that zeroes the last coordinate
+    breaks the round trip on the last basis element, and rank names it."""
+    real = fb.coords_sparse
+    monkeypatch.setattr(fb, "coords_sparse", lambda a: {
+        u: c for u, c in real(a).items() if u != fb.rank_of(a.n) - 1})
     rep = check_rank(Z, 3)
     assert rep.verdict == "fail"
     assert rep.counterexample == {"round_trip": "f2_2"}

@@ -16,6 +16,11 @@ which reads E off its table on the matrix units, has its dense reference
 in ``test_frobenius.py``.
 """
 
+import os
+import pickle
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,7 +46,7 @@ from censym.linalg import (
     to_dense,
 )
 from censym.matrices import Matrix, matrix_unit
-from censym.rings import ring_from_literal
+from censym.rings import GroupRingC2, ModularRing, ring_from_literal
 
 from conftest import C2Z, GF2, GF3, GF5, Q, Z, Z4, elements
 
@@ -511,3 +516,81 @@ def test_rowbasis_matches_dense_reference(literal, data):
         assert dense_express(rb, v) == cs
         assert rb.express_sparse(v) == (
             None if cs is None else checked_sparse(ring, cs, len(cs), "dense coordinates"))
+
+
+# The kernels read Ring.ops, built from the instance's own methods on first
+# kernel use.  A counting ring made the way the bench's RingCounter makes one
+# (cls.__new__ plus a copy of a fresh ring's vars) must count what the same
+# subclass counts when constructed directly.
+
+def _counting_class(cls, counts):
+    class Counting(cls):
+        def add(self, a, b):
+            counts["add"] += 1
+            return cls.add(self, a, b)
+
+        def mul(self, a, b):
+            counts["mul"] += 1
+            return cls.mul(self, a, b)
+
+        def neg(self, a):
+            counts["neg"] += 1
+            return cls.neg(self, a)
+
+    return Counting
+
+
+def _counted_ring(literal, counts, copied):
+    """The ring of ``literal`` whose innermost base counts into ``counts``."""
+    ring = ring_from_literal(literal)
+    if isinstance(ring, GroupRingC2):
+        return GroupRingC2(_counted_ring(ring.base.literal(), counts, copied))
+    cls = _counting_class(type(ring), counts)
+    if not copied:
+        return cls(ring.modulus) if isinstance(ring, ModularRing) else cls()
+    out = cls.__new__(cls)
+    out.__dict__.update(vars(ring))
+    return out
+
+
+def _kernel_pass(ring):
+    """add_multiple, mul_sparse, RowBasis.insert and mat_vec_sparse on
+    payloads that are non-zero over every ring; returns every result."""
+    one = ring.one()
+    m = ring.neg(one)
+    acc = {0: one, 1: m}
+    add_multiple(ring, acc, m, {0: m, 1: one, 2: m})
+    a = full_matrix_algebra(ring, 2, flatten_group_ring=False)
+    product = a.mul_sparse({0: m, 1: one, 3: m}, {0: one, 2: m, 3: m})
+    rb = RowBasis(ring, 4, track=True)
+    grew = [rb.insert(v) for v in ({0: m, 1: one}, {1: m, 2: one}, {0: one, 2: m},
+                                   {0: one, 3: m}, {})]
+    image = mat_vec_sparse(ring, rb.sparse_rows, {0: m, 1: one, 2: m})
+    return acc, product, grew, rb.sparse_rows, rb._combos, image
+
+
+@pytest.mark.parametrize("literal", ["int", "rat", "zmod:4", "gf:2", "gf:5", "c2:int"])
+def test_a_counting_ring_built_from_a_copy_counts_every_kernel_operation(literal):
+    copied, direct = Counter(), Counter()
+    got = _kernel_pass(_counted_ring(literal, copied, True))
+    want = _kernel_pass(_counted_ring(literal, direct, False))
+    assert got == want == _kernel_pass(ring_from_literal(literal))
+    assert copied == direct
+    # over gf:2 every non-zero payload is one, so the kernels skip each multiply
+    assert direct["add"] and direct["neg"] and (direct["mul"] or literal == "gf:2")
+
+
+@pytest.mark.parametrize("literal", ["rat", "gf:5", "c2:int"])
+def test_a_ring_pickled_after_kernel_use_computes_in_a_fresh_process(literal):
+    ring = ring_from_literal(literal)
+    want = _kernel_pass(ring)
+    assert "ops" in vars(ring)
+    script = ("import pickle, sys; sys.path.insert(0, sys.argv[1]); "
+              "import test_kernels as t; r = pickle.load(sys.stdin.buffer); "
+              "assert all(getattr(f, '__self__', r) is r for f in r.ops[:3]); "
+              "print(repr(t._kernel_pass(r)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script, os.path.dirname(__file__)],
+                         input=pickle.dumps(ring), env=env, capture_output=True, timeout=60)
+    assert out.returncode == 0, out.stderr.decode()
+    assert out.stdout.decode().strip() == repr(want)

@@ -332,3 +332,25 @@ def test_width_messages_name_the_expected_width():
         Matrix(Z, 2, {9: 1})
     with pytest.raises(ValueError, match=r"^expected 4 entries for size 2$"):
         Matrix(Z, 2, [1, 2, 3])
+
+
+def test_the_zero_vector_reduces_to_nothing_and_leaves_the_basis_alone(any_ring):
+    # the zero vector returns before any pass over the rows, sparse or dense,
+    # but a dense vector of the wrong width is still rejected first
+    zero, one = any_ring.zero(), any_ring.one()
+    for family in ([], [[one, zero, one], [zero, one, zero]]):
+        rb = _filled(any_ring, family, track=True)
+        state = ([dict(r) for r in rb.sparse_rows], list(rb.pivots),
+                 [dict(c) for c in rb._combos])
+        for v in ({}, [zero, zero, zero]):
+            assert rb.express_sparse(v) == {}
+            assert rb.residual_sparse(v) == {}
+            assert rb.contains(v)
+            assert rb.insert(v) is False
+        assert ([dict(r) for r in rb.sparse_rows], list(rb.pivots),
+                [dict(c) for c in rb._combos]) == state
+        for bad in ([], [zero], [zero] * 4, [one, zero]):
+            for call in (rb.express_sparse, rb.residual_sparse, rb.contains, rb.insert):
+                with pytest.raises(ValueError,
+                                   match=r"^vector length does not match the width 3$"):
+                    call(bad)
