@@ -191,7 +191,7 @@ class StructureAlgebra:
             if not products:
                 continue
             if len(y) <= len(products):
-                pairs = [(y[v], products[v]) for v in y if v in products]
+                pairs = [(cv, products[v]) for v, cv in y.items() if v in products]
             else:
                 pairs = [(y[v], terms) for v, terms in products.items() if v in y]
             for cv, terms in pairs:
