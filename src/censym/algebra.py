@@ -120,11 +120,11 @@ class StructureAlgebra:
         ``first``, then of the basis in index order; a prune pass drops each
         index of G outside ``first``, last joined to first, whose removal
         still leaves every index reached, so G is irredundant only outside
-        ``first``.  Any order is sound, as
-        the certificate is only that the closure from G reaches every
-        index; the builders pass first a cycle of matrix units, E_{1,2},
-        ..., E_{m-1,m}, x*E_{m,1}, which alone generates M_m(R[C2]) = S_2m,
-        and :func:`quotient_by_ideal` the images of its parent's G."""
+        ``first``.  Any order is sound, as the certificate is only that the
+        closure from G reaches every index; the builders pass first a cycle
+        of matrix units, E_{1,2}, ..., E_{m-1,m}, x*E_{m,1}, which alone
+        generates M_m(R[C2]) = S_2m, and :func:`quotient_by_ideal` the
+        images of its parent's G."""
         if self._generators is None:
             by_left, by_right, units = self.by_left, {}, {}
             for u, row in by_left.items():
