@@ -17,12 +17,15 @@ centre, and the associativity and anti-homomorphism clauses of
 alone, irredundant outside the indices tried first; the centrosymmetric and
 full matrix builders name a cycle of matrix units to try first, so it has
 about n/2 elements for S_n and m for M_m, and quotients inherit it.
+A quotient reduces each basis element once and projects every product
+through those images, as the residual is linear.
 The centre is one exact unit-pivot nullspace over every ring, and a misused
 witness (unknown claim, wrong endpoints) raises ValueError, never ``fail``.
 Inside a :func:`shared_builds` block the builders marked :func:`shared_in_scope`
-(the centrosymmetric algebra and the odd quotient) build once per argument
-tuple and hand every caller the same object, so the shared algebra's store
-is the only memo of its products; outside a block every call builds afresh.
+(the centrosymmetric algebra, the odd quotient and the column modules)
+build once per argument tuple and hand every caller the same object, so the
+shared algebra's store is the only memo of its products; outside a block
+every call builds afresh.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from functools import wraps
 from itertools import chain
+from operator import not_
 
 from . import basis as fb
 from .linalg import (
@@ -68,14 +72,17 @@ class StructureAlgebra:
         self.ring = ring
         self.labels = tuple(labels)
         zero, basis = ring.zero(), frozenset(range(len(self.labels)))
+        clean = all if ring.is_zero is not_ else lambda cs: zero not in cs
         self.by_left = {}
         for (u, v), terms in table.items():
-            kept = [(w, c) for w, c in terms if c != zero]
-            if not kept:
-                continue
-            row = dict(kept)
-            if len(row) != len(kept):
-                raise ValueError(f"table entry {(u, v)} names a basis index twice")
+            row = dict(terms)  # kept as is when no index repeats and no term is zero
+            if not (row and len(row) == len(terms) and clean(row.values())):
+                kept = [(w, c) for w, c in terms if c != zero]
+                if not kept:
+                    continue
+                row = dict(kept)
+                if len(row) != len(kept):
+                    raise ValueError(f"table entry {(u, v)} names a basis index twice")
             if not (u in basis and v in basis and row.keys() <= basis):
                 raise ValueError(f"table entry {(u, v)} names an index outside the basis")
             self.by_left.setdefault(u, {})[v] = row
@@ -690,12 +697,14 @@ def ideal_is_two_sided(a: StructureAlgebra, j: RowBasis) -> bool:
 
 def quotient_by_ideal(a: StructureAlgebra, j: RowBasis):
     """Quotient algebra on the non-pivot part of the basis, plus the
-    projection witness (a surjective algebra homomorphism).  Each non-zero
-    product of surviving basis elements is projected once, in the parent's
-    ``by_left`` order; the quotient's :meth:`generators` tries first each
-    image of the parent's G that is a unit times one basis element.  The
-    induced involution is attached when the ideal is involution-stable.  A
-    row basis of another width or ring raises ValueError."""
+    projection witness (a surjective algebra homomorphism).  Each basis
+    element is reduced once; the residual is linear, as the rows are fully
+    reduced, so each non-zero product of surviving basis elements is the
+    forward image of those projections, in the parent's ``by_left`` order;
+    the quotient's :meth:`generators` tries first each image of the
+    parent's G that is a unit times one basis element.  The induced
+    involution is attached when the ideal is involution-stable.  A row
+    basis of another width or ring raises ValueError."""
     if j.width != a.rank or j.ring != a.ring:
         raise ValueError("ideal does not belong to this algebra")
     ring = a.ring
@@ -708,13 +717,13 @@ def quotient_by_ideal(a: StructureAlgebra, j: RowBasis):
         # a residual is zero at every pivot, so its keys all lie in comp
         return {at[u]: c for u, c in j.residual_sparse(v).items()}
 
+    proj_matrix = [project({u: ring.one()}) for u in range(a.rank)]
     table = {}
     for u, row in a.by_left.items():
         for v, terms in row.items():
-            cs = project(terms) if u in at and v in at else None
+            cs = mat_vec_sparse(ring, proj_matrix, terms) if u in at and v in at else None
             if cs:
                 table[(at[u], at[v])] = tuple(sorted(cs.items()))
-    proj_matrix = [project({u: ring.one()}) for u in range(a.rank)]
     # the projection is onto, so the images of G generate the quotient
     first = [w for g in a.generators() if len(proj_matrix[g]) == 1
              for w, c in proj_matrix[g].items() if ring.inv(c) is not None]

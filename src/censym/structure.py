@@ -160,8 +160,10 @@ def _parse_f_label(label: str):
     return int(i), int(j)
 
 
+@shared_in_scope
 def column_module(a: StructureAlgebra, ring: Ring, n: int, j: int) -> BasedModule:
-    """The left module S*f_j: elements supported on columns j and n+1-j."""
+    """The left module S*f_j: elements supported on columns j and n+1-j;
+    shared, with its tracked row basis, in a :func:`censym.algebra.shared_builds` block."""
     pos = fb.positions(n)
     # an odd middle column j == n+1-j names each f[i,j] once
     cells = dict.fromkeys(fb.canon_index(n, i, col)
@@ -173,7 +175,8 @@ def morita_column_iso(ring: Ring, n: int, j: int) -> LinearMapWitness:
     """Left-module isomorphism S*f_1 -> S*f_j by right multiplication with
     f[1,j] = e[1,j] + e[n,n+1-j]; the inverse multiplies by
     f[j,1] = e[j,1] + e[n+1-j,n], extracting columns j and n+1-j back.
-    Builds S_n afresh on each call outside a :func:`censym.algebra.shared_builds` block."""
+    Builds S_n and S*f_1 afresh on each call outside a
+    :func:`censym.algebra.shared_builds` block; every column shares them inside one."""
     if n < 4:
         raise ValueError("column isomorphisms are built for sizes >= 4")
     if not (2 <= j <= n // 2):

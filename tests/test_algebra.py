@@ -227,6 +227,21 @@ def test_quotient_table_matches_all_pairs_projection(n, any_ring):
     assert list(quot.table.items()) == list(_quotient_table_over_all_pairs(a, j).items())
 
 
+def test_quotient_reduces_each_basis_element_once_not_each_product(monkeypatch):
+    # the residual is linear, so each product is projected by the basis
+    # projections; S_11 over gf:5 has 641 non-zero products (the parent
+    # reduced once per surviving one too: 248 calls)
+    a, j, _, _ = odd_quotient(GF5, 5)
+    a.generators()
+    calls = []
+    reduce = RowBasis._reduce
+    monkeypatch.setattr(RowBasis, "_reduce", lambda rb, v: calls.append(v) or reduce(rb, v))
+    quot, _ = quotient_by_ideal(a, j)
+    assert quot.invol_sparse is not None
+    # basis elements, the unit, the involution rows, then the ideal rows
+    assert len(calls) == a.rank + 1 + quot.rank + j.rank == 61 + 1 + 25 + 36
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 @pytest.mark.parametrize("ring", [Z, GF5, C2Z, Z4], ids=lambda r: r.literal())
 def test_quotient_generators_are_the_parent_cycle(n, ring):
@@ -919,6 +934,36 @@ def test_table_entry_naming_an_index_outside_the_basis_is_rejected(key, terms):
     with pytest.raises(ValueError,
                        match=re.escape(f"table entry {key} names an index outside the basis")):
         StructureAlgebra(Z, ["1"], table, [1], invol=[[1]])
+
+
+def test_a_table_entry_with_no_non_zero_term_is_dropped_unchecked(any_ring):
+    # it names no product, so its indices, even outside the basis, are not read
+    one, zero = any_ring.one(), any_ring.zero()
+    table = {(0, 0): ((0, one),), (5, 0): (), (0, 7): ((9, zero),)}
+    a = StructureAlgebra(any_ring, ["1"], table, [one], invol=[[one]])
+    assert a.table == {(0, 0): ((0, one),)}
+
+
+def test_a_zero_term_beside_a_repeated_index_is_dropped_first(any_ring):
+    # ((w, 0), (w, 1)) names w once after its zero goes; ((w, 1), (w, -1)) twice
+    m = full_matrix_algebra(any_ring, 2, flatten_group_ring=False)
+    one, zero, table = any_ring.one(), any_ring.zero(), m.table
+    table[(1, 2)] = ((0, zero), (0, one))
+    assert StructureAlgebra(any_ring, m.labels, table, m.unit_sparse).by_left[1][2] == {0: one}
+    table[(1, 2)] = ((0, one), (0, any_ring.neg(one)))
+    with pytest.raises(ValueError, match=r"table entry \(1, 2\) names a basis index twice"):
+        StructureAlgebra(any_ring, m.labels, table, m.unit_sparse)
+
+
+@pytest.mark.parametrize("build", [lambda R: algebra_of_censym(R, 5),
+                                   lambda R: odd_quotient(R, 2)[2],
+                                   lambda R: full_matrix_algebra(R, 2, flatten_group_ring=False)])
+def test_a_rebuild_from_the_table_read_back_is_the_same_algebra(build, any_ring):
+    # clean entries are kept as they come: the same store, in the same key order
+    a = build(any_ring)
+    b = StructureAlgebra(a.ring, a.labels, a.table, a.unit_sparse, a.invol_sparse)
+    assert b.by_left == a.by_left and list(b.table.items()) == list(a.table.items())
+    assert [list(row) for row in b.by_left.values()] == [list(row) for row in a.by_left.values()]
 
 
 @pytest.mark.parametrize("build", [

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from censym.algebra import (
+    StructureAlgebra,
     algebra_of_censym,
     direct_product,
     full_matrix_algebra,
@@ -21,6 +24,7 @@ from censym.cellular import (
     verify_cell_ideal,
 )
 import censym.cellular
+from censym.linalg import RowBasis
 from censym.rings import GroupRingC2
 
 from conftest import GF2, GF3, GF5, Q, Z, same_span, vec_is_zero
@@ -414,6 +418,92 @@ def test_cell_ideal_negative_controls(case):
     assert rep.counterexample == counterexample
 
 
+def _report_bytes(rep):
+    return json.dumps(rep.to_json_dict())
+
+
+def _exchanged_m2_witness():
+    # J[0] = E1_1 and J[1] = E1_2 exchanged: i(J[0]) = E2_1 is J[2], in J
+    # but not J[0], its partner on the grid
+    w = _m2_witness(["E1_1", "E2_1"])
+    j = list(w.j_basis)
+    j[0], j[1] = j[1], j[0]
+    return CellIdealWitness(w.algebra, j, w.delta_basis, "exchanged")
+
+
+def _not_two_sided_witness(sign=1):
+    a = direct_product(full_matrix_algebra(Z, 2), full_matrix_algebra(Z, 1))
+    w = _listed_witness(a, ["a:E1_1", "a:E2_1"], ["a:E1_1", "a:E1_2", "a:E2_1", "a:E2_2"])
+    w.j_basis[3][a.labels.index("b:E1_1")] = 1  # J[3] = a:E2_2 + b:E1_1
+    w.j_basis[2][a.labels.index("a:E2_1")] = sign
+    return w
+
+
+def _scaled_transpose_witness():
+    # i(X) = 2*X^T over gf:5 is no involution, but the check takes the
+    # algebra as given: i(J[t]) = 2*J[q*d + p] lies in J, off its partner
+    m = full_matrix_algebra(GF5, 2)
+    a = StructureAlgebra(GF5, m.labels, m.table, m.unit_sparse,
+                         [{k: GF5.add(c, c) for k, c in row.items()} for row in m.invol_sparse])
+    delta = [a.basis_vector(a.labels.index(lab)) for lab in ("E1_1", "E2_1")]
+    return canonical_cell_witness(a, delta, name="scaled-transpose")
+
+
+CELL_IDEAL_REPORTS = {
+    # Delta is a left ideal and i(Delta) a right one, but J[2] * E1_2 =
+    # a:E2_2 leaves J, which holds a:E2_2 only beside b:E1_1
+    "not-two-sided": (
+        _not_two_sided_witness,
+        '{"check": "cell-ideal", "params": {"witness": "listed"}, "verdict": "fail", '
+        '"witness": {"delta_rank": 2, "ideal_rank": 4, "delta": ["a:E1_1", "a:E2_1"]}, '
+        '"counterexample": {"input": "(a:E1_2, J[2])", "reason": "ideal is not two-sided '
+        'over the basis", "clause": "alpha-bimodule"}, "clauses": {"involution-stability": '
+        '"pass", "delta-freeness-rank": "pass", "alpha-bimodule": "fail", "alpha-bijective": '
+        '"pass", "commuting-square": "fail"}}'),
+    # J[2] = -a:E2_1: E1_2 * J[2] = -a:E1_1 lies in J off its grid
+    # coordinate, and J[2] * E1_2 leaves J; leaving J is the reason named
+    "not-two-sided-both-legs": (
+        lambda: _not_two_sided_witness(-1),
+        '{"check": "cell-ideal", "params": {"witness": "listed"}, "verdict": "fail", '
+        '"witness": {"delta_rank": 2, "ideal_rank": 4, "delta": ["a:E1_1", "a:E2_1"]}, '
+        '"counterexample": {"input": "(a:E1_2, J[2])", "reason": "ideal is not two-sided '
+        'over the basis", "clause": "alpha-bimodule"}, "clauses": {"involution-stability": '
+        '"pass", "delta-freeness-rank": "pass", "alpha-bimodule": "fail", "alpha-bijective": '
+        '"pass", "commuting-square": "fail"}}'),
+    # no grid to read J on: the partner of J[t] is never looked up
+    "empty-delta": (
+        lambda: _listed_witness(full_matrix_algebra(Z, 2), [], ["E1_1", "E2_2"]),
+        '{"check": "cell-ideal", "params": {"witness": "listed"}, "verdict": "fail", '
+        '"witness": {"delta_rank": 0, "ideal_rank": 2, "delta": []}, "counterexample": '
+        '{"reason": "ideal rank 2 != delta rank squared 0", "clause": "delta-freeness-rank"}, '
+        '"clauses": {"involution-stability": "pass", "delta-freeness-rank": "fail", '
+        '"alpha-bimodule": "fail", "alpha-bijective": "fail", "commuting-square": "fail"}}'),
+    "exchanged-grid": (
+        _exchanged_m2_witness,
+        '{"check": "cell-ideal", "params": {"witness": "exchanged"}, "verdict": "fail", '
+        '"witness": {"delta_rank": 2, "ideal_rank": 4, "delta": ["E1_1", "E2_1"]}, '
+        '"counterexample": {"input": "right (E1_1, J[0])", "clause": "alpha-bimodule"}, '
+        '"clauses": {"involution-stability": "pass", "delta-freeness-rank": "pass", '
+        '"alpha-bimodule": "fail", "alpha-bijective": "pass", "commuting-square": "fail"}}'),
+    # the only clause that fails is the commuting square itself
+    "scaled-transpose": (
+        _scaled_transpose_witness,
+        '{"check": "cell-ideal", "params": {"witness": "scaled-transpose"}, "verdict": "fail", '
+        '"witness": {"delta_rank": 2, "ideal_rank": 4, "delta": ["E1_1", "E2_1"]}, '
+        '"counterexample": {"input": "J[0]", "clause": "commuting-square"}, "clauses": '
+        '{"involution-stability": "pass", "delta-freeness-rank": "pass", "alpha-bimodule": '
+        '"pass", "alpha-bijective": "pass", "commuting-square": "fail"}}'),
+}
+
+
+@pytest.mark.parametrize("case", CELL_IDEAL_REPORTS)
+def test_cell_ideal_negative_control_reports(case):
+    # elimination names the reason only after a comparison with the forward
+    # image fails; the report bytes are those the tracked elimination gave
+    build, expected = CELL_IDEAL_REPORTS[case]
+    assert _report_bytes(verify_cell_ideal(build())) == expected
+
+
 def _even2_with_long_span():
     chain = cell_chain_even(Z, 2)
     chain.layers[0].span = [[1, -1, 7]]
@@ -469,3 +559,18 @@ def test_chain_reduces_each_span_and_partial_sum_once(monkeypatch, build, n):
     assert verify_cell_chain(chain).verdict == "pass"
     assert len(chain.layers) == 2
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("build, n, reductions", [(cell_chain_even, 10, 580),
+                                                  (cell_chain_odd, 9, 583)])
+def test_chain_check_compares_products_with_known_images(monkeypatch, build, n, reductions):
+    # the alpha-bimodule grid and involution stability compare with the
+    # images the grid names and reduce nothing when they agree; the tracked
+    # elimination of every product took 1130 (even, n = 10) and 1052 (odd,
+    # n = 9) reductions
+    chain = build(GF5, n)
+    calls = []
+    reduce = RowBasis._reduce
+    monkeypatch.setattr(RowBasis, "_reduce", lambda rb, v: calls.append(v) or reduce(rb, v))
+    assert verify_cell_chain(chain).verdict == "pass"
+    assert len(calls) == reductions

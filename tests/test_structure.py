@@ -1,6 +1,6 @@
 import pytest
 
-from censym.algebra import check_witness, full_matrix_algebra
+from censym.algebra import check_witness, full_matrix_algebra, shared_builds
 from censym.basis import canonical_indices, from_coords, rank_of
 from censym.linalg import mat_vec_sparse, to_dense
 from censym.matrices import Matrix
@@ -164,6 +164,14 @@ class TestMorita:
         k = [to_dense(Z, v, a.rank) for v in src.vectors].index(a.basis_vector(pos[(1, 1)]))
         img = to_dense(Z, mat_vec_sparse(a.ring, tgt.vectors, mw.matrix[k]), a.rank)
         assert img == a.basis_vector(pos[(1, 2)])
+
+    def test_columns_share_the_source_module_within_a_scope_only(self):
+        # S*f_1 and its tracked row basis are built once per size in a block
+        with shared_builds():
+            w2, w3 = morita_column_iso(GF5, 7, 2), morita_column_iso(GF5, 7, 3)
+            assert w2.source is w3.source and w2.target is not w3.target
+            assert w2.source.rowbasis() is w3.source.rowbasis()
+        assert morita_column_iso(GF5, 7, 2).source is not morita_column_iso(GF5, 7, 3).source
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
