@@ -955,17 +955,6 @@ def test_a_zero_term_beside_a_repeated_index_is_dropped_first(any_ring):
         StructureAlgebra(any_ring, m.labels, table, m.unit_sparse)
 
 
-@pytest.mark.parametrize("build", [lambda R: algebra_of_censym(R, 5),
-                                   lambda R: odd_quotient(R, 2)[2],
-                                   lambda R: full_matrix_algebra(R, 2, flatten_group_ring=False)])
-def test_a_rebuild_from_the_table_read_back_is_the_same_algebra(build, any_ring):
-    # clean entries are kept as they come: the same store, in the same key order
-    a = build(any_ring)
-    b = StructureAlgebra(a.ring, a.labels, a.table, a.unit_sparse, a.invol_sparse)
-    assert b.by_left == a.by_left and list(b.table.items()) == list(a.table.items())
-    assert [list(row) for row in b.by_left.values()] == [list(row) for row in a.by_left.values()]
-
-
 @pytest.mark.parametrize("build", [
     lambda R: algebra_of_censym(R, 5),
     lambda R: full_matrix_algebra(R, 2),
