@@ -521,27 +521,23 @@ _SHAPES = "matrix shapes do not match the bases"
 def check_witness(w: LinearMapWitness, params: dict | None = None) -> Report:
     """Verify every claimed property of the witness exhaustively; the
     (module) homomorphism clauses act by the algebra's generators only.
-    Raises ValueError for a claim it does not know, for endpoints the claim
-    cannot apply to, for a matrix whose shape does not match them and for a
-    bijective claim without an inverse: those are misuse, not a
+    The rows of ``w.matrix`` and ``w.inverse`` are converted to sparse form
+    once, up front, and every claim reads them from there.  Raises
+    ValueError for a claim it does not know, for endpoints the claim cannot
+    apply to, for a matrix or inverse whose shape does not match them and
+    for a bijective claim without an inverse: those are misuse, not a
     contradicted claim."""
     params = dict(params or {})
     params.setdefault("map", w.name)
     clauses = {}
     counterexample = None
-    memo = {}  # w.matrix and w.inverse in sparse form, converted on first read
-
-    def rows(name):
-        if name not in memo:
-            side = w.target if name == "matrix" else w.source
-            memo[name] = [checked_sparse(side.ring, row, side.rank, _SHAPES)
-                          for row in getattr(w, name)]
-        return memo[name]
-
+    f = [checked_sparse(w.target.ring, row, w.target.rank, _SHAPES) for row in w.matrix]
+    g = None if w.inverse is None else [
+        checked_sparse(w.source.ring, row, w.source.rank, _SHAPES) for row in w.inverse]
     for prop in w.claimed:
         if prop not in _CHECKS:
             raise ValueError(f"unsupported claim {prop!r}")
-        ce = _CHECKS[prop](w, rows)
+        ce = _CHECKS[prop](w, f, g)
         clauses[prop] = PASS if ce is None else FAIL
         if ce is not None and counterexample is None:
             counterexample = dict(ce, property=prop)
@@ -549,14 +545,13 @@ def check_witness(w: LinearMapWitness, params: dict | None = None) -> Report:
                            counterexample=counterexample)
 
 
-def _check_algebra_hom(w: LinearMapWitness, rows):
+def _check_algebra_hom(w: LinearMapWitness, f, g):
     """Unit, then f(b*c) = f(b)*f(c) for b in the generators, c in the basis.
     The b that pass are a submodule closed under products: f(bb'c) =
     f(b)f(b'c) = f(b)f(b')f(c) = f(bb')f(c); the unit clause covers f(1)."""
     src, tgt = w.source, w.target
     if not isinstance(src, StructureAlgebra) or not isinstance(tgt, StructureAlgebra):
         raise ValueError("algebra-homomorphism needs algebra endpoints")
-    f = rows("matrix")
     img_unit = mat_vec_sparse(tgt.ring, f, src.unit_sparse)
     if img_unit != tgt.unit_sparse:
         return {"input": "unit", "lhs": tgt.format_element(img_unit),
@@ -575,11 +570,10 @@ def _check_algebra_hom(w: LinearMapWitness, rows):
     return src.first_failure(scan)
 
 
-def _check_bijective(w: LinearMapWitness, rows):
-    if w.inverse is None:
+def _check_bijective(w: LinearMapWitness, f, g):
+    if g is None:
         raise ValueError("bijective claim without an explicit inverse")
     src, tgt = w.source, w.target
-    f, g = rows("matrix"), rows("inverse")
     one = src.ring.one()
     for u in range(src.rank):
         if mat_vec_sparse(src.ring, g, f[u]) != {u: one}:
@@ -591,7 +585,7 @@ def _check_bijective(w: LinearMapWitness, rows):
     return None
 
 
-def _check_module_hom(w: LinearMapWitness, rows):
+def _check_module_hom(w: LinearMapWitness, f, g):
     """b*M lies in M and f(b*m) = b*f(m) for b in the generators; the b that
     pass are closed under products, as f(b*b'*m) = b*f(b'*m) = b*b'*f(m)."""
     src, tgt = w.source, w.target
@@ -602,7 +596,7 @@ def _check_module_hom(w: LinearMapWitness, rows):
     A = src.algebra
     R, one = A.ring, A.ring.one()
     # f(m_k) in the ambient algebra, so f(b*m) = sum_k cs[k] * images[k]
-    images = [mat_vec_sparse(R, tgt.vectors, row) for row in rows("matrix")]
+    images = [mat_vec_sparse(R, tgt.vectors, row) for row in f]
     srb = src.rowbasis()
 
     def scan(over):
@@ -624,13 +618,12 @@ def _check_module_hom(w: LinearMapWitness, rows):
     return A.first_failure(scan)
 
 
-def _check_invol_equivariant(w: LinearMapWitness, rows):
+def _check_invol_equivariant(w: LinearMapWitness, f, g):
     src, tgt = w.source, w.target
     if not isinstance(src, StructureAlgebra) or not isinstance(tgt, StructureAlgebra):
         raise ValueError("involution check needs algebra endpoints")
     if src.invol_sparse is None or tgt.invol_sparse is None:
         raise ValueError("both sides need involutions")
-    f = rows("matrix")
     for u in range(src.rank):
         lhs = tgt.apply_invol_sparse(f[u])
         rhs = mat_vec_sparse(tgt.ring, f, src.invol_sparse[u])
@@ -640,7 +633,8 @@ def _check_invol_equivariant(w: LinearMapWitness, rows):
     return None
 
 
-# each returns the first counterexample to its claim, or None
+# each reads the witness's rows f and inverse rows g (None without an
+# inverse) and returns the first counterexample to its claim, or None
 _CHECKS = {
     "algebra-homomorphism": _check_algebra_hom,
     "bijective": _check_bijective,

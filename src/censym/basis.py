@@ -27,11 +27,6 @@ from .matrices import Matrix, exchange, is_centrosymmetric
 from .rings import Ring
 
 
-def kron(i: int, j: int) -> int:
-    """Kronecker delta."""
-    return 1 if i == j else 0
-
-
 def half_ceil(n: int) -> int:
     return (n + 1) // 2
 
@@ -245,19 +240,16 @@ def formula_product(ring: Ring, n: int, a: BasisIndex, b: BasisIndex):
     """Closed-formula expansion of f_a * f_b, or None where not applicable.
 
     f[i,j] f[p,q] = kron(j, p) f[i, q] + kron(j, n+1-p) f[i, n+1-q],
-    read against canonical representatives.
+    read against canonical representatives: one term for each of (p, q)
+    and its mirror (n+1-p, n+1-q) that starts at row j.
     """
     if not formula_applicable(n, a, b):
         return None
-    out = {}
-    one = ring.one()
-    if kron(a.j, b.i):
-        w = canon_index(n, a.i, b.j)
-        out[w] = ring.add(out.get(w, ring.zero()), one)
-    if kron(a.j, n + 1 - b.i):
-        w = canon_index(n, a.i, n + 1 - b.j)
-        out[w] = ring.add(out.get(w, ring.zero()), one)
-    zero = ring.zero()
+    out, one, zero = {}, ring.one(), ring.zero()
+    for p, q in ((b.i, b.j), (n + 1 - b.i, n + 1 - b.j)):
+        if p == a.j:
+            w = canon_index(n, a.i, q)
+            out[w] = ring.add(out.get(w, zero), one)
     return {w: c for w, c in out.items() if c != zero}
 
 

@@ -398,6 +398,7 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
     ce = None
     ae = ea = ideal_rank = None
     cell = None
+    e_a = [a.mul_sparse(e, {u: one}) for u in range(a.rank)]
 
     if not e:
         ce = _fail(clauses, ce, "corner-rank-one", {"reason": "e is zero"})
@@ -407,8 +408,7 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
             corner.insert(e)
             clauses["corner-rank-one"] = PASS
             for u in range(a.rank):
-                w = a.mul_sparse(a.mul_sparse(e, {u: one}), e)
-                if not corner.contains(w):
+                if not corner.contains(a.mul_sparse(e_a[u], e)):
                     ce = _fail(clauses, ce, "corner-rank-one",
                                {"input": a.labels[u], "reason": "e*A*e has rank above one"})
                     break
@@ -417,7 +417,7 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
 
     try:
         ae = span_basis(ring, [a.mul_sparse({u: one}, e) for u in range(a.rank)], a.rank)
-        ea = span_basis(ring, [a.mul_sparse(e, {u: one}) for u in range(a.rank)], a.rank)
+        ea = span_basis(ring, e_a, a.rank)
         clauses["multiplicity-free"] = PASS
     except FreenessUndetermined:
         ae = ea = None

@@ -102,10 +102,10 @@ def check_rank(ring: Ring, n: int) -> Report:
 def check_structure_constants(ring: Ring, n: int) -> Report:
     """The matrix-unit oracle tensor, read from the algebra's products, agrees
     with the closed product formula on all applicable canonical index pairs.
-    The two kron guards of ``formula_product`` make f_a * f_b zero unless
-    b.i is a.j or n+1-a.j, so the two are compared on those rows, and off
-    them a walk over the products finds any applicable pair with an
-    entry; the counterexample is the row-major-first failing pair.  An odd
+    The formula makes f_a * f_b zero unless b.i is a.j or n+1-a.j, so one
+    walk in basis order visits, for each u, the v on those rows and the v
+    of u's non-zero products; an applicable pair off the rows has formula
+    {}, and the counterexample is the row-major-first failing pair.  An odd
     n leaves out the 2r-1 pairs with the middle idempotent as a factor and
     the (mid-1)^2 other middle-row-by-middle-column pairs of the r^2."""
     params = {"check": "structure-constants", "n": n, "ring": ring.literal()}
@@ -114,30 +114,18 @@ def check_structure_constants(ring: Ring, n: int) -> Report:
     by_row = {}
     for v, b in enumerate(idxs):
         by_row.setdefault(b.i, []).append(v)
-
-    def oracle(u, v):
-        return {(idxs[w].i, idxs[w].j): c for w, c in by_left.get(u, {}).get(v, {}).items()}
-
-    def first_mismatch():
-        for u, a in enumerate(idxs):
-            for i in sorted({a.j, n + 1 - a.j}):
-                for v in by_row.get(i, ()):
-                    f = fb.formula_product(ring, n, a, idxs[v])
-                    if f is not None and oracle(u, v) != f:
-                        return (u, v), f
-        return None
-
-    mismatch = first_mismatch()
-    failures = [((u, v), {}) for u, row in by_left.items() for v in row
-                if idxs[v].i not in (idxs[u].j, n + 1 - idxs[u].j)
-                and fb.formula_applicable(n, idxs[u], idxs[v])]
-    failures += [mismatch] if mismatch else []
-    if failures:
-        (u, v), f = min(failures, key=lambda x: x[0])
-        return Report(
-            "structure-constants", params, FAIL,
-            counterexample={"pair": f"({idxs[u].label}, {idxs[v].label})",
-                            "oracle": str(oracle(u, v)), "formula": str(f)})
+    for u, a in enumerate(idxs):
+        row = by_left.get(u, {})
+        for v in sorted({*by_row.get(a.j, ()), *by_row.get(n + 1 - a.j, ()), *row}):
+            f = fb.formula_product(ring, n, a, idxs[v])
+            if f is None:
+                continue
+            oracle = {(idxs[w].i, idxs[w].j): c for w, c in row.get(v, {}).items()}
+            if oracle != f:
+                return Report(
+                    "structure-constants", params, FAIL,
+                    counterexample={"pair": f"({a.label}, {idxs[v].label})",
+                                    "oracle": str(oracle), "formula": str(f)})
     r, mid = len(idxs), fb.half_ceil(n)
     applicable = r * r if n % 2 == 0 else r * r - (2 * r - 1) - (mid - 1) ** 2
     return Report("structure-constants", params, PASS,

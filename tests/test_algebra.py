@@ -435,6 +435,16 @@ def test_witness_with_the_wrong_row_count_is_misuse(claim, change):
             LinearMapWitness(w.source, w.target, w.matrix, wrong, claimed=(claim,))
 
 
+def test_an_inverse_row_of_the_wrong_width_is_misuse_whatever_the_claims():
+    # the inverse is converted with the matrix, up front, so a row of the
+    # wrong width names no map back even when no claim reads it
+    a = algebra_of_censym(Z, 2)
+    eye = _eye(a)
+    w = LinearMapWitness(a, a, eye, [[1, 0, 0]] + eye[1:], claimed=("algebra-homomorphism",))
+    with pytest.raises(ValueError, match="matrix shapes do not match the bases"):
+        check_witness(w)
+
+
 def test_check_witness_converts_each_witness_row_once(monkeypatch):
     # three claims read the same matrix rows: they pass through the
     # checked boundary once, on the first read, and the inverse's once too

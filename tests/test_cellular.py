@@ -227,6 +227,19 @@ def test_mu_injectivity_all_corners():
             assert_multiplication_injective(middle_heredity(ring, n), n)
 
 
+@pytest.mark.parametrize("n,products", [(5, 58), (9, 174)])
+def test_heredity_check_multiplies_each_e_b_once(monkeypatch, n, products):
+    # e*b_u feeds both the corner clause and the eA span, built once for both
+    a = algebra_of_censym(GF5, n)
+    calls = []
+    mul = StructureAlgebra.mul_sparse
+    monkeypatch.setattr(StructureAlgebra, "mul_sparse",
+                        lambda alg, x, y: calls.append(alg) or mul(alg, x, y))
+    mid = (n + 1) // 2
+    assert heredity_check(a, a.basis_vector(positions(n)[(mid, mid)])).ok
+    assert len(calls) == products
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_heredity_fails_on_the_unit(n):
     a = algebra_of_censym(Z, n)

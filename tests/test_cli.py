@@ -190,6 +190,49 @@ def test_structure_constants_fail_on_an_entry_off_the_formula_rows(
                                      "formula": "{}"}
 
 
+@pytest.mark.parametrize("extra,failing", [
+    ((12, 0), None),  # f3_3 * f1_1: the middle idempotent first
+    ((0, 12), None),  # f1_1 * f3_3: the middle idempotent second
+    ((10, 7), None),  # f3_1 * f2_3: middle row by middle column
+    ((0, 5), "(f1_1, f2_1)"),  # applicable, and f2_1 is off f1_1's rows
+], ids=["middle-first", "middle-second", "middle-row-column", "off-row"])
+def test_structure_constants_at_odd_n_skip_only_pairs_the_formula_leaves_out(
+        monkeypatch, extra, failing):
+    """At n = 5 an oracle entry the formula does not apply to is ignored,
+    and one on an applicable pair off the formula rows fails with {}."""
+    real = fb.structure_constants
+
+    def extended(ring, n):
+        table = real(ring, n)
+        assert extra not in table
+        table[extra] = ((0, ring.one()),)
+        return table
+
+    monkeypatch.setattr(fb, "structure_constants", extended)
+    rep = cli.check_structure_constants(Z, 5)
+    if failing is None:
+        assert rep.verdict == "pass"
+        assert rep.witness == {"formula_pairs": 140, "total_pairs": 169}
+    else:
+        assert rep.verdict == "fail"
+        assert rep.counterexample == {"pair": failing, "oracle": "{(1, 1): 1}",
+                                      "formula": "{}"}
+
+
+@pytest.mark.parametrize("n,calls", [(9, 349), (10, 500)])
+def test_structure_constants_walk_visits_only_the_formula_rows(monkeypatch, n, calls):
+    """On a correct table every product lies on the formula rows, so the
+    walk calls the formula once per pair of those rows and on no other."""
+    seen = Counter()
+    real = fb.formula_product
+    monkeypatch.setattr(fb, "formula_product",
+                        lambda ring, m, a, b: seen.update([(a, b)]) or real(ring, m, a, b))
+    assert cli.check_structure_constants(Z, n).verdict == "pass"
+    idxs = fb.canonical_indices(n)
+    assert seen == Counter((a, b) for a in idxs for b in idxs if b.i in (a.j, n + 1 - a.j))
+    assert sum(seen.values()) == calls
+
+
 def test_formula_pairs_is_the_count_of_applicable_pairs():
     """The closed count r^2, less 2r-1 and (mid-1)^2 at odd n, is the number
     of pairs the formula applies to."""
