@@ -17,14 +17,17 @@ in <check> at n=<n>, ring=<ring>: ...`` on stderr.  No check draws
 random input (the frobenius report records --seed and its batch in its
 params), so the --json output is byte-identical across runs.
 
-``CHECKS`` maps each verify check to its reports and ``ISO_KINDS`` each
-iso kind to its sizes and builder; each table serves two commands.
-``verify`` runs each size's checks inside one
-:func:`censym.algebra.shared_builds` block, so the checks of a size share
-one centrosymmetric algebra (and so build its structure-constant table
-once) and one odd quotient.  In text mode a report prints its summary
-line, the flags and coordinates of a matrix-file report, and the failing
-clauses and counterexample of a fail.
+``CHECKS`` maps each verify check to its reports, and ``ISO_KINDS`` each
+iso kind to its sizes and builder for both ``iso`` and ``verify --check
+isos``.  ``frobenius`` and ``centre`` are ``verify`` at one size with a
+fixed check list.  :func:`main` runs each command inside one
+:func:`censym.algebra.shared_builds` block, so the morita columns of
+``iso`` share one S_n and one S*f_1.  ``verify`` nests one block per size
+inside it: the checks of a size share one centrosymmetric algebra (and so
+build its structure-constant table once) and one odd quotient, and each
+size's builds are dropped before the next size runs.  In text mode a
+report prints its summary line, the flags and coordinates of a
+matrix-file report, and the failing clauses and counterexample of a fail.
 """
 
 from __future__ import annotations
@@ -336,17 +339,6 @@ def cmd_iso(args) -> int:
     return emit([rep], args.json)
 
 
-def checks_command(*names):
-    """A subcommand that runs the named ``verify`` checks at its one size,
-    sharing that size's builds as ``verify`` does."""
-    def cmd(args) -> int:
-        ring = ring_from_literal(args.ring)
-        with shared_builds():
-            reports = [rep for name in names for rep in run_check(name, ring, args.n, args.seed)]
-        return emit(reports, args.json)
-    return cmd
-
-
 def cmd_cellchain(args) -> int:
     ring = ring_from_literal(args.ring)
     n = args.n
@@ -465,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_n=2)
     json_flag(p)
     seed_flag(p)
-    p.set_defaults(func=checks_command("frobenius", "separability", "split"))
+    p.set_defaults(func=cmd_verify, check=["frobenius,separability,split"], matrix_file=None)
 
     p = sub.add_parser("cellchain", help="build and verify the cell chain")
     common(p, default_n=2)
@@ -475,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centre", help="centre of the algebra")
     common(p, default_n=2)
     json_flag(p)
-    # the centre check draws no random input; checks_command reads a seed
-    p.set_defaults(func=checks_command("centre"), seed=0)
+    # verify reads a seed, which the centre check ignores
+    p.set_defaults(func=cmd_verify, check=["centre"], matrix_file=None, seed=0)
 
     p = sub.add_parser("demo-bisymmetric",
                        help="the bisymmetric non-closure example at size 3")
@@ -494,7 +486,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with shared_builds():
+            return args.func(args)
     except (RingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

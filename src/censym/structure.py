@@ -142,9 +142,10 @@ def iso_odd_quotient(ring: Ring, m: int) -> LinearMapWitness:
     pos = fb.positions(n)
     one = ring.one()
     minus_one = ring.neg(one)
+    by_label = {ix.label: ix for ix in fb.canonical_indices(n)}
     matrix = []
     for lab in quot.labels:
-        i, j = _parse_f_label(lab)
+        _, i, j = by_label[lab]
         matrix.append({(i - 1) * m + j - 1: one} if j <= m else
                       {(i - 1) * m + n - j: minus_one})
     inverse = [proj.matrix[pos[(i, j)]] for i in range(1, m + 1) for j in range(1, m + 1)]
@@ -153,11 +154,6 @@ def iso_odd_quotient(ring: Ring, m: int) -> LinearMapWitness:
         claimed=("algebra-homomorphism", "bijective", "involution-equivariant"),
         name=f"odd-quotient-size-{n}",
     )
-
-
-def _parse_f_label(label: str):
-    i, j = label[1:].split("_")
-    return int(i), int(j)
 
 
 @shared_in_scope

@@ -504,6 +504,21 @@ def test_iso_kind_of_one_size_rejects_other_sizes(capsys, argv):
     assert f"--kind {argv[2]} needs --n " in err
 
 
+def test_iso_morita_builds_the_algebra_once(capsys, monkeypatch):
+    """main opens one build scope per command, so every column iso of
+    ``iso --kind morita`` shares one S_n."""
+    sizes = []
+    real = fb.structure_constants
+    monkeypatch.setattr(fb, "structure_constants",
+                        lambda ring, m: sizes.append(m) or real(ring, m))
+    code, out, _ = run(capsys, "iso", "--json", "--kind", "morita", "--ring", "gf:5", "--n", "8")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["params"]["j"] for r in reports] == [2, 3, 4]
+    assert {r["verdict"] for r in reports} == {"pass"}
+    assert sizes == [8]
+
+
 def test_iso_s3_defaults_to_size_3(capsys):
     code, out, _ = run(capsys, "iso", "--kind", "s3", "--json")
     assert code == 0
@@ -516,6 +531,18 @@ def test_frobenius_command(capsys):
     code, out, _ = run(capsys, "frobenius", "--n", "3", "--ring", "zmod:9")
     assert code == 0
     assert "frobenius-system" in out and "separability" in out and "split" in out
+
+
+@pytest.mark.parametrize("ring", ["int", "rat", "gf:2", "zmod:4", "c2:int", "gf:5"])
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("command,checked", [
+    (["frobenius", "--seed", "3"], ["--seed", "3", "--check", "frobenius,separability,split"]),
+    (["centre"], ["--check", "centre"]),
+], ids=["frobenius", "centre"])
+def test_command_prints_the_bytes_of_its_verify_checks(capsys, ring, n, command, checked):
+    """``frobenius`` and ``centre`` are ``verify`` at one size with a fixed check list."""
+    size = ["--json", "--ring", ring, "--n", str(n)]
+    assert run(capsys, *command, *size) == run(capsys, "verify", *size, *checked)
 
 
 def test_centre_command(capsys):
