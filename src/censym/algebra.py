@@ -1,15 +1,15 @@
 """Finite-rank structure-constant algebras with involutions.
 
 A :class:`StructureAlgebra` is a free module with a distinguished basis, a
-single sparse store of its basis products, unit coordinates, and optionally an
-involution given by the coordinate images of the basis.  It is the common
-carrier for the centrosymmetric algebra, full matrix algebras (also over a
-group-ring coefficient ring, flattened to the base), direct products,
-corner subalgebras, and quotients.  A two-sided ideal is its reduced
-unit-pivot :class:`censym.linalg.RowBasis`, as :func:`ideal_generated`
-returns it.  Linear maps between algebras or based modules travel as
-:class:`LinearMapWitness` values whose claimed properties are
-machine-checked exhaustively on basis pairs by :func:`check_witness`.
+single sparse store of its basis products (the nested rows its builder wrote,
+adopted with no copy), unit coordinates, and optionally an involution given by
+the coordinate images of the basis.  It carries the centrosymmetric algebra,
+full matrix algebras (also over a group-ring coefficient ring, flattened to
+the base), direct products, corner subalgebras, and quotients.  A two-sided
+ideal is its reduced unit-pivot :class:`censym.linalg.RowBasis`, as
+:func:`ideal_generated` returns it.  Linear maps between algebras or based
+modules travel as :class:`LinearMapWitness` values whose claimed properties
+are machine-checked exhaustively on basis pairs by :func:`check_witness`.
 Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
 centre, and the associativity and anti-homomorphism clauses of
 :meth:`StructureAlgebra.validate`) hold on the whole basis once they hold on
@@ -52,20 +52,19 @@ from .rings import GroupRingC2, Ring
 
 class StructureAlgebra:
     """An associative unital algebra presented by basis labels and a sparse
-    structure-constant table ``(u, v) -> ((w, coeff), ...)``.
-
-    Each table entry names a basis index w at most once and keeps only
-    non-zero coefficients.  The entries are held once, indexed by left
-    factor as sparse vectors in ``by_left``, ``u -> {v: {w: coeff}}``
-    (read it, never change it), so :meth:`mul_sparse` walks only the keys
-    of its left operand and, for each, the shorter of the right operand's
-    keys and that index's row; :attr:`table` rebuilds the input form.  The
-    ``invol`` rows, the images of the basis vectors, and the unit may come
-    dense or sparse through :func:`censym.linalg.checked_sparse`; they are
-    stored as ``invol_sparse`` and ``unit_sparse``.  ``unit``, ``mul``,
-    ``basis_vector`` and ``zero_vector`` are the dense faces, and ``mul``
-    takes its operands through the same boundary.  ``first`` names basis
-    indices for :meth:`generators` to try before the rest.
+    table of its basis products: nested rows ``u -> {v: {w: coeff}}``, as
+    the builders write them, are checked in place and adopted as ``by_left``
+    (read it, never change it); a flat table ``(u, v) -> ((w, coeff), ...)``
+    or rows holding a zero go through :func:`_checked_rows`.  An index
+    outside the basis raises ValueError.  :meth:`mul_sparse` walks only the
+    keys of its left operand and, for each, the shorter of the right
+    operand's keys and that index's row; :attr:`table` rebuilds the flat
+    form.  The ``invol`` rows, the images of the basis vectors, and the unit
+    may come dense or sparse through :func:`censym.linalg.checked_sparse`;
+    they are stored as ``invol_sparse`` and ``unit_sparse``.  ``unit``,
+    ``mul``, ``basis_vector`` and ``zero_vector`` are the dense faces, and
+    ``mul`` takes its operands through the same boundary.  ``first`` names
+    basis indices for :meth:`generators` to try before the rest.
     """
 
     def __init__(self, ring: Ring, labels, table: dict, unit, invol=None, first=()):
@@ -73,19 +72,12 @@ class StructureAlgebra:
         self.labels = tuple(labels)
         zero, basis = ring.zero(), frozenset(range(len(self.labels)))
         clean = all if ring.is_zero is not_ else lambda cs: zero not in cs
-        self.by_left = {}
-        for (u, v), terms in table.items():
-            row = dict(terms)  # kept as is when no index repeats and no term is zero
-            if not (row and len(row) == len(terms) and clean(row.values())):
-                kept = [(w, c) for w, c in terms if c != zero]
-                if not kept:
-                    continue
-                row = dict(kept)
-                if len(row) != len(kept):
-                    raise ValueError(f"table entry {(u, v)} names a basis index twice")
-            if not (u in basis and v in basis and row.keys() <= basis):
-                raise ValueError(f"table entry {(u, v)} names an index outside the basis")
-            self.by_left.setdefault(u, {})[v] = row
+        rows = table.values()  # a flat table's keys are pairs, never basis indices
+        if not (table.keys() <= basis and all(row and row.keys() <= basis for row in rows)
+                and all(terms and clean(terms.values()) and terms.keys() <= basis
+                        for row in rows for terms in row.values())):
+            table = _checked_rows(ring, basis, table)
+        self.by_left = table
         self.unit_sparse = checked_sparse(ring, unit, len(self.labels),
                                           "unit coordinate length does not match the basis")
         self.invol_sparse = None if invol is None else [checked_sparse(
@@ -290,6 +282,26 @@ class StructureAlgebra:
         return out
 
 
+def _checked_rows(ring: Ring, basis, table: dict) -> dict:
+    """Fresh rows from a flat table (the one reader of that form) or from rows
+    to mend, in entry order: zero terms, and the entries they empty, drop
+    unchecked; an index outside ``basis``, or twice in one entry, raises."""
+    zero, rows = ring.zero(), {}
+    entries = table.items() if isinstance(next(iter(table)), tuple) else (
+        ((u, v), terms.items()) for u, row in table.items() for v, terms in row.items())
+    for (u, v), terms in entries:
+        kept = [(w, c) for w, c in terms if c != zero]
+        if not kept:
+            continue
+        row = dict(kept)
+        if len(row) != len(kept):
+            raise ValueError(f"table entry {(u, v)} names a basis index twice")
+        if not (u in basis and v in basis and row.keys() <= basis):
+            raise ValueError(f"table entry {(u, v)} names an index outside the basis")
+        rows.setdefault(u, {})[v] = row
+    return rows
+
+
 def format_vector(ring: Ring, labels, v) -> str:
     """Human-readable combination like ``f1_1 + 2*f1_3`` or ``-f2_1``."""
     one = ring.one()
@@ -354,7 +366,7 @@ def algebra_of_censym(ring: Ring, n: int) -> StructureAlgebra:
     idxs = fb.canonical_indices(n)
     pos = fb.positions(n)
     labels = [ix.label for ix in idxs]
-    table = fb.structure_constants(ring, n)
+    table = fb.structure_rows(ring, n)
     unit = {u: ring.one() for u, ix in enumerate(idxs) if ix.i == ix.j}
     invol = [{pos[fb.canon_index(n, ix.j, ix.i)]: ring.one()} for ix in idxs]
     # the cycle f[1,2], ..., f[m-1,m], f[m,n] = x*E_{m,1} of S_2m = M_m(R[C2]);
@@ -389,11 +401,9 @@ def full_matrix_algebra(ring: Ring, m: int,
                 idx[(i, j, g)] = len(labels)
                 labels.append(f"E{i}_{j}" if g == 0 else f"x*E{i}_{j}")
     one = base.one()
-    table = {}
-    for (i, j, g), u in idx.items():  # E_{i,j}x^g * E_{j,q}x^h = E_{i,q}x^(g+h)
-        for q in range(1, m + 1):
-            for h in powers:
-                table[(u, idx[(j, q, h)])] = ((idx[(i, q, (g + h) % 2)], one),)
+    # E_{i,j}x^g * E_{j,q}x^h = E_{i,q}x^(g+h)
+    table = {u: {idx[(j, q, h)]: {idx[(i, q, (g + h) % 2)]: one}
+                 for q in range(1, m + 1) for h in powers} for (i, j, g), u in idx.items()}
     unit = {idx[(i, i, 0)]: one for i in range(1, m + 1)}
     invol = [{idx[(j, i, g)]: one} for (i, j, g) in idx]
     # the cycle E_{1,2}, ..., E_{m-1,m}, E_{m,1}, whose last unit carries x if flattened
@@ -415,9 +425,8 @@ def direct_product(a: StructureAlgebra, b: StructureAlgebra,
         f"{prefixes[1]}:{lab}" for lab in b.labels
     ]
     off = a.rank
-    table = {(u + k, v + k): tuple((w + k, c) for w, c in terms.items())
-             for x, k in ((a, 0), (b, off)) for u, row in x.by_left.items()
-             for v, terms in row.items()}
+    table = {u + k: {v + k: {w + k: c for w, c in terms.items()} for v, terms in row.items()}
+             for x, k in ((a, 0), (b, off)) for u, row in x.by_left.items()}
     unit = dict(a.unit_sparse)
     unit.update((k + off, c) for k, c in b.unit_sparse.items())
     invol = None
@@ -448,7 +457,7 @@ def subalgebra_from_vectors(a: StructureAlgebra, vectors, labels, unit_vec) -> S
                     f"span is not closed under multiplication at ({labels[u]}, {labels[v]})"
                 )
             if cs:
-                table[(u, v)] = tuple(sorted(cs.items()))
+                table.setdefault(u, {})[v] = dict(sorted(cs.items()))
     unit = rb.express_sparse(unit_vec)
     if unit is None:
         raise ValueError("unit is not inside the span")
@@ -717,7 +726,7 @@ def quotient_by_ideal(a: StructureAlgebra, j: RowBasis):
         for v, terms in row.items():
             cs = mat_vec_sparse(ring, proj_matrix, terms) if u in at and v in at else None
             if cs:
-                table[(at[u], at[v])] = tuple(sorted(cs.items()))
+                table.setdefault(at[u], {})[at[v]] = dict(sorted(cs.items()))
     # the projection is onto, so the images of G generate the quotient
     first = [w for g in a.generators() if len(proj_matrix[g]) == 1
              for w, c in proj_matrix[g].items() if ring.inv(c) is not None]

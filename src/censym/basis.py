@@ -88,11 +88,6 @@ def unit_cells(n: int, i: int, j: int) -> tuple:
     return ((i, j), (mi, mj)) if (i, j) != (mi, mj) else ((i, j),)
 
 
-def basis_matrix(ring: Ring, n: int, i: int, j: int) -> Matrix:
-    """The basis element f[i, j] as a matrix (index canonicalized first)."""
-    return from_coords(ring, n, {positions(n)[canon_index(n, i, j)]: ring.one()}).inner
-
-
 class CentroMatrix:
     """A matrix certified centrosymmetric at construction."""
 
@@ -174,19 +169,19 @@ class NotClosed(ValueError):
         self.pair = pair
 
 
-def structure_constants(ring: Ring, n: int) -> dict:
-    """Sparse product table: (u, v) -> tuple of (w, coeff) with f_u f_v = sum.
+def structure_rows(ring: Ring, n: int) -> dict:
+    """Sparse product rows u -> {v: {w: coeff}} with f_u f_v = sum, keys
+    ascending at every level: the rows ``algebra_of_censym`` adopts.
 
     Computed by the matrix-unit oracle, bucketed by row: a unit product
     e[a, b] e[c, d] = kron(b, c) e[a, d] is non-zero only when c == b, so
     f_u meets only the f_v with a cell in one of u's columns as a row, in
-    ascending v.  Every skipped pair has a zero product, so the keys keep
-    their row-major order.  A product cell counts its unit products as an
-    int multiplicity k, read into the ring as the k-fold sum of ``one``;
-    the coefficients are read off the canonical cells in ascending w.  A
-    product cell whose ring value differs from its mirror's (c*P*c != P)
-    raises :class:`NotClosed`.  Uncached: the table is built once per
-    ``shared_builds()`` block through ``algebra_of_censym``.
+    ascending v; every skipped pair has a zero product.  A product cell
+    counts its unit products as an int multiplicity k, read into the ring as
+    the k-fold sum of ``one``; the coefficients are read off the canonical
+    cells, which sort as their positions do.  A product cell whose ring
+    value differs from its mirror's (c*P*c != P) raises :class:`NotClosed`.
+    Uncached: the rows are built once per ``shared_builds()`` block.
     """
     idxs = canonical_indices(n)
     pos = positions(n)
@@ -201,7 +196,7 @@ def structure_constants(ring: Ring, n: int) -> dict:
     for v, cv in enumerate(cells):
         for c, d in cv:
             under.setdefault(c, {}).setdefault(v, []).append(d)
-    table = {}
+    rows = {}
     for u, cu in enumerate(cells):
         left = [(a, under.get(b, {})) for a, b in cu]
         for v in sorted({v for _, bucket in left for v in bucket}):
@@ -213,11 +208,17 @@ def structure_constants(ring: Ring, n: int) -> dict:
                 m = prod.get((n + 1 - a, n + 1 - d), 0)
                 if k != m and value[k] != value[m]:
                     raise NotClosed(f"({idxs[u].label}, {idxs[v].label})")
-            terms = sorted((pos[cell], value[k]) for cell, k in prod.items()
-                           if live[k] and cell in pos)
+            terms = {pos[cell]: value[prod[cell]] for cell in sorted(prod)
+                     if live[prod[cell]] and cell in pos}
             if terms:
-                table[(u, v)] = tuple(terms)
-    return table
+                rows.setdefault(u, {})[v] = terms
+    return rows
+
+
+def structure_constants(ring: Ring, n: int) -> dict:
+    """:func:`structure_rows` flattened: (u, v) -> ((w, coeff), ...), row-major."""
+    return {(u, v): tuple(t.items()) for u, row in structure_rows(ring, n).items()
+            for v, t in row.items()}
 
 
 def formula_applicable(n: int, a: BasisIndex, b: BasisIndex) -> bool:

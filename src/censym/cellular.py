@@ -303,7 +303,9 @@ def verify_cell_chain(chain: CellChainWitness) -> Report:
     two-sidedness of the partial sums (the last is A itself when the direct
     sum passes), rank bookkeeping, and all layer witnesses.  Each layer span
     and each partial sum after the first (the first layer's basis) is
-    reduced once; the last partial sum is the direct sum's basis."""
+    reduced once; the last partial sum is the direct sum's basis.  Partial
+    sum 1 is read off layer 1 when its J lies in A, is its span and passed
+    alpha-bimodule, which matched each b*J[t] and J[t]*b, b in G, in J."""
     a = chain.algebra
     clauses = {}
     ce = None
@@ -337,11 +339,15 @@ def verify_cell_chain(chain: CellChainWitness) -> Report:
         if rb is not None and not all(rb.contains(a.apply_invol_sparse(v)) for v in span):
             ce = _fail(clauses, ce, "involution-stable-layers", {"layer": p})
 
+    reps = [verify_cell_ideal(layer.witness, params=chain.params) for layer in chain.layers]
+    w1 = chain.layers[0].witness if reps else None
+    read_off = w1 and reps[0].clauses.get("alpha-bimodule") == PASS and w1.algebra is a and (
+        _checked_vectors(a, w1.j_basis) == layer_spans[0])
     clauses["partial-sums-ideals"] = UNDETERMINED if None in partials else PASS
     for p, rb in enumerate(partials, start=1):
         if p == len(partials) and clauses["direct-sum"] == PASS:
             break  # the last partial sum is then A, an ideal of itself
-        if rb is not None and not ideal_is_two_sided(a, rb):
+        if rb is not None and not (p == 1 and read_off) and not ideal_is_two_sided(a, rb):
             ce = _fail(clauses, ce, "partial-sums-ideals", {"layer": p})
 
     ranks = chain.delta_ranks()
@@ -351,8 +357,7 @@ def verify_cell_chain(chain: CellChainWitness) -> Report:
     else:
         ce = _fail(clauses, ce, "rank-sum", {"sum_of_squares": squares, "rank": a.rank})
 
-    for p, layer in enumerate(chain.layers, start=1):
-        rep = verify_cell_ideal(layer.witness, params=chain.params)
+    for p, rep in enumerate(reps, start=1):
         for cl, verdict in rep.clauses.items():
             clauses[f"layer{p}:{cl}"] = verdict
         if rep.counterexample and ce is None:

@@ -93,9 +93,8 @@ def s3_presentation(ring: Ring):
     pos = {s: k for k, s in enumerate(_S3_SYMBOLS)}
     table = {}
     for (s, t), expansion in _S3_PRODUCTS.items():
-        table[(pos[s], pos[t])] = tuple(
-            (pos[w], ring.from_int(c)) for w, c in expansion.items()
-        )
+        table.setdefault(pos[s], {})[pos[t]] = {pos[w]: ring.from_int(c)
+                                                 for w, c in expansion.items()}
     unit = {pos["a"]: ring.one(), pos["v"]: ring.one()}
     swap = {"a": "a", "b": "b", "u": "d", "d": "u", "v": "v"}
     invol = [{pos[swap[s]]: ring.one()} for s in _S3_SYMBOLS]

@@ -7,7 +7,6 @@ from censym.algebra import algebra_of_censym
 from censym.basis import (
     BasisIndex,
     CentroMatrix,
-    basis_matrix,
     canon_index,
     canonical_basis,
     canonical_indices,
@@ -17,6 +16,7 @@ from censym.basis import (
     formula_product,
     from_coords,
     half_ceil,
+    positions,
     rank_of,
     structure_constants,
 )
@@ -24,6 +24,11 @@ from censym.matrices import Matrix, exchange, is_centrosymmetric, matrix_unit
 from censym.rings import ring_from_literal
 
 from conftest import GF2, GF5, Q, Z
+
+
+def f_matrix(n, i, j):
+    """f[i, j] over the integers as a Matrix, the index canonicalized first."""
+    return from_coords(Z, n, {positions(n)[canon_index(n, i, j)]: 1}).inner
 
 
 def labels(ring, n):
@@ -92,7 +97,7 @@ def test_coords_examples():
     lab = labels(Z, 3)
     u = [0] * 5
     u[lab["f1_2"]] = 1
-    assert coords(CentroMatrix(basis_matrix(Z, 3, 1, 2))) == u
+    assert coords(CentroMatrix(f_matrix(3, 1, 2))) == u
 
 
 def test_coords_round_trip(any_ring):
@@ -172,10 +177,10 @@ def diagonal_idempotents(a, n):
 
 
 def test_idempotents():
-    assert basis_matrix(Z, 5, 3, 3) == matrix_unit(Z, 5, 3, 3)
-    assert basis_matrix(Z, 4, 1, 1) == matrix_unit(Z, 4, 1, 1) + matrix_unit(Z, 4, 4, 4)
-    assert basis_matrix(Z, 4, 2, 2) == matrix_unit(Z, 4, 2, 2) + matrix_unit(Z, 4, 3, 3)
-    assert basis_matrix(Z, 1, 1, 1) == Matrix.identity(Z, 1)
+    assert f_matrix(5, 3, 3) == matrix_unit(Z, 5, 3, 3)
+    assert f_matrix(4, 1, 1) == matrix_unit(Z, 4, 1, 1) + matrix_unit(Z, 4, 4, 4)
+    assert f_matrix(4, 2, 2) == matrix_unit(Z, 4, 2, 2) + matrix_unit(Z, 4, 3, 3)
+    assert f_matrix(1, 1, 1) == Matrix.identity(Z, 1)
 
     # f_1 .. f_ceil(n/2) are orthogonal idempotents summing to the unit
     for ring in (Z, Q):
@@ -228,10 +233,10 @@ def test_transpose_permutes_basis():
         idxs = canonical_indices(n)
         index_set = {(ix.i, ix.j) for ix in idxs}
         for ix in idxs:
-            t = basis_matrix(Z, n, ix.i, ix.j).transpose()
+            t = f_matrix(n, ix.i, ix.j).transpose()
             ti, tj = canon_index(n, ix.j, ix.i)
             assert (ti, tj) in index_set
-            assert t == basis_matrix(Z, n, ti, tj)
+            assert t == f_matrix(n, ti, tj)
             fixed = (ti, tj) == (ix.i, ix.j)
             assert fixed == (ix.i == ix.j or ix.i + ix.j == n + 1)
 

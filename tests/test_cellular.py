@@ -574,16 +574,91 @@ def test_chain_reduces_each_span_and_partial_sum_once(monkeypatch, build, n):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("build, n, reductions", [(cell_chain_even, 10, 580),
-                                                  (cell_chain_odd, 9, 583)])
+@pytest.mark.parametrize("build, n, reductions", [(cell_chain_even, 10, 330),
+                                                  (cell_chain_odd, 9, 283)])
 def test_chain_check_compares_products_with_known_images(monkeypatch, build, n, reductions):
     # the alpha-bimodule grid and involution stability compare with the
-    # images the grid names and reduce nothing when they agree; the tracked
-    # elimination of every product took 1130 (even, n = 10) and 1052 (odd,
-    # n = 9) reductions
+    # images the grid names and reduce nothing when they agree, and the
+    # first partial sum is read off layer 1's alpha-bimodule clause; the
+    # tracked elimination of every product took 1130 (even, n = 10) and 1052
+    # (odd, n = 9) reductions, and proving partial sum 1 two-sided again
+    # raised the count to 580 and 583
     chain = build(GF5, n)
     calls = []
     reduce = RowBasis._reduce
     monkeypatch.setattr(RowBasis, "_reduce", lambda rb, v: calls.append(v) or reduce(rb, v))
     assert verify_cell_chain(chain).verdict == "pass"
     assert len(calls) == reductions
+
+
+def _count_two_sided_checks(monkeypatch):
+    """Record the row basis of each ``ideal_is_two_sided`` call the chain makes."""
+    calls = []
+    real = censym.cellular.ideal_is_two_sided
+    monkeypatch.setattr(censym.cellular, "ideal_is_two_sided",
+                        lambda a, j: calls.append(j) or real(a, j))
+    return calls
+
+
+@pytest.mark.parametrize("ring", [Z, GF5], ids=lambda r: r.literal())
+@pytest.mark.parametrize("build, n", [(cell_chain_even, 6), (cell_chain_odd, 7)])
+def test_passing_chain_reads_partial_sum_1_off_layer_1(monkeypatch, build, n, ring):
+    # layer 1's J is its span, in A, and its alpha-bimodule clause passes;
+    # the last partial sum is A, so no partial sum is proved two-sided again
+    calls = _count_two_sided_checks(monkeypatch)
+    rep = verify_cell_chain(build(ring, n))
+    assert rep.verdict == "pass" and len(rep.clauses) == 14
+    assert calls == []
+
+
+def _chain_with_f11_first(ring):
+    """The n = 3 chain with the layers swapped: layer 1 is the span of f1_1,
+    which is not an ideal, and layer 2 the middle-column ideal."""
+    chain = cell_chain_odd(ring, 3)
+    a, (layer1, layer2) = chain.algebra, chain.layers
+    chain.layers = [CellLayer(layer2.span, layer1.stage, layer1.witness),
+                    CellLayer(layer1.span, layer2.stage, layer2.witness)]
+    return chain, a
+
+
+def test_partial_sum_1_is_proved_when_layer_1_fails_alpha_bimodule(monkeypatch):
+    # layer 1's witness is its own span, f1_1 alone, inside A: its
+    # alpha-bimodule clause fails, so the clause cannot stand for the check
+    chain, a = _chain_with_f11_first(Q)
+    f11 = chain.layers[0].span
+    chain.layers[0].witness = CellIdealWitness(a, f11, f11, name="f11")
+    calls = _count_two_sided_checks(monkeypatch)
+    rep = verify_cell_chain(chain)
+    assert rep.clauses["layer1:alpha-bimodule"] == "fail"
+    assert rep.clauses["partial-sums-ideals"] == "fail"
+    assert rep.counterexample == {"clause": "partial-sums-ideals", "layer": 1}
+    assert [j.rank for j in calls] == [1]
+
+
+def test_partial_sum_1_is_proved_when_layer_1_span_is_not_its_j(monkeypatch):
+    # layer 1's witness is the middle-column ideal, whose alpha-bimodule
+    # clause passes, but the layer's span is f1_1
+    chain, _ = _chain_with_f11_first(Q)
+    calls = _count_two_sided_checks(monkeypatch)
+    rep = verify_cell_chain(chain)
+    assert rep.clauses["layer1:alpha-bimodule"] == "pass"
+    assert rep.clauses["partial-sums-ideals"] == "fail"
+    assert rep.counterexample == {"clause": "partial-sums-ideals", "layer": 1}
+    assert [j.rank for j in calls] == [1]
+
+
+def test_partial_sum_1_is_proved_when_layer_1_lives_in_another_algebra(monkeypatch):
+    # layer 1's witness is e_0 in Q^5, where it spans a cell ideal and passes
+    # alpha-bimodule; in A the same vector is f1_1, which is not an ideal
+    chain, a = _chain_with_f11_first(Q)
+    diagonal = StructureAlgebra(Q, [f"e{u}" for u in range(5)], {u: {u: {u: 1}} for u in range(5)},
+                                [1] * 5, invol=[{u: 1} for u in range(5)])
+    f11 = chain.layers[0].span
+    assert f11 == [{0: 1}]
+    chain.layers[0].witness = CellIdealWitness(diagonal, f11, f11, name="e0")
+    calls = _count_two_sided_checks(monkeypatch)
+    rep = verify_cell_chain(chain)
+    assert rep.clauses["layer1:alpha-bimodule"] == "pass"
+    assert rep.clauses["partial-sums-ideals"] == "fail"
+    assert rep.counterexample == {"clause": "partial-sums-ideals", "layer": 1}
+    assert [j.rank for j in calls] == [1]

@@ -87,11 +87,11 @@ def test_shared_builds_share_within_the_scope_only():
 
 @pytest.mark.parametrize("n,sizes", [(4, [4]), (5, [5, 3])], ids=["4", "5"])
 def test_verify_builds_one_table_per_size(capsys, monkeypatch, n, sizes):
-    """The checks of a size read one structure-constant table, built with the
+    """The checks of a size read one table of product rows, built with the
     size's shared algebra; at odd n the endomorphism-ring iso adds n = 3."""
     calls = []
-    real = fb.structure_constants
-    monkeypatch.setattr(fb, "structure_constants",
+    real = fb.structure_rows
+    monkeypatch.setattr(fb, "structure_rows",
                         lambda ring, m: calls.append((ring, m)) or real(ring, m))
     code, _, _ = run(capsys, "verify", "--n", str(n), "--ring", "int",
                      "--check", "closure,structure-constants,isos,cellchain,centre")
@@ -166,12 +166,12 @@ def test_structure_constants_fail_on_an_entry_off_the_formula_rows(
     kron guard holds (b.i is neither a.j nor n+1-a.j) fails the walk over
     the table's keys with the formula {}; with a dropped formula term at
     (f1_2, f2_1) as well, the row-major-first failing pair is named."""
-    real_table, real_formula = fb.structure_constants, fb.formula_product
+    real_rows, real_formula = fb.structure_rows, fb.formula_product
 
     def extended(ring, n):
-        table = real_table(ring, n)
-        table[extra] = ((0, ring.one()),)
-        return table
+        rows = real_rows(ring, n)
+        rows.setdefault(extra[0], {})[extra[1]] = {0: ring.one()}
+        return rows
 
     def dropped(ring, n, a, b):
         f = real_formula(ring, n, a, b)
@@ -179,7 +179,7 @@ def test_structure_constants_fail_on_an_entry_off_the_formula_rows(
             f.pop((1, 1))
         return f
 
-    monkeypatch.setattr(fb, "structure_constants", extended)
+    monkeypatch.setattr(fb, "structure_rows", extended)
     monkeypatch.setattr(fb, "formula_product", dropped)
     code, out, _ = run(capsys, "verify", "--json", "--n", "4", "--ring", "int",
                        "--check", "structure-constants")
@@ -200,15 +200,15 @@ def test_structure_constants_at_odd_n_skip_only_pairs_the_formula_leaves_out(
         monkeypatch, extra, failing):
     """At n = 5 an oracle entry the formula does not apply to is ignored,
     and one on an applicable pair off the formula rows fails with {}."""
-    real = fb.structure_constants
+    real = fb.structure_rows
 
     def extended(ring, n):
-        table = real(ring, n)
-        assert extra not in table
-        table[extra] = ((0, ring.one()),)
-        return table
+        rows = real(ring, n)
+        assert extra[1] not in rows.get(extra[0], {})
+        rows.setdefault(extra[0], {})[extra[1]] = {0: ring.one()}
+        return rows
 
-    monkeypatch.setattr(fb, "structure_constants", extended)
+    monkeypatch.setattr(fb, "structure_rows", extended)
     rep = cli.check_structure_constants(Z, 5)
     if failing is None:
         assert rep.verdict == "pass"
@@ -508,8 +508,8 @@ def test_iso_morita_builds_the_algebra_once(capsys, monkeypatch):
     """main opens one build scope per command, so every column iso of
     ``iso --kind morita`` shares one S_n."""
     sizes = []
-    real = fb.structure_constants
-    monkeypatch.setattr(fb, "structure_constants",
+    real = fb.structure_rows
+    monkeypatch.setattr(fb, "structure_rows",
                         lambda ring, m: sizes.append(m) or real(ring, m))
     code, out, _ = run(capsys, "iso", "--json", "--kind", "morita", "--ring", "gf:5", "--n", "8")
     assert code == 0
