@@ -189,13 +189,18 @@ class StructureAlgebra:
             products = self.by_left.get(u)
             if not products:
                 continue
+            unit = cu == one
             if len(y) <= len(products):
-                pairs = [(cv, products[v]) for v, cv in y.items() if v in products]
+                for v, cv in y.items():
+                    if v in products:
+                        add_multiple(R, out, cv if unit else cu if cv == one else mul(cu, cv),
+                                     products[v])
             else:
-                pairs = [(y[v], terms) for v, terms in products.items() if v in y]
-            for cv, terms in pairs:
-                add_multiple(R, out, cv if cu == one else cu if cv == one else mul(cu, cv),
-                             terms)
+                for v, terms in products.items():
+                    if v in y:
+                        cv = y[v]
+                        add_multiple(R, out, cv if unit else cu if cv == one else mul(cu, cv),
+                                     terms)
         return out
 
     def mul(self, x, y):

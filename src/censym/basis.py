@@ -208,8 +208,11 @@ def structure_rows(ring: Ring, n: int) -> dict:
                 m = prod.get((n + 1 - a, n + 1 - d), 0)
                 if k != m and value[k] != value[m]:
                     raise NotClosed(f"({idxs[u].label}, {idxs[v].label})")
-            terms = {pos[cell]: value[prod[cell]] for cell in sorted(prod)
-                     if live[prod[cell]] and cell in pos}
+            terms = {}
+            for cell in sorted(prod):
+                k = prod[cell]
+                if live[k] and cell in pos:
+                    terms[pos[cell]] = value[k]
             if terms:
                 rows.setdefault(u, {})[v] = terms
     return rows
@@ -251,7 +254,9 @@ def formula_product(ring: Ring, n: int, a: BasisIndex, b: BasisIndex):
         if p == a.j:
             w = canon_index(n, a.i, q)
             out[w] = ring.add(out.get(w, zero), one)
-    return {w: c for w, c in out.items() if c != zero}
+            if out[w] == zero:  # both terms hit w and 1 + 1 is 0
+                del out[w]
+    return out
 
 
 def exchange_coords(ring: Ring, n: int) -> list:

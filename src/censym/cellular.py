@@ -120,15 +120,16 @@ def _alpha_bimodule_failure(a: StructureAlgebra, js, xs, ys, jrb: RowBasis, drb:
     for s, bs in basis.items():
         for t, v in enumerate(js):
             p, q = divmod(t, d)
-            failing = [(leg, prod) for leg, prod, image in (
-                ("left", a.mul_sparse(bs, v), mat_vec_sparse(ring, cols[q], left_act[s][p])),
-                ("right", a.mul_sparse(v, bs), mat_vec_sparse(ring, rows[p], right_act[s][q])))
-                if prod != image]
+            left = a.mul_sparse(bs, v), mat_vec_sparse(ring, cols[q], left_act[s][p])
+            right = a.mul_sparse(v, bs), mat_vec_sparse(ring, rows[p], right_act[s][q])
+            if left[0] == left[1] and right[0] == right[1]:
+                continue
+            failing = [(leg, prod) for leg, (prod, image) in (("left", left), ("right", right))
+                       if prod != image]
             if not all(jrb.contains(prod) for _, prod in failing):
                 return {"input": f"({a.labels[s]}, J[{t}])",
                         "reason": "ideal is not two-sided over the basis"}
-            if failing:
-                return {"input": f"{failing[0][0]} ({a.labels[s]}, J[{t}])"}
+            return {"input": f"{failing[0][0]} ({a.labels[s]}, J[{t}])"}
     return None
 
 

@@ -114,16 +114,19 @@ def check_structure_constants(ring: Ring, n: int) -> Report:
     params = {"check": "structure-constants", "n": n, "ring": ring.literal()}
     idxs = fb.canonical_indices(n)
     by_left = algebra_of_censym(ring, n).by_left
-    by_row = {}
+    by_row, ij = {}, []
     for v, b in enumerate(idxs):
         by_row.setdefault(b.i, []).append(v)
+        ij.append((b.i, b.j))
     for u, a in enumerate(idxs):
         row = by_left.get(u, {})
         for v in sorted({*by_row.get(a.j, ()), *by_row.get(n + 1 - a.j, ()), *row}):
             f = fb.formula_product(ring, n, a, idxs[v])
             if f is None:
                 continue
-            oracle = {(idxs[w].i, idxs[w].j): c for w, c in row.get(v, {}).items()}
+            oracle = {}
+            for w, c in row.get(v, {}).items():
+                oracle[ij[w]] = c
             if oracle != f:
                 return Report(
                     "structure-constants", params, FAIL,

@@ -17,8 +17,10 @@ coefficient matrix (rows are images of basis vectors) to a coordinate
 vector.  Cost model: a kernel call pays per term, not per call, as the
 kernels read a ring's operations from :attr:`censym.rings.Ring.ops`, bound
 once per ring, and :class:`RowBasis` reduces the zero vector without a pass.
+A kernel evaluates no comprehension per call: CPython 3.11 builds a function
+and a frame for each (``test_kernels.py::test_kernels_hold_no_nested_code``).
 One way in, one way out: :func:`checked_sparse` takes a vector from outside
-the engine, dense list or sparse dict (a ``matrices.Matrix``'s cells too),
+the engine, dense list or sparse dict (a new ``matrices.Matrix``'s input too),
 returns the sparse form and rejects one that does not fit its width;
 :func:`to_dense` gives the dense form back for the few dense faces, such as
 ``Matrix.entries``.  The kernels take sparse input and check
@@ -123,10 +125,12 @@ class RowBasis:
         if not v:
             return {}, {}
         neg, rows = R.ops[2], self.sparse_rows
-        mults = {row_of[p]: c for p, c in v.items() if p in row_of}
-        res = dict(v)
-        for r, c in mults.items():
-            add_multiple(R, res, neg(c), rows[r])
+        res, mults = dict(v), {}
+        for p, c in v.items():
+            r = row_of.get(p)
+            if r is not None:
+                mults[r] = c
+                add_multiple(R, res, neg(c), rows[r])
         return res, mults
 
     def residual_sparse(self, v) -> dict:

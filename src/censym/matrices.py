@@ -4,8 +4,9 @@ Indexing is 1-based throughout the public interface: ``a[i, j]`` with
 ``1 <= i, j <= n``.  A matrix keeps only its non-zero cells, as ``cells``:
 a dict {row-major position (i-1)*n + (j-1): payload} in the sparse form of
 :mod:`censym.linalg`, so dict ``==`` is matrix equality and no zero is
-stored.  Dense and sparse input both enter through
-``linalg.checked_sparse``; ``entries`` is the dense row-major view.
+stored.  Dense and sparse input from outside enters through
+``linalg.checked_sparse``; a sum, scale, product, transpose or conjugate
+keeps the cells it built unchecked.  ``entries`` is the dense row-major view.
 
 * Every sum goes through ``linalg.add_multiple``, so a cancelled cell or
   a scale that reaches zero stores nothing.
@@ -37,6 +38,13 @@ class Matrix:
                                     f"expected {n * n} entries for size {n}")
 
     @classmethod
+    def _wrap(cls, ring: Ring, n: int, cells: dict) -> "Matrix":
+        """Wrap engine-made cells (zero-free, keys in range(n*n)) unchecked."""
+        m = cls.__new__(cls)
+        m.ring, m.n, m.cells = ring, n, cells
+        return m
+
+    @classmethod
     def zero(cls, ring: Ring, n: int) -> "Matrix":
         return cls(ring, n, {})
 
@@ -64,12 +72,12 @@ class Matrix:
         self._compat(other)
         cells = dict(self.cells)
         add_multiple(self.ring, cells, self.ring.one(), other.cells)
-        return Matrix(self.ring, self.n, cells)
+        return Matrix._wrap(self.ring, self.n, cells)
 
     def scale(self, r) -> "Matrix":
         cells = {}
         add_multiple(self.ring, cells, r, self.cells)
-        return Matrix(self.ring, self.n, cells)
+        return Matrix._wrap(self.ring, self.n, cells)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
@@ -82,18 +90,19 @@ class Matrix:
             row = right.get(p % n)
             if row:
                 add_multiple(ring, rows.setdefault(p // n, {}), x, row)
-        return Matrix(ring, n, {i * n + j: z for i, row in rows.items() for j, z in row.items()})
+        return Matrix._wrap(ring, n, {i * n + j: z for i, row in rows.items()
+                                      for j, z in row.items()})
 
     def transpose(self) -> "Matrix":
         n = self.n
-        return Matrix(self.ring, n, {p % n * n + p // n: x for p, x in self.cells.items()})
+        return Matrix._wrap(self.ring, n, {p % n * n + p // n: x for p, x in self.cells.items()})
 
     def conj_by_c(self) -> "Matrix":
         """Conjugation by the exchange matrix: (cac)[j, k] == a[n+1-j, n+1-k].
 
         Row-major position (j-1)*n + (k-1) mirrors to n*n-1 minus itself."""
         last = self.n * self.n - 1
-        return Matrix(self.ring, self.n, {last - p: x for p, x in self.cells.items()})
+        return Matrix._wrap(self.ring, self.n, {last - p: x for p, x in self.cells.items()})
 
     def __eq__(self, other):
         return (

@@ -230,6 +230,8 @@ class RationalRing(_NumberRing):
         return _canonical_rational(a * b)
 
     def inv(self, a):
+        if a.__class__ is int and (a == 1 or a == -1):
+            return a  # its own canonical inverse, with no Fraction built
         return _canonical_rational(Fraction(1) / a) if a else None
 
     def parse(self, text):

@@ -20,6 +20,7 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -64,6 +65,20 @@ def schoolbook(a: Matrix, b: Matrix) -> Matrix:
                 s = ring.add(s, ring.mul(a[i, k], b[k, j]))
             out.append(s)
     return Matrix(ring, n, out)
+
+
+@pytest.mark.parametrize("kernel", [add_multiple, mat_vec_sparse, RowBasis._reduce,
+                                    StructureAlgebra.mul_sparse, fb.formula_product],
+                         ids=lambda f: f.__qualname__)
+def test_kernels_hold_no_nested_code(kernel):
+    """These kernels run thousands of times per check on 0-2 terms each, so
+    a fixed cost per call shows.  CPython 3.11 compiles a comprehension,
+    generator expression or lambda to a nested code object and builds a
+    function from it (and pushes a frame) on every evaluation; a nested code
+    object among the kernel's constants is such a site.  From 3.12 on
+    (PEP 709) comprehensions are inlined, so there they pass trivially."""
+    nested = [c.co_name for c in kernel.__code__.co_consts if isinstance(c, types.CodeType)]
+    assert nested == []
 
 
 def dense_structure_constants(ring, n: int) -> dict:

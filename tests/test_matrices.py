@@ -185,6 +185,9 @@ def test_dense_and_sparse_forms_give_one_matrix():
 
 
 def test_a_matrix_stores_no_zero():
+    """Engine results keep the cells they build unchecked: none may hold a
+    zero or a key outside range(n*n), and each is what the checked
+    constructor makes of its entries."""
     assert Matrix(Z4, 1, [2]).scale(2) == Matrix.zero(Z4, 1)
     assert Matrix(Z4, 1, [2]).scale(2).cells == {}
     assert Matrix.zero(Z, 3).cells == {} and matrix_unit(Z, 3, 2, 3).cells == {5: 1}
@@ -198,4 +201,15 @@ def test_a_matrix_stores_no_zero():
                        a.scale(ring.sample(rng)), a + a.scale(minus_one))
             for m in results:
                 assert not any(ring.is_zero(x) for x in m.cells.values())
+                assert all(0 <= p < n * n for p in m.cells)
+                assert m.cells == Matrix(ring, n, m.entries).cells
             assert results[-1].cells == {}
+
+
+def test_the_constructor_checks_cells_from_outside():
+    for bad in ([1, 2, 3], [1] * 5, {4: 1}, {-1: 1}, {0: 1, 9: 1}):
+        with pytest.raises(ValueError, match="expected 4 entries for size 2"):
+            Matrix(Z, 2, bad)
+    assert Matrix(Z4, 2, {0: 0, 3: 1}).cells == {3: 1}
+    assert Matrix(Z4, 2, [0, 0, 0, 1]).cells == {3: 1}
+    assert Matrix(C2Z, 2, {1: (0, 0), 2: (0, 1)}).cells == {2: (0, 1)}

@@ -111,6 +111,21 @@ def test_rational_inverse_is_exact():
     assert row == [1, Fraction(1, 2)] and all(is_canonical(Q, c) for c in row)
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=st.one_of(st.sampled_from([1, -1]), elements(Q),
+                   st.fractions(-50, 50, max_denominator=20).filter(lambda q: q.denominator > 1)))
+def test_a_rational_times_its_inverse_is_one(a):
+    inverse = Q.inv(a)
+    if a == 0:
+        assert inverse is None
+        return
+    product = Q.mul(a, inverse)
+    assert a * inverse == 1 and product == 1 and type(product) is int
+    assert is_canonical(Q, inverse)
+    if a in (1, -1):
+        assert inverse == a and type(inverse) is int
+
+
 def test_invert_two():
     assert Z9.invert_two() == 5
     assert Q.invert_two() == Fraction(1, 2)
