@@ -14,9 +14,10 @@ Checks whose passing elements form a subalgebra (ideals, homomorphisms, the
 centre, and the associativity and anti-homomorphism clauses of
 :meth:`StructureAlgebra.validate`) hold on the whole basis once they hold on
 :meth:`StructureAlgebra.generators`, a generating set read off the products
-alone, irredundant outside the indices tried first; the centrosymmetric and
-full matrix builders name a cycle of matrix units to try first, so it has
-about n/2 elements for S_n and m for M_m, and quotients inherit it.
+alone: the join set of one greedy closure that tries first the cycle of
+matrix units the centrosymmetric and full matrix builders name, so it is
+irredundant there, with about n/2 elements for S_n and m for M_m, and
+quotients inherit it.
 A quotient reduces each basis element once and projects every product
 through those images, as the residual is linear.
 The centre is one exact unit-pivot nullspace over every ring, and a misused
@@ -64,7 +65,8 @@ class StructureAlgebra:
     they are stored as ``invol_sparse`` and ``unit_sparse``.  ``unit``,
     ``mul``, ``basis_vector`` and ``zero_vector`` are the dense faces, and
     ``mul`` takes its operands through the same boundary.  ``first`` names
-    basis indices for :meth:`generators` to try before the rest.
+    basis indices for :meth:`generators` to try before the rest; where they
+    are a builder's cycle of matrix units, G is irredundant.
     """
 
     def __init__(self, ring: Ring, labels, table: dict, unit, invol=None, first=()):
@@ -115,15 +117,13 @@ class StructureAlgebra:
         from the table alone and cached.  Index u is reached when some
         T[g, v] or T[v, g], g in G and v reached, is a unit at u and reached
         elsewhere; so by induction each reached e_u is an R-combination of
-        words in G.  A greedy pass joins to G each unreached index of
-        ``first``, then of the basis in index order; a prune pass drops each
-        index of G outside ``first``, last joined to first, whose removal
-        still leaves every index reached, so G is irredundant only outside
-        ``first``.  Any order is sound, as the certificate is only that the
-        closure from G reaches every index; the builders pass first a cycle
-        of matrix units, E_{1,2}, ..., E_{m-1,m}, x*E_{m,1}, which alone
-        generates M_m(R[C2]) = S_2m, and :func:`quotient_by_ideal` the
-        images of its parent's G."""
+        words in G.  One greedy closure joins to G each unreached index of
+        ``first``, then of the basis in index order, and G is the joined set.
+        Any order is sound, as the certificate is only that the closure from
+        G reaches every index; the builders pass first a cycle of matrix
+        units, E_{1,2}, ..., E_{m-1,m}, x*E_{m,1}, which alone generates
+        M_m(R[C2]) = S_2m, and :func:`quotient_by_ideal` the images of its
+        parent's G, so G is irredundant wherever a builder names a cycle."""
         if self._generators is None:
             by_left, by_right, units = self.by_left, {}, {}
             for u, row in by_left.items():
@@ -133,44 +133,32 @@ class StructureAlgebra:
             def partners(u):  # (other factor, product) for each product of u
                 return chain(by_left.get(u, {}).items(), by_right.get(u, ()))
 
-            def is_unit(c):
-                # decided once per coefficient, not again in every closure
+            def is_unit(c):  # decided once per coefficient, not once per entry
                 if c not in units:
                     units[c] = self.ring.inv(c) is not None
                 return units[c]
 
-            def grow(candidates, skip_reached):
-                # join each candidate to G (unless skip_reached and it is
-                # reached) and close under the rule; an entry that names
-                # unreached indices waits under each of them
-                gens, reached, waiting = {}, set(), {}  # gens in join order
-                for u in candidates:
-                    if skip_reached and u in reached:
-                        continue
-                    gens[u] = None
-                    reached.add(u)
-                    todo = [t for v, t in partners(u) if v in reached]
-                    todo += waiting.pop(u, [])
-                    while todo:
-                        terms = todo.pop()
-                        new = [(w, c) for w, c in terms.items() if w not in reached]
-                        if len(new) == 1 and is_unit(new[0][1]):
-                            x = new[0][0]
-                            reached.add(x)
-                            todo += [t for g, t in partners(x) if g in gens]
-                            todo += waiting.pop(x, [])
-                        else:
-                            for w, _ in new:
-                                waiting.setdefault(w, []).append(terms)
-                return list(gens), len(reached)
-
-            gens = grow([*self._first, *range(self.rank)], True)[0]
-            # the rest of G reaches no more than before the last index joined;
-            # on every algebra tried, no index of first could be dropped
-            for g in reversed([g for g in gens[:-1] if g not in self._first]):
-                rest = [h for h in gens if h != g]
-                if grow(rest, False)[1] == self.rank:
-                    gens = rest
+            # join each unreached candidate to G and close under the rule; an
+            # entry that names unreached indices waits under each of them
+            gens, reached, waiting = set(), set(), {}
+            for u in chain(self._first, range(self.rank)):
+                if u in reached:
+                    continue
+                gens.add(u)
+                reached.add(u)
+                todo = [t for v, t in partners(u) if v in reached]
+                todo += waiting.pop(u, [])
+                while todo:
+                    terms = todo.pop()
+                    new = [(w, c) for w, c in terms.items() if w not in reached]
+                    if len(new) == 1 and is_unit(new[0][1]):
+                        x = new[0][0]
+                        reached.add(x)
+                        todo += [t for g, t in partners(x) if g in gens]
+                        todo += waiting.pop(x, [])
+                    else:
+                        for w, _ in new:
+                            waiting.setdefault(w, []).append(terms)
             self._generators = tuple(sorted(gens))
         return self._generators
 

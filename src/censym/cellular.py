@@ -235,10 +235,10 @@ def verify_cell_ideal(w: CellIdealWitness, params: dict | None = None) -> Report
 
 class CellLayer:
     """One chain layer: its span inside the original algebra and its cell
-    witness in the stage quotient."""
+    witness in the stage quotient, ``witness.algebra``."""
 
-    def __init__(self, span: list, stage: StructureAlgebra, witness: CellIdealWitness):
-        self.span, self.stage, self.witness = span, stage, witness
+    def __init__(self, span: list, witness: CellIdealWitness):
+        self.span, self.witness = span, witness
 
 
 class CellChainWitness:
@@ -261,7 +261,7 @@ def cell_chain_odd(ring: Ring, n: int) -> CellChainWitness:
     pos = fb.positions(n)
     delta1 = [{pos[(i, m + 1)]: ring.one()} for i in range(1, m + 2)]
     w1 = canonical_cell_witness(a, delta1, name="middle-column")
-    layers = [CellLayer(list(w1.j_basis), a, w1)]
+    layers = [CellLayer(list(w1.j_basis), w1)]
     if m:
         layers.append(_matrix_quotient_layer(a, pos, m, quot, proj))
     return CellChainWitness(a, layers, {"n": n, "ring": ring.literal(), "parity": "odd"})
@@ -285,7 +285,7 @@ def cell_chain_even(ring: Ring, n: int) -> CellChainWitness:
     delta1 = [skew(i, 1) for i in range(1, m + 1)]
     w1 = CellIdealWitness(a, j1, delta1, name="skew-part")
     quot, proj = quotient_by_ideal(a, span_basis(ring, j1, a.rank))
-    layers = [CellLayer(j1, a, w1), _matrix_quotient_layer(a, pos, m, quot, proj)]
+    layers = [CellLayer(j1, w1), _matrix_quotient_layer(a, pos, m, quot, proj)]
     return CellChainWitness(a, layers, {"n": n, "ring": ring.literal(), "parity": "even"})
 
 
@@ -296,7 +296,7 @@ def _matrix_quotient_layer(a: StructureAlgebra, pos: dict, m: int,
     one = a.ring.one()
     span = [{pos[(i, j)]: one} for i in range(1, m + 1) for j in range(1, m + 1)]
     delta = [proj.matrix[pos[(i, 1)]] for i in range(1, m + 1)]
-    return CellLayer(span, quot, canonical_cell_witness(quot, delta, name="matrix-quotient"))
+    return CellLayer(span, canonical_cell_witness(quot, delta, name="matrix-quotient"))
 
 
 def verify_cell_chain(chain: CellChainWitness) -> Report:
@@ -374,10 +374,8 @@ class HeredityWitness:
     rank one with basis e, multiplicity modules Ae and eA free, and the
     multiplication map into the product span injective."""
 
-    def __init__(self, algebra: StructureAlgebra, e: dict, cell: CellIdealWitness | None,
-                 report: Report):
-        self.algebra, self.cell, self.report = algebra, cell, report
-        self.e = e  # sparse
+    def __init__(self, e: dict, cell: CellIdealWitness | None, report: Report):
+        self.e, self.cell, self.report = e, cell, report  # e sparse
 
     @property
     def ok(self) -> bool:
@@ -460,7 +458,7 @@ def heredity_check(a: StructureAlgebra, e, params: dict | None = None) -> Heredi
     }
     report = combine_clauses("heredity", params, clauses, witness=witness,
                              counterexample=ce)
-    return HeredityWitness(a, e, cell, report)
+    return HeredityWitness(e, cell, report)
 
 
 def quasi_hereditary_chain_odd(ring: Ring, n: int):
@@ -479,14 +477,16 @@ def quasi_hereditary_chain_odd(ring: Ring, n: int):
     a, _, quot, proj = odd_quotient(ring, m)
     pos = fb.positions(n)
     params = {"n": n, "ring": ring.literal()}
+    names = [a.labels[pos[(m + 1, m + 1)]]] + [f"{a.labels[pos[(i, i)]]} mod J"
+                                               for i in range(1, m + 1)]
     witnesses = [heredity_check(a, {pos[(m + 1, m + 1)]: ring.one()},
-                                params=dict(params, stage=1, idempotent=f"f{m + 1}_{m + 1}"))]
+                                params=dict(params, stage=1, idempotent=names[0]))]
     clauses = {"stage1": witnesses[0].report.verdict}
     saturates = None
     if m:
         for i in range(1, m + 1):
             hw = heredity_check(quot, proj.matrix[pos[(i, i)]],
-                                params=dict(params, stage=2, idempotent=f"f{i}_{i} mod J"))
+                                params=dict(params, stage=2, idempotent=names[i]))
             witnesses.append(hw)
             clauses[f"stage2-e{i}"] = hw.report.verdict
         saturates = ideal_generated(quot, [proj.matrix[pos[(1, 1)]]]).rank == quot.rank
@@ -494,7 +494,7 @@ def quasi_hereditary_chain_odd(ring: Ring, n: int):
     report = combine_clauses(
         "heredity-chain", params, clauses,
         witness={"length": len(witnesses),
-                 "idempotents": [f"f{m + 1}_{m + 1}"] + [f"f{i}_{i} mod J" for i in range(1, m + 1)],
+                 "idempotents": names,
                  "stage2_saturates": saturates},
     )
     return witnesses, report

@@ -349,11 +349,9 @@ def cmd_cellchain(args) -> int:
     report = verify_cell_chain(chain)
     if not args.json:
         for p, layer in enumerate(chain.layers, start=1):
-            stage = layer.stage
-            print(f"layer {p}: delta rank {layer.witness.delta_rank}, "
-                  f"ideal rank {len(layer.witness.j_basis)}")
-            print("  delta: " + "; ".join(
-                stage.format_element(v) for v in layer.witness.delta_basis))
+            w = layer.witness
+            print(f"layer {p}: delta rank {w.delta_rank}, ideal rank {len(w.j_basis)}")
+            print("  delta: " + "; ".join(w.algebra.format_element(v) for v in w.delta_basis))
     return emit([report], args.json)
 
 

@@ -212,7 +212,7 @@ def endring_odd(ring: Ring, n: int):
     pos = fb.positions(n)
     corner = [(1, 1), (1, n), (1, mid), (mid, 1), (mid, mid)]
     vectors = [{pos[c]: ring.one()} for c in corner]
-    labels = [f"f{i}_{j}" for i, j in corner]
+    labels = [a.labels[pos[c]] for c in corner]
     unit = {pos[(1, 1)]: ring.one(), pos[(mid, mid)]: ring.one()}
     end = subalgebra_from_vectors(a, vectors, labels, unit)
     return end, _onto_s3(end, f"endring-size-{n}")

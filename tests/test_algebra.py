@@ -835,7 +835,7 @@ def _validate_exhaustive(a):
 def _with_table_entry(a, uv, terms):
     table = dict(a.table)
     table[uv] = terms
-    return StructureAlgebra(a.ring, a.labels, table, a.unit, dense_invol(a))
+    return StructureAlgebra(a.ring, a.labels, table, a.unit, dense_invol(a), a._first)
 
 
 def _names_first_factor_outside_generators(a, defects):
@@ -904,7 +904,7 @@ def _corrupt(a, part, seed):
         return _with_table_entry(a, (u, rng.randrange(r)), ((w, c),))
     invol = [list(row) for row in dense_invol(a)]
     invol[u][w] = c
-    return StructureAlgebra(ring, a.labels, a.table, a.unit, invol)
+    return StructureAlgebra(ring, a.labels, a.table, a.unit, invol, a._first)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -924,10 +924,10 @@ def test_validate_seeded_corruptions_reach_past_the_generators(name):
 
 
 def test_validate_first_defect_outside_the_generators():
-    # one seeded table entry of S_4(c2:int) broken: G = {f1_3, f2_1}, and the
-    # first defect in basis order has first factor f1_1
+    # one seeded table entry of S_4(c2:int) broken: G is the cycle
+    # {f1_2, f2_4}, and the first defect in basis order has first factor f1_1
     a = _corrupt(CORRUPTED["S_4(c2:int)"](), "table", 4)
-    assert [a.labels[g] for g in a.generators()] == ["f1_3", "f2_1"]
+    assert [a.labels[g] for g in a.generators()] == ["f1_2", "f2_4"]
     defects = a.validate()
     assert defects == _validate_exhaustive(a)
     assert defects[0] == "associativity fails at (f1_1, f1_4, f2_4)"
@@ -1237,6 +1237,23 @@ def test_generators_are_irredundant_odd_quotient(m, any_ring):
     _assert_irredundant(odd_quotient(any_ring, m)[2])
 
 
+@pytest.mark.parametrize("kind,size", [("censym", n) for n in range(1, 10)]
+                         + [("full", m) for m in range(1, 5)]
+                         + [("odd-quotient", m) for m in range(1, 4)])
+def test_generators_without_first_certify_in_index_order(kind, size, any_ring):
+    # with no cycle named, G is the index-order greedy's join set, unpruned:
+    # it still reaches every index, and validate() is still the exhaustive audit
+    if kind == "censym":
+        a = algebra_of_censym(any_ring, size)
+    elif kind == "full":
+        a = full_matrix_algebra(any_ring, size)
+    else:
+        a = odd_quotient(any_ring, size)[2]
+    b = StructureAlgebra(a.ring, a.labels, a.by_left, a.unit_sparse, a.invol_sparse)
+    assert _reached(b, b.generators()) == set(range(b.rank))
+    _assert_validate_is_exhaustive(b)
+
+
 def _pruned_over_every_index(a):
     """G as a greedy over first, then the basis, followed by a prune trial of
     every joined index but the last, those from first included."""
@@ -1261,8 +1278,8 @@ PRUNE_CASES = ([("censym", n, None) for n in range(1, 17)]
 @pytest.mark.parametrize("kind,size,flatten", PRUNE_CASES)
 @pytest.mark.parametrize("ring", PRUNE_RINGS, ids=lambda r: r.literal())
 def test_generators_skip_the_prune_only_where_it_drops_nothing(kind, size, flatten, ring):
-    # generators() keeps the indices that joined from first untried; on these
-    # algebras a prune over every index keeps them too, so G is the same
+    # generators() keeps every index its greedy joined, with no prune; on
+    # these algebras a prune over every index drops none, so G is the same
     if kind == "censym":
         a = algebra_of_censym(ring, size)
     elif kind == "full":

@@ -274,7 +274,7 @@ def test_chain_with_repeated_span_fails_direct_sum_with_counterexample():
     # rank, the span does not
     chain = cell_chain_odd(Q, 3)
     layer2 = chain.layers[1]
-    chain.layers[1] = CellLayer([chain.layers[0].span[0]], layer2.stage, layer2.witness)
+    chain.layers[1] = CellLayer([chain.layers[0].span[0]], layer2.witness)
     rep = verify_cell_chain(chain)
     assert rep.verdict == "fail"
     assert rep.clauses["direct-sum"] == "fail"
@@ -288,7 +288,7 @@ def test_direct_sum_retries_a_vector_with_no_unit_entry():
     # it: the layers span Z^2, which the deferred retry certifies
     a = direct_product(full_matrix_algebra(Z, 1), full_matrix_algebra(Z, 1))
     w = canonical_cell_witness(a, [a.basis_vector(0)])
-    chain = CellChainWitness(a, [CellLayer([[2, 3]], a, w), CellLayer([[1, 1]], a, w)])
+    chain = CellChainWitness(a, [CellLayer([[2, 3]], w), CellLayer([[1, 1]], w)])
     assert verify_cell_chain(chain).clauses["direct-sum"] == "pass"
 
 
@@ -296,7 +296,7 @@ def test_chain_with_wrong_cell_ranks_fails_rank_sum_with_counterexample():
     # both layers carry the rank-2 middle-column witness: 2^2 + 2^2 != 5
     chain = cell_chain_odd(Q, 3)
     layer1, layer2 = chain.layers
-    chain.layers[1] = CellLayer(layer2.span, layer1.stage, layer1.witness)
+    chain.layers[1] = CellLayer(layer2.span, layer1.witness)
     rep = verify_cell_chain(chain)
     assert rep.verdict == "fail"
     assert rep.clauses["direct-sum"] == "pass"
@@ -373,8 +373,7 @@ def test_last_partial_sum_is_checked_when_direct_sum_fails():
     # (its image in the 2-by-2 matrix quotient is one matrix unit)
     chain = cell_chain_odd(Q, 5)
     a, layer2 = chain.algebra, chain.layers[1]
-    chain.layers[1] = CellLayer([a.basis_vector(positions(5)[(1, 1)])],
-                                layer2.stage, layer2.witness)
+    chain.layers[1] = CellLayer([a.basis_vector(positions(5)[(1, 1)])], layer2.witness)
     rep = verify_cell_chain(chain)
     assert rep.clauses["direct-sum"] == "fail"
     assert rep.clauses["partial-sums-ideals"] == "fail"
@@ -386,8 +385,8 @@ def test_chain_with_exchanged_spans_fails_partial_sums():
     # the first partial sum becomes the span of f1_1 alone, not an ideal
     chain = cell_chain_odd(Q, 3)
     layer1, layer2 = chain.layers
-    chain.layers = [CellLayer(layer2.span, layer1.stage, layer1.witness),
-                    CellLayer(layer1.span, layer2.stage, layer2.witness)]
+    chain.layers = [CellLayer(layer2.span, layer1.witness),
+                    CellLayer(layer1.span, layer2.witness)]
     rep = verify_cell_chain(chain)
     assert rep.verdict == "fail"
     assert rep.clauses["direct-sum"] == "pass"
@@ -616,8 +615,8 @@ def _chain_with_f11_first(ring):
     which is not an ideal, and layer 2 the middle-column ideal."""
     chain = cell_chain_odd(ring, 3)
     a, (layer1, layer2) = chain.algebra, chain.layers
-    chain.layers = [CellLayer(layer2.span, layer1.stage, layer1.witness),
-                    CellLayer(layer1.span, layer2.stage, layer2.witness)]
+    chain.layers = [CellLayer(layer2.span, layer1.witness),
+                    CellLayer(layer1.span, layer2.witness)]
     return chain, a
 
 
