@@ -20,12 +20,15 @@ params), so the --json output is byte-identical across runs.
 ``CHECKS`` maps each verify check to its reports, and ``ISO_KINDS`` each
 iso kind to its sizes and builder for both ``iso`` and ``verify --check
 isos``.  ``frobenius`` and ``centre`` are ``verify`` at one size with a
-fixed check list.  :func:`main` runs each command inside one
-:func:`censym.algebra.shared_builds` block, so the morita columns of
-``iso`` share one S_n and one S*f_1.  ``verify`` nests one block per size
-inside it: the checks of a size share one centrosymmetric algebra (and so
-build its structure-constant table once) and one odd quotient, and each
-size's builds are dropped before the next size runs.  In text mode a
+fixed check list.  :func:`main` builds its argument parser once per
+process (the ``cmd_*`` functions are bound at that first build) and runs
+each command inside one :func:`censym.algebra.shared_builds` block, so the
+morita columns of ``iso`` share one S_n and one S*f_1.  ``verify`` nests
+one block per size inside it: the checks of a size share one
+centrosymmetric algebra (and so build its structure-constant table once)
+and one odd quotient, and each size's builds are dropped before the next
+size runs; no algebra or product is cached across sizes or calls.  A check
+named twice runs once, at its first position.  In text mode a
 report prints its summary line, the flags and coordinates of a
 matrix-file report, and the failing clauses and counterexample of a fail.
 """
@@ -33,6 +36,7 @@ matrix-file report, and the failing clauses and counterexample of a fail.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import namedtuple
@@ -292,7 +296,7 @@ def cmd_verify(args) -> int:
     sizes = [args.n] if args.n else list(range(1, 9))
     for n in sizes:
         with shared_builds():
-            for c in checks:
+            for c in dict.fromkeys(checks):
                 reports.extend(run_check(c, ring, n, args.seed))
     return emit(reports, args.json)
 
@@ -410,7 +414,9 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call, which binds the cmd_* functions."""
     parser = argparse.ArgumentParser(
         prog="censym",
         description="Exact centrosymmetric matrix algebras over pluggable "
@@ -458,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_n=2)
     json_flag(p)
     seed_flag(p)
-    p.set_defaults(func=cmd_verify, check=["frobenius,separability,split"], matrix_file=None)
+    p.set_defaults(func=cmd_verify, check=("frobenius,separability,split",), matrix_file=None)
 
     p = sub.add_parser("cellchain", help="build and verify the cell chain")
     common(p, default_n=2)
@@ -469,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, default_n=2)
     json_flag(p)
     # verify reads a seed, which the centre check ignores
-    p.set_defaults(func=cmd_verify, check=["centre"], matrix_file=None, seed=0)
+    p.set_defaults(func=cmd_verify, check=("centre",), matrix_file=None, seed=0)
 
     p = sub.add_parser("demo-bisymmetric",
                        help="the bisymmetric non-closure example at size 3")

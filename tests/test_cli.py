@@ -656,3 +656,93 @@ def test_non_positive_size_is_usage_error(capsys, argv, message):
     out = capsys.readouterr()
     assert out.out == ""
     assert message in out.err
+
+
+@pytest.mark.parametrize("twice,once", [
+    (["--check", "rank,rank"], ["--check", "rank"]),
+    (["--check", "rank,closure,rank"], ["--check", "rank,closure"]),
+    (["--check", "rank", "--check", "closure,rank", "--json"], ["--check", "rank,closure", "--json"]),
+], ids=["rank,rank", "rank,closure,rank", "repeated-flag"])
+def test_a_check_named_twice_runs_once(capsys, twice, once):
+    """Each check runs once per size, at the position it is first named."""
+    for n in (["--n", "2"], []):
+        assert run(capsys, "verify", *n, *twice) == run(capsys, "verify", *n, *once)
+
+
+def test_a_check_named_twice_keeps_the_unknown_check_error(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2", "--check", "rank,rank,bogus,nope")
+    assert (code, out) == (2, "")
+    assert "unknown check 'bogus'" in err
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start and leave the test with no parser built, so test order cannot matter."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+def test_build_parser_returns_the_one_parser(fresh_parser):
+    assert build_parser() is build_parser()
+    # shared defaults are immutable, so no call can change another's
+    assert build_parser().parse_args(["frobenius"]).check == ("frobenius,separability,split",)
+    assert build_parser().parse_args(["centre"]).check == ("centre",)
+
+
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(10):
+        assert main(["verify", "--n", "1", "--check", "rank"]) == 0
+        assert main(["demo-bisymmetric", "--json"]) == 0
+    capsys.readouterr()
+    # the top-level parser and its eight subcommands, built by the first call only
+    assert len(built) == 9
+
+
+MIXED_COMMANDS = [
+    ["verify", "--json", "--ring", "rat", "--n", "3"],
+    ["verify", "--json", "--ring", "c2:int", "--n", "2", "--check", "rank", "--check", "isos"],
+    ["verify", "--check", ","],
+    ["table", "--seed", "1"],
+    ["--help"],
+    ["verify", "--help"],
+    ["frobenius"],
+    ["centre", "--json"],
+    ["iso", "--kind", "morita", "--n", "6"],
+    ["cellchain"],
+    ["dump-algebra"],
+    ["demo-bisymmetric"],
+    ["verify", "--json", "--ring", "c2:int", "--n", "2"],
+    ["frobenius", "--json", "--ring", "rat", "--n", "3"],
+    ["verify", "--json", "--ring", "rat", "--n", "3"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_gives_each_call_the_bytes_of_a_fresh_one(capsys, fresh_parser):
+    """Call for call, one process's shared parser gives the stdout, stderr and
+    exit code (or SystemExit code) of a parser built for that call alone."""
+    shared = [_outcome(capsys, argv) for argv in MIXED_COMMANDS]
+    fresh = []
+    for argv in MIXED_COMMANDS:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared[2:6]] == [
+        2, ("SystemExit", 2), ("SystemExit", 0), ("SystemExit", 0)]
