@@ -55,8 +55,9 @@ class StructureAlgebra:
     """An associative unital algebra presented by basis labels and a sparse
     table of its basis products: nested rows ``u -> {v: {w: coeff}}``, as
     the builders write them, are checked in place and adopted as ``by_left``
-    (read it, never change it); a flat table ``(u, v) -> ((w, coeff), ...)``
-    or rows holding a zero go through :func:`_checked_rows`.  An index
+    (read it, never change it); a flat table ``(u, v) -> ((w, coeff), ...)``,
+    rows holding a zero, or rows or terms that are not dicts go through
+    :func:`_checked_rows`.  An index
     outside the basis raises ValueError.  :meth:`mul_sparse` walks only the
     keys of its left operand and, for each, the shorter of the right
     operand's keys and that index's row; :attr:`table` rebuilds the flat
@@ -74,12 +75,19 @@ class StructureAlgebra:
         self.labels = tuple(labels)
         zero, basis = ring.zero(), frozenset(range(len(self.labels)))
         clean = all if ring.is_zero is not_ else lambda cs: zero not in cs
-        rows = table.values()  # a flat table's keys are pairs, never basis indices
-        if not (table.keys() <= basis and all(row and row.keys() <= basis for row in rows)
-                and all(terms and clean(terms.values()) and terms.keys() <= basis
-                        for row in rows for terms in row.values())):
-            table = _checked_rows(ring, basis, table)
-        self.by_left = table
+        rows = table.values()
+
+        def entries():  # the terms dicts of nested rows, row by row
+            return chain.from_iterable(map(dict.values, rows))
+
+        try:  # passes in C; a flat table's keys are pairs, never basis indices
+            adopt = (basis.issuperset(table) and all(rows)
+                     and basis.issuperset(chain.from_iterable(rows)) and all(entries())
+                     and basis.issuperset(chain.from_iterable(entries()))
+                     and clean(chain.from_iterable(map(dict.values, entries()))))
+        except TypeError:  # a row or terms that are not dicts
+            adopt = False
+        self.by_left = table if adopt else _checked_rows(ring, basis, table)
         self.unit_sparse = checked_sparse(ring, unit, len(self.labels),
                                           "unit coordinate length does not match the basis")
         self.invol_sparse = None if invol is None else [checked_sparse(
@@ -386,21 +394,23 @@ def full_matrix_algebra(ring: Ring, m: int,
     # g is the power of x carried by a basis element; unflattened, always 0
     flatten = isinstance(ring, GroupRingC2) and flatten_group_ring
     base, powers = (ring.base, (0, 1)) if flatten else (ring, (0,))
-    idx = {}
-    labels = []
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
+    s, one = len(powers), base.one()
+    labels = [f"E{i}_{j}" if g == 0 else f"x*E{i}_{j}"
+              for i in range(1, m + 1) for j in range(1, m + 1) for g in powers]
+    # E_{i,j}x^g is basis index ((i-1)*m + j-1)*s + g, read from ix so that the
+    # rows share one int object per index; E_{i,j}x^g * E_{j,q}x^h = E_{i,q}x^(g+h)
+    ix, table = list(range(len(labels))), {}
+    for i in range(m):
+        for j in range(m):
             for g in powers:
-                idx[(i, j, g)] = len(labels)
-                labels.append(f"E{i}_{j}" if g == 0 else f"x*E{i}_{j}")
-    one = base.one()
-    # E_{i,j}x^g * E_{j,q}x^h = E_{i,q}x^(g+h)
-    table = {u: {idx[(j, q, h)]: {idx[(i, q, (g + h) % 2)]: one}
-                 for q in range(1, m + 1) for h in powers} for (i, j, g), u in idx.items()}
-    unit = {idx[(i, i, 0)]: one for i in range(1, m + 1)}
-    invol = [{idx[(j, i, g)]: one} for (i, j, g) in idx]
+                row = table[ix[(i * m + j) * s + g]] = {}
+                for q in range(m):
+                    for h in powers:
+                        row[ix[(j * m + q) * s + h]] = {ix[(i * m + q) * s + (g + h) % 2]: one}
+    unit = {i * (m + 1) * s: one for i in range(m)}
+    invol = [{ix[(j * m + i) * s + g]: one} for i in range(m) for j in range(m) for g in powers]
     # the cycle E_{1,2}, ..., E_{m-1,m}, E_{m,1}, whose last unit carries x if flattened
-    cycle = [idx[(i, i + 1, 0)] for i in range(1, m)] + [idx[(m, 1, int(flatten))]]
+    cycle = [(i * (m + 1) + 1) * s for i in range(m - 1)] + [(m - 1) * m * s + int(flatten)]
     return StructureAlgebra(base, labels, table, unit, invol, cycle)
 
 

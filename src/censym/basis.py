@@ -10,7 +10,10 @@ free module of rank ceil(n^2/2) with basis
 indexed canonically by 1 <= i <= ceil(n/2) and 1 <= j <= n, except that in
 the odd middle row i == (n+1)/2 the indices j and n+1-j name the same
 element and the canonical representative takes j <= (n+1)/2.  Basis order
-is lexicographic on the canonical (i, j).  Structure constants are always
+is lexicographic on the canonical (i, j).  Cells are numbered row-major,
+p = (i-1)*n + (j-1), as ``Matrix.cells`` keys them; the mirror of cell p is
+n*n-1-p, so the canonical cells are exactly the first ceil(n^2/2) cells and
+f_u's canonical cell is cell u.  Structure constants are always
 computed by the matrix-unit oracle: each basis element expands into its one
 or two unit cells, the units multiply as e[a, b] e[c, d] = kron(b, c) e[a, d]
 (only cells that meet, found by row), and the coefficients are read off the
@@ -137,27 +140,25 @@ def coords(a) -> list:
 
 def coords_sparse(a) -> dict:
     """Coordinates of a centrosymmetric matrix over the canonical basis, read
-    from its non-zero cells alone: each basis element contributes exactly one
-    canonical cell, so the coordinate at (i, j) is just the entry a[i, j]."""
+    from its non-zero cells alone: f_u's canonical cell is the row-major
+    cell u, so coordinate u is just the entry there."""
     m = _unwrap(a)
     if not is_centrosymmetric(m):
         raise ValueError("matrix is not centrosymmetric")
-    n, pos = m.n, positions(m.n)
-    cells = (((p // n + 1, p % n + 1), c) for p, c in m.cells.items())
-    return {pos[q]: c for q, c in cells if q in pos}
+    r = rank_of(m.n)
+    return {p: c for p, c in m.cells.items() if p < r}
 
 
 def from_coords(ring: Ring, n: int, v) -> CentroMatrix:
     """Inverse of :func:`coords`: the combination sum(v[u] * f_u), for a
     dense or sparse coordinate vector v.  Coordinate u is the payload of
-    f_u's canonical cell and of its mirror cell, which sits at n*n-1 minus
-    its row-major position."""
-    idxs = canonical_indices(n)
-    v = checked_sparse(ring, v, len(idxs), f"expected {len(idxs)} coordinates for size {n}")
+    f_u's canonical cell, the row-major cell u, and of its mirror cell
+    n*n-1-u."""
+    r = len(canonical_indices(n))
+    v = checked_sparse(ring, v, r, f"expected {r} coordinates for size {n}")
     cells, last = {}, n * n - 1
     for u, x in v.items():
-        p = (idxs[u].i - 1) * n + idxs[u].j - 1
-        cells[p] = cells[last - p] = x
+        cells[u] = cells[last - u] = x
     return CentroMatrix(Matrix(ring, n, cells))
 
 
@@ -173,48 +174,60 @@ def structure_rows(ring: Ring, n: int) -> dict:
     """Sparse product rows u -> {v: {w: coeff}} with f_u f_v = sum, keys
     ascending at every level: the rows ``algebra_of_censym`` adopts.
 
-    Computed by the matrix-unit oracle, bucketed by row: a unit product
-    e[a, b] e[c, d] = kron(b, c) e[a, d] is non-zero only when c == b, so
-    f_u meets only the f_v with a cell in one of u's columns as a row, in
-    ascending v; every skipped pair has a zero product.  A product cell
-    counts its unit products as an int multiplicity k, read into the ring as
-    the k-fold sum of ``one``; the coefficients are read off the canonical
-    cells, which sort as their positions do.  A product cell whose ring
-    value differs from its mirror's (c*P*c != P) raises :class:`NotClosed`.
-    Uncached: the rows are built once per ``shared_builds()`` block.
+    Computed by the matrix-unit oracle on row-major cell numbers: the unit
+    e[a, b] is cell p = (a-1)*n + (b-1), its mirror is cell n*n-1-p, and the
+    canonical cells are the first ``rank_of(n)`` cells, f_u's being cell u.
+    The oracle is bucketed by row: a unit product e[a, b] e[c, d] =
+    kron(b, c) e[a, d] is non-zero only when c == b, so f_u meets only the
+    f_v with a cell in one of u's columns as a row, in ascending v; every
+    skipped pair has a zero product.  A product cell counts its unit
+    products as an int multiplicity k, read into the ring as the k-fold sum
+    of ``one``, and the coefficients are read off the canonical cells.  A
+    product cell whose ring value differs from its mirror's (c*P*c != P)
+    raises :class:`NotClosed`.  Uncached: the rows are built once per
+    ``shared_builds()`` block.
     """
-    idxs = canonical_indices(n)
-    pos = positions(n)
-    cells = [unit_cells(n, ix.i, ix.j) for ix in idxs]
+    idxs, last = canonical_indices(n), n * n - 1
+    # at[p]: the basis position of cell p, or None off the canonical cells; the
+    # rows share its int objects rather than hold one per term
+    at = [*range(len(idxs)), *[None] * (last + 1 - len(idxs))]
+    cells = [[(i - 1) * n + j - 1 for i, j in unit_cells(n, ix.i, ix.j)] for ix in idxs]
     # value[k] is the k-fold sum of one; no product has more than this many terms
     value = [ring.zero()]
     for _ in range(max(map(len, cells)) ** 2):
         value.append(ring.add(value[-1], ring.one()))
     live = [x != value[0] for x in value]
     # under[c][v]: the columns of v's cells in row c, v ascending
-    under = {}
+    under = [{} for _ in range(n)]
     for v, cv in enumerate(cells):
-        for c, d in cv:
-            under.setdefault(c, {}).setdefault(v, []).append(d)
+        for p in cv:
+            under[p // n].setdefault(v, []).append(p % n)
     rows = {}
     for u, cu in enumerate(cells):
-        left = [(a, under.get(b, {})) for a, b in cu]
-        for v in sorted({v for _, bucket in left for v in bucket}):
+        # the unit at cell a*n + b (0-based) meets row b, and a cell b*n + d there
+        # gives the product cell a*n + d
+        left, vs, row = [], set(), {}
+        for p in cu:
+            bucket = under[p % n]
+            left.append((p - p % n, bucket))
+            vs.update(bucket)
+        for v in sorted(vs):
             prod = {}
             for a, bucket in left:
                 for d in bucket.get(v, ()):
-                    prod[a, d] = prod.get((a, d), 0) + 1
-            for (a, d), k in prod.items():
-                m = prod.get((n + 1 - a, n + 1 - d), 0)
+                    prod[a + d] = prod.get(a + d, 0) + 1
+            terms = {}
+            for p in sorted(prod):
+                k, m = prod[p], prod.get(last - p, 0)
                 if k != m and value[k] != value[m]:
                     raise NotClosed(f"({idxs[u].label}, {idxs[v].label})")
-            terms = {}
-            for cell in sorted(prod):
-                k = prod[cell]
-                if live[k] and cell in pos:
-                    terms[pos[cell]] = value[k]
+                w = at[p]
+                if w is not None and live[k]:
+                    terms[w] = value[k]
             if terms:
-                rows.setdefault(u, {})[v] = terms
+                row[v] = terms
+        if row:
+            rows[u] = row
     return rows
 
 
@@ -234,10 +247,8 @@ def formula_applicable(n: int, a: BasisIndex, b: BasisIndex) -> bool:
     """
     if n % 2 == 0:
         return True
-    mid = half_ceil(n)
-    if (a.i, a.j) == (mid, mid) or (b.i, b.j) == (mid, mid):
-        return False
-    return not (a.i == mid and b.j == mid)
+    mid = (n + 1) // 2
+    return not (a.i == mid and (a.j == mid or b.j == mid) or b.i == b.j == mid)
 
 
 def formula_product(ring: Ring, n: int, a: BasisIndex, b: BasisIndex):
@@ -245,17 +256,16 @@ def formula_product(ring: Ring, n: int, a: BasisIndex, b: BasisIndex):
 
     f[i,j] f[p,q] = kron(j, p) f[i, q] + kron(j, n+1-p) f[i, n+1-q],
     read against canonical representatives: one term for each of (p, q)
-    and its mirror (n+1-p, n+1-q) that starts at row j.
+    and its mirror (n+1-p, n+1-q) that starts at row j.  Row i is already
+    canonical; only the odd middle row folds a column q > mid to n+1-q.
+    Where the formula applies the two terms never name the same element.
     """
     if not formula_applicable(n, a, b):
         return None
-    out, one, zero = {}, ring.one(), ring.zero()
-    for p, q in ((b.i, b.j), (n + 1 - b.i, n + 1 - b.j)):
+    out, one, i, m = {}, ring.one(), a.i, n + 1
+    for p, q in ((b.i, b.j), (m - b.i, m - b.j)):
         if p == a.j:
-            w = canon_index(n, a.i, q)
-            out[w] = ring.add(out.get(w, zero), one)
-            if out[w] == zero:  # both terms hit w and 1 + 1 is 0
-                del out[w]
+            out[i, m - q if i + i == m and q + q > m else q] = one
     return out
 
 

@@ -288,11 +288,11 @@ def cmd_verify(args) -> int:
         checks.extend(c.strip() for c in chunk.split(",") if c.strip())
     if not checks:
         raise RingError(f"--check names no check; choose from {', '.join(CHECK_NAMES)}")
+    for c in checks:
+        if c not in CHECK_NAMES and c != "all":
+            raise RingError(f"unknown check {c!r}; choose from {', '.join(CHECK_NAMES)}")
     if "all" in checks:
         checks = list(CHECK_NAMES)
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise RingError(f"unknown check {c!r}; choose from {', '.join(CHECK_NAMES)}")
     sizes = [args.n] if args.n else list(range(1, 9))
     for n in sizes:
         with shared_builds():

@@ -33,6 +33,9 @@ multiple of one row therefore never changes ``v`` at another pivot, so the
 multiplier of each row is ``v``'s own entry at that row's pivot, and
 :meth:`RowBasis._reduce` needs only the keys of ``v`` that are pivots
 (looked up in a pivot-column -> row map) and the keys of their rows.
+:meth:`RowBasis.insert` clears a new pivot column from the stored rows only
+when it lies in ``_cols``, the union of their keys, as no row is non-zero
+elsewhere; a unit vector at a fresh pivot visits no stored row.
 """
 
 from __future__ import annotations
@@ -111,6 +114,7 @@ class RowBasis:
         self.pivots: list = []
         self._combos: list = []
         self._row_of: dict = {}  # pivot column -> index of its row
+        self._cols: set = set()  # every column at which some stored row may be non-zero
 
     @property
     def rank(self) -> int:
@@ -164,8 +168,9 @@ class RowBasis:
                 add_multiple(R, combo, neg(mul(inv, m)), self._combos[r])
         # keep full reduced form: clear the new pivot column in the other
         # rows (the new row is zero at their pivots, as a unit times a
-        # non-zero entry is non-zero and the residual is zero there)
-        for r, other in enumerate(self.sparse_rows):
+        # non-zero entry is non-zero and the residual is zero there); no
+        # stored row is non-zero at a column outside ``_cols``
+        for r, other in enumerate(self.sparse_rows if lead in self._cols else ()):
             c = other.get(lead)
             if c is not None:
                 c = neg(c)
@@ -173,6 +178,7 @@ class RowBasis:
                 if self.track:
                     add_multiple(R, self._combos[r], c, combo)
         self._row_of[lead] = self.rank
+        self._cols.update(row)
         self.sparse_rows.append(row)
         self.pivots.append(lead)
         if self.track:

@@ -2,6 +2,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from operator import not_
 
 import pytest
 
@@ -1091,6 +1092,96 @@ def test_nested_and_flat_forms_of_a_bad_entry_have_one_outcome(case, any_ring):
             w: c for w, c in terms.items() if c != any_ring.zero()}}}
         expected[u] = {y: t for y, t in expected[u].items() if t}
         assert nested == _key_order({x: row for x, row in expected.items() if row})
+
+
+def _dict_lookup_matrix_algebra(ring, m, flatten_group_ring=True):
+    """``full_matrix_algebra``'s labels, rows, unit, involution and cycle
+    through an (i, j, g) -> index dict: the reference for its index
+    arithmetic."""
+    flatten = isinstance(ring, GroupRingC2) and flatten_group_ring
+    base, powers = (ring.base, (0, 1)) if flatten else (ring, (0,))
+    idx, labels = {}, []
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            for g in powers:
+                idx[(i, j, g)] = len(labels)
+                labels.append(f"E{i}_{j}" if g == 0 else f"x*E{i}_{j}")
+    one = base.one()
+    table = {u: {idx[(j, q, h)]: {idx[(i, q, (g + h) % 2)]: one}
+                 for q in range(1, m + 1) for h in powers} for (i, j, g), u in idx.items()}
+    unit = {idx[(i, i, 0)]: one for i in range(1, m + 1)}
+    invol = [{idx[(j, i, g)]: one} for (i, j, g) in idx]
+    cycle = [idx[(i, i + 1, 0)] for i in range(1, m)] + [idx[(m, 1, int(flatten))]]
+    return base, labels, table, unit, invol, cycle
+
+
+@pytest.mark.parametrize("flatten", [True, False], ids=["flattened", "unflattened"])
+def test_matrix_algebra_indices_match_a_dict_lookup_reference(flatten, any_ring):
+    for m in range(1, 7):
+        a = full_matrix_algebra(any_ring, m, flatten_group_ring=flatten)
+        base, labels, table, unit, invol, cycle = _dict_lookup_matrix_algebra(any_ring, m, flatten)
+        assert a.ring == base and a.labels == tuple(labels), m
+        assert repr(a.by_left) == repr(table) and a.by_left == table, m
+        assert a.unit_sparse == unit and a.invol_sparse == invol and a._first == tuple(cycle), m
+
+
+def _old_adoption(ring, labels, table):
+    """``StructureAlgebra.__init__``'s adoption test before its passes ran in
+    C: the outcome reference for the current one."""
+    zero, basis = ring.zero(), frozenset(range(len(labels)))
+    clean = all if ring.is_zero is not_ else lambda cs: zero not in cs
+    rows = table.values()
+    if not (table.keys() <= basis and all(row and row.keys() <= basis for row in rows)
+            and all(terms and clean(terms.values()) and terms.keys() <= basis
+                    for row in rows for terms in row.values())):
+        table = censym.algebra._checked_rows(ring, basis, table)
+    return table
+
+
+def _adoption_outcome(build, rows):
+    """What a build from ``rows`` gives: its store with key order at every
+    level and whether it is ``rows`` itself, or the exception type raised."""
+    try:
+        got = build(rows)
+    except (AttributeError, TypeError, ValueError) as exc:
+        return type(exc).__name__
+    return got is rows, [(u, [(v, list(t.items()) if isinstance(t, dict) else t)
+                              for v, t in row.items()]) for u, row in got.items()]
+
+
+def _unusual_tables(m):
+    """The nine bad entries nested and flat, m's flat table, and rows or
+    terms that are not dicts."""
+    one, zero = m.ring.one(), m.ring.zero()
+    rows = {u: {v: dict(t) for v, t in row.items()} for u, row in m.by_left.items()}
+    out = {"clean": rows, "flat": m.table, "empty": {}}
+    for case, ((u, v), terms, _) in _bad_entries(one, zero).items():
+        bad = {x: dict(row) for x, row in rows.items()}
+        bad.setdefault(u, {})[v] = dict(terms)
+        out[f"{case}-nested"] = bad
+        out[f"{case}-flat"] = {(x, y): tuple(t.items()) for x, row in bad.items()
+                               for y, t in row.items()}
+    odd = {
+        "row-list-of-indices": [1, 2], "row-list-of-pairs": [(1, {0: one})],
+        "row-unhashable": [[1, {0: one}]], "row-tuple": (), "row-none": None,
+        "row-set": {0, 1}, "row-string": "01", "terms-pairs": {1: [(0, one)]},
+        "terms-empty-list": {1: []}, "terms-unhashable": {1: [[0, one]]},
+        "terms-indices": {1: [0]}, "terms-set": {1: {0}},
+    }
+    for case, row in odd.items():
+        out[case] = {**rows, 0: row}
+    return out
+
+
+@pytest.mark.parametrize("case", _unusual_tables(full_matrix_algebra(Z, 2)).keys())
+def test_adoption_has_the_outcome_of_the_generator_test(case, any_ring):
+    """The passes in C adopt exactly what the per-row generator test adopted,
+    and every other table goes to ``_checked_rows`` with the same outcome."""
+    m = full_matrix_algebra(any_ring, 2, flatten_group_ring=False)
+    rows = _unusual_tables(m)[case]
+    got = _adoption_outcome(
+        lambda t: StructureAlgebra(m.ring, m.labels, t, m.unit_sparse).by_left, rows)
+    assert got == _adoption_outcome(lambda t: _old_adoption(m.ring, m.labels, t), rows)
 
 
 def test_building_the_centrosymmetric_algebra_holds_one_copy_of_its_products():

@@ -305,13 +305,48 @@ def all_pairs_structure_constants(ring, n: int) -> dict:
     return table
 
 
-@pytest.mark.parametrize("literal", GRID_LITERALS)
+def tuple_keyed_rows(ring, n: int) -> dict:
+    """The bucketed oracle on (i, j) cell tuples and a ``positions`` dict: the
+    value and key-order reference for the cell-numbered ``structure_rows``."""
+    idxs = canonical_indices(n)
+    pos = fb.positions(n)
+    cells = [fb.unit_cells(n, ix.i, ix.j) for ix in idxs]
+    value = [ring.zero()]
+    for _ in range(max(map(len, cells)) ** 2):
+        value.append(ring.add(value[-1], ring.one()))
+    under = {}
+    for v, cv in enumerate(cells):
+        for c, d in cv:
+            under.setdefault(c, {}).setdefault(v, []).append(d)
+    rows = {}
+    for u, cu in enumerate(cells):
+        left = [(a, under.get(b, {})) for a, b in cu]
+        for v in sorted({v for _, bucket in left for v in bucket}):
+            prod = {}
+            for a, bucket in left:
+                for d in bucket.get(v, ()):
+                    prod[a, d] = prod.get((a, d), 0) + 1
+            for (a, d), k in prod.items():
+                m = prod.get((n + 1 - a, n + 1 - d), 0)
+                if k != m and value[k] != value[m]:
+                    raise fb.NotClosed(f"({idxs[u].label}, {idxs[v].label})")
+            terms = {pos[cell]: value[prod[cell]] for cell in sorted(prod)
+                     if cell in pos and value[prod[cell]] != value[0]}
+            if terms:
+                rows.setdefault(u, {})[v] = terms
+    return rows
+
+
+@pytest.mark.parametrize("literal", GRID_LITERALS + ["c2:gf:2"])
 def test_bucketed_oracle_matches_all_pairs_reference(literal):
+    """The flat table equals the all-pairs reference, and the nested rows'
+    repr (payloads and key order at every level) is the tuple-keyed oracle's."""
     ring = ring_from_literal(literal)
-    for n in range(1, 13):
+    for n in range(1, 17):
         table, ref = structure_constants(ring, n), all_pairs_structure_constants(ring, n)
         assert table == ref, n
         assert list(table) == list(ref), n  # the same row-major key order
+        assert repr(fb.structure_rows(ring, n)) == repr(tuple_keyed_rows(ring, n)), n
 
 
 @pytest.mark.parametrize("literal", ["int", "gf:2", "c2:int"])
@@ -342,3 +377,71 @@ def test_multiplicities_are_read_into_the_ring_before_comparing(monkeypatch):
     for literal in ("gf:2", "zmod:4"):
         ring = ring_from_literal(literal)
         assert structure_constants(ring, 3) == all_pairs_structure_constants(ring, 3) == {}
+
+
+def test_canonical_cells_are_the_first_cells_in_basis_order():
+    """f_u's canonical cell is the row-major cell u, and its mirror n*n-1-u
+    is a canonical cell only for the odd middle cell, its own mirror."""
+    for n in range(1, 17):
+        cells = [(ix.i - 1) * n + ix.j - 1 for ix in canonical_indices(n)]
+        assert cells == list(range(rank_of(n))), n
+        self_mirrored = [u for u in cells if n * n - 1 - u < rank_of(n)]
+        assert self_mirrored == ([] if n % 2 == 0 else [cells[-1]]), n
+
+
+MUTATIONS = {
+    "canonical-only": lambda cells: cells[:1],
+    "mirror-only": lambda cells: cells[-1:],
+    "canonical-twice": lambda cells: cells[:1] * 2,
+    "swapped": lambda cells: cells[::-1] + cells[:1],
+    "reversed": lambda cells: cells[::-1],  # closed, but cells meet in another order
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS.values(), ids=MUTATIONS.keys())
+@pytest.mark.parametrize("literal", ["int", "gf:2", "gf:5", "zmod:4", "c2:int"])
+def test_mutated_unit_cells_give_the_tuple_keyed_outcome(literal, mutation, monkeypatch):
+    """Negative controls: with mutated unit cells, the cell-numbered oracle
+    raises NotClosed on the tuple-keyed oracle's pair, or gives its rows."""
+    ring = ring_from_literal(literal)
+    real = fb.unit_cells
+    monkeypatch.setattr(fb, "unit_cells", lambda n, i, j: mutation(real(n, i, j)))
+
+    def outcome(oracle, n):
+        try:
+            return repr(oracle(ring, n))
+        except fb.NotClosed as exc:
+            return exc.pair
+
+    for n in range(1, 10):
+        assert outcome(fb.structure_rows, n) == outcome(tuple_keyed_rows, n), n
+
+
+def tuple_keyed_formula(ring, n, a, b):
+    """``formula_product`` through ``canon_index`` and a 1 + 1 check: the
+    reference for its inline canonical column."""
+    if not formula_applicable(n, a, b):
+        return None
+    out, one, zero = {}, ring.one(), ring.zero()
+    for p, q in ((b.i, b.j), (n + 1 - b.i, n + 1 - b.j)):
+        if p == a.j:
+            w = canon_index(n, a.i, q)
+            out[w] = ring.add(out.get(w, zero), one)
+            if out[w] == zero:
+                del out[w]
+    return out
+
+
+@pytest.mark.parametrize("literal", GRID_LITERALS + ["c2:gf:2"])
+def test_formula_product_matches_the_canon_index_reference(literal):
+    ring = ring_from_literal(literal)
+    for n in range(1, 12):
+        idxs = canonical_indices(n)
+        mid = half_ceil(n)
+        for a in idxs:
+            for b in idxs:
+                want = tuple_keyed_formula(ring, n, a, b)
+                assert repr(formula_product(ring, n, a, b)) == repr(want), (n, a, b)
+                assert formula_applicable(n, a, b) == (n % 2 == 0 or not (
+                    (a.i, a.j) == (mid, mid) or (b.i, b.j) == (mid, mid)
+                    or (a.i == mid and b.j == mid))), (n, a, b)

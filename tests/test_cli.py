@@ -675,6 +675,19 @@ def test_a_check_named_twice_keeps_the_unknown_check_error(capsys):
     assert "unknown check 'bogus'" in err
 
 
+
+@pytest.mark.parametrize("checks", ["all,bogus", "bogus,all", "all,rank,bogus", "all,all,bogus"])
+def test_all_does_not_hide_an_unknown_check(capsys, checks):
+    """Names are checked before ``all`` expands: nothing runs, exit 2."""
+    code, out, err = run(capsys, "verify", "--n", "1", "--check", checks)
+    assert (code, out) == (2, "")
+    assert "unknown check 'bogus'" in err
+
+
+def test_all_next_to_known_checks_runs_every_check_once(capsys):
+    assert run(capsys, "verify", "--n", "2", "--check", "rank,all,closure") == run(
+        capsys, "verify", "--n", "2")
+
 @pytest.fixture
 def fresh_parser():
     """Start and leave the test with no parser built, so test order cannot matter."""
